@@ -532,23 +532,13 @@ def _hodge_data(grid: hodge.PeriodicGrid, p: dict):
     return f, H, ref
 
 
-def _integral_closed_form(p: dict, dim: int) -> float:
-    from scipy.special import iv
-
-    a, b = p["f_amp"], p["h_amp"]
-    return float(
-        b * b * 4.0 * np.pi**3 * (2.0 * np.pi) ** (dim - 3) * (iv(0, a) + a * iv(1, a))
-    )
-
-
 def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
     if identity == "adjointness":
         rng = np.random.default_rng(p["seed"])
-        x = grid.coords()
         gaps = {}
         for k in range(grid.dim):
-            alpha = _random_trig_form(grid, k, rng, x)
-            beta = _random_trig_form(grid, k + 1, rng, x)
+            alpha = _random_trig_form(grid, k, rng)
+            beta = _random_trig_form(grid, k + 1, rng)
             gaps[f"degree_{k}"] = hodge.adjointness_gap(alpha, beta)
         return hodge.HodgeReport(
             identity="adjointness", grid_spec=grid.spec(), residuals=gaps
@@ -561,7 +551,7 @@ def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
     if identity == "integral":
         report = hodge.check_integral_identity(f, H)
         if p["data"] == "example":
-            exact = _integral_closed_form(p, grid.dim)
+            exact = hodge.integral_closed_form(p["f_amp"], p["h_amp"], grid.dim)
             report.values["closed_form"] = exact
             report.residuals["value_error"] = abs(report.values["left"] - exact)
         return report
@@ -570,23 +560,42 @@ def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
     raise AssertionError(identity)
 
 
-def _random_trig_form(grid, degree, rng, x):
-    if degree > grid.dim:
-        return hodge.FormField.zero(grid, degree)
-    comps = {}
-    for idx in _increasing_indices(grid.dim, degree):
-        field = np.zeros(grid.sizes)
-        for axis in range(grid.dim):
-            c, s, ph = rng.normal(size=3)
-            field = field + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
-        comps[idx] = field
-    return hodge.FormField(grid, degree, comps)
+# module global so that callers (and the benchmark tracer) look it up by name
+_random_trig_form = hodge.random_trig_form
 
 
-def _increasing_indices(n, k):
-    import itertools
+# Peak memory of hodge-check in grid-sized float64 arrays.  At 48^4 one
+# array is 40.5 MiB; the twisted check, the largest, allocates at most
+# 1134 MiB (28 arrays) and the whole process peaks at 1220 MiB RSS, i.e.
+# 30 arrays with the interpreter and its modules.
+HODGE_LIVE_ARRAYS = 30
 
-    return itertools.combinations(range(n), k)
+
+def _available_memory() -> Optional[int]:
+    """Bytes the kernel reports as available, None when it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def _require_hodge_memory(p: dict) -> None:
+    """Reject a grid whose estimated peak exceeds the available memory."""
+    size = p["size"] * (2 if p["refine"] else 1)
+    need = HODGE_LIVE_ARRAYS * 8 * size ** p["dim"]
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"hodge-check: a {p['dim']}-d grid of {size} points per axis needs "
+            f"about {need / 2**20:.0f} MiB, only {available / 2**20:.0f} MiB available"
+        )
 
 
 def _run_hodge_check(cfg: dict) -> str:
@@ -595,6 +604,7 @@ def _run_hodge_check(cfg: dict) -> str:
         raise ConfigError("hodge-check: dim must be 3 or 4")
     if p["size"] < 16:
         raise ConfigError("hodge-check: size must be at least 16")
+    _require_hodge_memory(p)
     identities = (
         ("suobing", "twisted", "integral", "divh2", "adjointness")
         if p["identity"] == "all"

@@ -54,6 +54,8 @@ __all__ = [
     "adjointness_gap",
     "example_fields",
     "closed_three_form",
+    "random_trig_form",
+    "integral_closed_form",
 ]
 
 Index = Tuple[int, ...]
@@ -130,12 +132,27 @@ class PeriodicGrid:
         }
 
     def deriv(self, u: np.ndarray, axis: int) -> np.ndarray:
-        """4th-order periodic central difference along one axis."""
+        """4th-order periodic central difference along one axis.
+
+        (8 (u[i+1] - u[i-1]) - u[i+2] + u[i-2]) / 12h, evaluated in that
+        order into one fresh array from contiguous slices along the axis:
+        the first difference covers the interior 1..m-2 in one slice and
+        the wrap planes 0 and m-1 separately, and each +-2 shift is two
+        slices, one of them wrapping.  No shifted copy of u is made, and
+        every element sees the same operations as the np.roll formula, so
+        the result is bit-identical to it.
+        """
         h = self.spacing[axis]
-        out = np.roll(u, -1, axis) - np.roll(u, 1, axis)
-        out *= 8.0
-        out -= np.roll(u, -2, axis)
-        out += np.roll(u, 2, axis)
+        out = np.empty_like(u)
+        v, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
+        np.subtract(v[2:], v[:-2], out=o[1:-1])
+        np.subtract(v[1], v[-1], out=o[0])
+        np.subtract(v[0], v[-2], out=o[-1])
+        o *= 8.0
+        o[:-2] -= v[2:]
+        o[-2:] -= v[:2]
+        o[2:] += v[:-2]
+        o[:2] += v[-2:]
         out /= 12.0 * h
         return out
 
@@ -201,9 +218,11 @@ class FormField:
             raise ValueError("fields live on different grids")
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = {k: v.copy() for k, v in self.comps.items()}
+        # a + (-1.0) b equals a - b exactly; unshared components are not copied
+        combine = np.add if sign > 0 else np.subtract
+        out = dict(self.comps)
         for k, v in other.comps.items():
-            out[k] = out[k] + sign * v if k in out else sign * v
+            out[k] = combine(out[k], v) if k in out else sign * v
         return FormField(self.grid, self.degree, out)
 
     def __add__(self, other):
@@ -254,7 +273,7 @@ def d(f: FormField) -> FormField:
             sign = (-1.0) ** target.index(a)
             term = grid.deriv(arr, a)
             if sign < 0:
-                term = -term
+                np.negative(term, out=term)
             if target in out:
                 out[target] += term
             else:
@@ -469,6 +488,44 @@ def closed_three_form(grid: PeriodicGrid, amplitudes=(0.5, 0.4)) -> FormField:
     if grid.dim == 4 and len(amplitudes) > 1:
         comps[(2, 3)] = float(amplitudes[1]) * np.sin(y)
     return d(FormField(grid, 2, comps))
+
+
+def random_trig_form(
+    grid: PeriodicGrid, degree: int, rng: np.random.Generator
+) -> FormField:
+    """Random trigonometric k-form: sum over axes of c cos(x + ph) + s sin 2x.
+
+    Draws (c, s, ph) = rng.normal(size=3) per component and axis in
+    lexicographic order.  Each component is separable, so it is
+    accumulated from 1-D factors: the broadcast shape grows one axis at a
+    time and only the last axis step is full grid size.
+    """
+    if degree > grid.dim:
+        return FormField.zero(grid, degree)
+    x = grid.coords()
+    comps = {}
+    for idx in itertools.combinations(range(grid.dim), degree):
+        field = np.zeros((1,) * grid.dim)
+        for axis in range(grid.dim):
+            c, s, ph = rng.normal(size=3)
+            field = field + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
+        comps[idx] = field
+    return FormField(grid, degree, comps)
+
+
+def integral_closed_form(f_amp: float, h_amp: float, dim: int) -> float:
+    """Exact int |d*H + i_{grad f} H|^2 e^{-f} dV for example_fields.
+
+    b^2 4 pi^3 (2 pi)^(dim-3) (I0(a) + a I1(a)) with f = a cos y and
+    H = b sin x dx^dy^dz on the unit-metric torus of period 2 pi.  scipy
+    is imported on call, not when this module loads.
+    """
+    from scipy.special import iv
+
+    a, b = f_amp, h_amp
+    return float(
+        b * b * 4.0 * np.pi**3 * (2.0 * np.pi) ** (dim - 3) * (iv(0, a) + a * iv(1, a))
+    )
 
 
 def _require_scalar_and_three_form(f: FormField, H: FormField):

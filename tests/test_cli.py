@@ -8,6 +8,7 @@ directory.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -296,6 +297,28 @@ def test_zero_torsion_witness_is_a_config_error(invoke, tmp_path):
     code, _, err = invoke("torsion", "--h0sq", "0", "--out", str(tmp_path))
     assert code == 2
     assert "nonzero" in err
+
+
+def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        "hodge-check", "--dim", "4", "--size", "2000", "--out", str(tmp_path)
+    )
+    assert time.perf_counter() - start < 1.0  # rejected before any allocation
+    assert code == 2 and out == ""
+    assert "MiB available" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypatch):
+    # 32^3 needs 7.5 MiB by the estimate, its refinement 64^3 60 MiB
+    monkeypatch.setattr(cli, "_available_memory", lambda: 20 * 2**20)
+    argv = ("hodge-check", "--identity", "suobing", "--size", "32",
+            "--out", str(tmp_path))
+    assert invoke(*argv)[0] == 0
+    code, _, err = invoke(*argv, "--refine")
+    assert code == 2
+    assert "64 points per axis" in err
 
 
 def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):

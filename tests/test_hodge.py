@@ -1,8 +1,10 @@
 """Periodic-grid exterior calculus: operator laws and the four identity checks."""
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import iv
 
 from grflab.hodge import (
@@ -27,6 +29,7 @@ from grflab.hodge import (
     l2_inner,
     wedge,
 )
+from grflab.hodge import random_trig_form as separable_trig_form
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,62 @@ def test_stencil_truncation_law(g32):
     err = np.abs(g32.deriv(np.sin(x) + 0 * y + 0 * z, 0) - np.cos(x)).max()
     model = g32.spacing[0] ** 4 / 30.0
     assert 0.9 < err / model < 1.1
+
+
+def roll_deriv(grid, u, axis):
+    """Reference: the 4th-order stencil written with four np.roll copies."""
+    out = np.roll(u, -1, axis) - np.roll(u, 1, axis)
+    out *= 8.0
+    out -= np.roll(u, -2, axis)
+    out += np.roll(u, 2, axis)
+    out /= 12.0 * grid.spacing[axis]
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(16, 17, 19), (16, 17, 18, 19), (24, 16, 16)])
+def test_stencil_matches_roll_formula_bit_for_bit(sizes):
+    dim = len(sizes)
+    periods = tuple(1.0 + a for a in range(dim))
+    grid = PeriodicGrid(dim=dim, sizes=sizes, periods=periods)
+    rng = np.random.default_rng(dim)
+    contiguous = rng.standard_normal(sizes)
+    transposed = rng.standard_normal(sizes[::-1]).T
+    assert not transposed.flags.c_contiguous
+    broadcast = [np.broadcast_to(np.sin(3.0 * x + 0.2), sizes) for x in grid.coords()]
+    for u in (contiguous, transposed, *broadcast):
+        for axis in range(dim):
+            out = grid.deriv(u, axis)
+            assert np.array_equal(out, roll_deriv(grid, u, axis))
+            assert out.flags.writeable
+            assert not np.shares_memory(out, u)
+
+
+def full_grid_trig_form(grid, degree, rng):
+    """Reference: the separable trigonometric form summed at full grid size."""
+    x = grid.coords()
+    comps = {}
+    for idx in itertools.combinations(range(grid.dim), degree):
+        field = np.zeros(grid.sizes)
+        for axis in range(grid.dim):
+            c, s, ph = rng.normal(size=3)
+            field = field + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
+        comps[idx] = field
+    return comps
+
+
+@pytest.mark.parametrize("sizes", [(16, 17, 19), (16, 17, 18, 19)])
+def test_separable_trig_form_matches_full_grid_accumulation(sizes):
+    grid = PeriodicGrid(dim=len(sizes), sizes=sizes)
+    # one generator across all degrees, as the CLI draws them
+    fast_rng, slow_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for degree in range(grid.dim + 1):
+        fast = separable_trig_form(grid, degree, fast_rng)
+        slow = full_grid_trig_form(grid, degree, slow_rng)
+        assert fast.indices() == sorted(slow)
+        for idx in fast.indices():
+            assert fast.comps[idx].shape == grid.sizes
+            assert np.array_equal(fast.comps[idx], slow[idx])
+    assert separable_trig_form(grid, grid.dim + 1, fast_rng).sup() == 0.0
 
 
 # ----------------------------------------------------------- operator algebra
@@ -350,3 +409,72 @@ def test_report_serialization(tmp_path, g16):
     assert "rate" not in payload
     rated = HodgeReport(identity="x", grid_spec=g16.spec(), residuals={"a": 1.0}, rate=4.0)
     assert json.loads(rated.to_json())["rate"] == 4.0
+
+
+# ------------------------------------------- algebra laws on random tori
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def tori(draw):
+    dim = draw(st.sampled_from((3, 4)))
+
+    def per_axis(values):
+        return tuple(draw(values) for _ in range(dim))
+
+    return PeriodicGrid(
+        dim=dim,
+        sizes=per_axis(st.integers(16, 24)),
+        periods=per_axis(st.floats(0.5, 10.0)),
+        metric=per_axis(st.floats(0.25, 4.0)),
+    )
+
+
+def noise_form(grid, degree, rng):
+    """Grid-scale random k-form: the stencil laws must hold for any data."""
+    return FormField(grid, degree, {
+        idx: rng.standard_normal(grid.sizes)
+        for idx in itertools.combinations(range(grid.dim), degree)
+    })
+
+
+def l2_norm(a):
+    return np.sqrt(l2_inner(a, a))
+
+
+@settings(max_examples=6, deadline=None)
+@given(grid=tori(), seed=st.integers(0, 2**32 - 1))
+def test_d_squared_vanishes_to_rounding_on_random_tori(grid, seed):
+    rng = np.random.default_rng(seed)
+    # one stencil costs up to 1.5/h in the sup norm; d d applies two
+    scale = (1.5 / min(grid.spacing)) ** 2
+    for degree in range(grid.dim - 1):
+        a = noise_form(grid, degree, rng)
+        assert d(d(a)).sup() <= 64 * EPS * scale * a.sup()
+
+
+@settings(max_examples=6, deadline=None)
+@given(grid=tori(), seed=st.integers(0, 2**32 - 1))
+def test_hodge_star_squares_to_sign_on_random_tori(grid, seed):
+    rng = np.random.default_rng(seed)
+    for degree in range(grid.dim + 1):
+        a = noise_form(grid, degree, rng)
+        twice = hodge(hodge(a))
+        sign = (-1.0) ** (degree * (grid.dim - degree))
+        assert twice.indices() == a.indices()
+        for idx in a.indices():
+            gap = np.abs(twice.comps[idx] - sign * a.comps[idx])
+            assert np.all(gap <= 32 * EPS * np.abs(a.comps[idx]))
+
+
+@settings(max_examples=6, deadline=None)
+@given(grid=tori(), seed=st.integers(0, 2**32 - 1))
+def test_adjointness_gap_at_rounding_on_random_tori(grid, seed):
+    rng = np.random.default_rng(seed)
+    for degree in range(grid.dim):
+        a = noise_form(grid, degree, rng)
+        b = noise_form(grid, degree + 1, rng)
+        scale = l2_norm(d(a)) * l2_norm(b) + l2_norm(a) * l2_norm(codiff(b))
+        assert adjointness_gap(a, b) <= 16 * EPS * scale
