@@ -5,7 +5,8 @@ JSON config (unknown keys rejected), lets flags override config values,
 writes artifacts atomically into the output directory and prints a
 one-line summary of the key scalars.  Exit status: 0 success, 2 config
 or validation failure, 3 numerical failure (step underflow, missing
-collapse, residual blowup).
+collapse, residual blowup).  The output directory is created by the
+first artifact write, so a run that exits 2 or 3 leaves none behind.
 
 Config layout (all sections optional):
 
@@ -39,18 +40,6 @@ from .ioutil import atomic_write_text, to_json_text
 
 ENV_OUTPUT_DIR = "GRFLAB_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "grflab_out"
-
-COMMANDS = (
-    "cylinder-flow",
-    "blowup",
-    "torsion",
-    "shoot",
-    "soliton-residual",
-    "entropy",
-    "heat-check",
-    "hodge-check",
-)
-
 
 class ConfigError(Exception):
     """Rejected configuration; maps to exit status 2."""
@@ -148,6 +137,8 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
     },
 }
 
+COMMANDS = tuple(SCHEMAS)
+
 
 # --------------------------------------------------------------------------
 # config resolution
@@ -205,6 +196,15 @@ _GRID_PARAM = {"hodge-check": "size", "soliton-residual": "points",
                "heat-check": "points"}
 
 
+def _set_params(command: str, params: dict, section: dict, where: str) -> None:
+    """Coerce each entry of a parameters section into params."""
+    schema = SCHEMAS[command]
+    for key, value in section.items():
+        if key not in schema:
+            raise ConfigError(f"{where}: unknown parameter '{key}'")
+        params[key] = _coerce(command, key, value, schema[key])
+
+
 def resolve_config(
     command: str,
     file_cfg: Optional[dict],
@@ -231,10 +231,7 @@ def resolve_config(
         section = file_cfg.get("parameters", {})
         if not isinstance(section, dict):
             raise ConfigError("'parameters' must be an object")
-        for key, value in section.items():
-            if key not in schema:
-                raise ConfigError(f"{command}: unknown parameter '{key}'")
-            params[key] = _coerce(command, key, value, schema[key])
+        _set_params(command, params, section, command)
         tols = file_cfg.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("'tolerances' must be an object")
@@ -265,10 +262,8 @@ def resolve_config(
             else:
                 raise ConfigError(f"unknown output key '{key}'")
 
-    for name, value in cli_params.items():
-        if value is None:
-            continue
-        params[name] = _coerce(command, name, value, schema[name])
+    _set_params(command, params,
+                {k: v for k, v in cli_params.items() if v is not None}, command)
 
     if out_flag is not None:
         out_dir = out_flag
@@ -286,31 +281,42 @@ def resolve_config(
 # command runners; each returns a one-line summary string
 
 
-def _artifact(cfg: dict, name: str) -> str:
-    return os.path.join(cfg["output"]["directory"], name)
+def _written(cfg: dict, *artifacts) -> str:
+    """Write each (format, file name, writer) whose output switch is on;
+    return the summary suffix naming the written paths."""
+    paths = []
+    for fmt, name, write in artifacts:
+        if cfg["output"][fmt]:
+            paths.append(os.path.join(cfg["output"]["directory"], name))
+            write(paths[-1])
+    return f" -> {', '.join(paths)}" if paths else ""
 
 
-def _run_cylinder_flow(cfg: dict) -> str:
-    p = cfg["parameters"]
+def _flow(p: dict, **limits) -> cylinder.CylinderTrajectory:
+    """run_flow from (lam0, h0sq, beta0); a rejected input exits 2, a step
+    underflow 3."""
     try:
         state = cylinder.CylinderState(
             lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"]
         )
+        traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], **limits)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    traj = cylinder.run_flow(
-        state, rtol=p["rtol"], atol=p["atol"], tmax=p["tmax"],
-        lam_floor=p["lam_floor"],
-    )
-    if traj.termination in ("blowup", "step_underflow"):
-        raise NumericalError(f"flow terminated with {traj.termination}")
-    path = None
-    if cfg["output"]["csv"]:
-        path = _artifact(cfg, "cylinder_flow.csv")
-        traj.to_csv(path, dt_out=p["dt_out"] if p["dt_out"] > 0 else None)
+    if traj.termination == "step_underflow":
+        raise NumericalError("flow terminated with step_underflow")
+    return traj
+
+
+def _run_cylinder_flow(cfg: dict) -> str:
+    p = cfg["parameters"]
+    traj = _flow(p, tmax=p["tmax"], lam_floor=p["lam_floor"])
+    if traj.termination == "blowup":
+        raise NumericalError("flow terminated with blowup")
+    dt_out = p["dt_out"] if p["dt_out"] > 0 else None
+    dest = _written(cfg, ("csv", "cylinder_flow.csv",
+                          lambda path: traj.to_csv(path, dt_out=dt_out)))
     drift = float(np.max(np.abs(traj.lambda_h_beta - traj.lambda_h_beta[0])))
     tsing = "none" if traj.T_sing is None else f"{traj.T_sing:.6f}"
-    dest = f" -> {path}" if path else ""
     return (
         f"cylinder-flow h0sq={p['h0sq']:g}: T_sing={tsing} "
         f"conserved_drift={drift:.3e} steps={traj.times.size}{dest}"
@@ -318,15 +324,7 @@ def _run_cylinder_flow(cfg: dict) -> str:
 
 
 def _collapsed_flow(p: dict) -> cylinder.CylinderTrajectory:
-    try:
-        state = cylinder.CylinderState(
-            lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], tmax=p["tmax"])
-    if traj.termination == "step_underflow":
-        raise NumericalError("flow terminated with step_underflow")
+    traj = _flow(p, tmax=p["tmax"])
     if traj.T_sing is None:
         raise NumericalError("flow did not reach the collapse event")
     return traj
@@ -339,11 +337,7 @@ def _run_blowup(cfg: dict) -> str:
         report = cylinder.blowup_analysis(traj, n_samples=p["samples"])
     except ValueError as exc:
         raise NumericalError(str(exc))
-    path = None
-    if cfg["output"]["json"]:
-        path = _artifact(cfg, "blowup.json")
-        report.to_json(path)
-    dest = f" -> {path}" if path else ""
+    dest = _written(cfg, ("json", "blowup.json", report.to_json))
     return (
         f"blowup h0sq={p['h0sq']:g}: limit={report.limit:.6f} "
         f"err={report.limit_error:.2e} opening_max={report.opening_max:.3e}{dest}"
@@ -361,12 +355,8 @@ def _run_torsion(cfg: dict) -> str:
         )
     except ValueError as exc:
         raise NumericalError(str(exc))
-    path = None
-    if cfg["output"]["json"]:
-        path = _artifact(cfg, "torsion.json")
-        report.to_json(path)
+    dest = _written(cfg, ("json", "torsion.json", report.to_json))
     cross = "none" if report.crossing_time is None else f"{report.crossing_time:.6f}"
-    dest = f" -> {path}" if path else ""
     return (
         f"torsion h0sq={p['h0sq']:g}: log_coefficient={report.log_coefficient:.4f} "
         f"I_end={report.I_end:.4f} crossing={cross}{dest}"
@@ -386,17 +376,11 @@ def _run_shoot(cfg: dict) -> str:
         raise NumericalError("phase integration hit step_underflow")
     if not report.terminated_at_zero:
         raise NumericalError("orbit did not return to the u floor")
-    paths = []
-    if cfg["output"]["json"]:
-        path = _artifact(cfg, "shoot.json")
-        report.to_json(path)
-        paths.append(path)
-    if p["csv"] and cfg["output"]["csv"]:
-        path = _artifact(cfg, "shoot_trajectory.csv")
-        report.trajectory_csv(path)
-        paths.append(path)
+    artifacts = [("json", "shoot.json", report.to_json)]
+    if p["csv"]:
+        artifacts.append(("csv", "shoot_trajectory.csv", report.trajectory_csv))
+    dest = _written(cfg, *artifacts)
     ms = ",".join("none" if m is None else f"{m:.6f}" for m in report.milestones)
-    dest = f" -> {', '.join(paths)}" if paths else ""
     return (
         f"shoot: milestones=[{ms}] u_max={report.u_max:.6f} "
         f"drift={report.invariant_drift:.2e}{dest}"
@@ -418,22 +402,19 @@ def _run_soliton_residual(cfg: dict) -> str:
     ode = warped.ode_residuals(data, grid)
     tensor = warped.tensor_residuals(data, grid)
     conv = warped.convention_check(data, grid)
-    path = None
-    if cfg["output"]["json"]:
-        path = _artifact(cfg, "soliton_residual.json")
-        payload = {
-            "soliton": p["soliton"],
-            "grid": {"r_min": p["r_min"], "r_max": p["r_max"], "points": p["points"]},
-            "ode_sup": ode.sup,
-            "tensor_sup": tensor.sup,
-            "convention_ok": conv.ok,
-            "factor_gap": conv.factor_gap,
-            "lambda_ode": data.lambda_ode,
-            "lambda_soliton": data.lambda_soliton,
-        }
-        atomic_write_text(path, to_json_text(payload))
+    payload = {
+        "soliton": p["soliton"],
+        "grid": {"r_min": p["r_min"], "r_max": p["r_max"], "points": p["points"]},
+        "ode_sup": ode.sup,
+        "tensor_sup": tensor.sup,
+        "convention_ok": conv.ok,
+        "factor_gap": conv.factor_gap,
+        "lambda_ode": data.lambda_ode,
+        "lambda_soliton": data.lambda_soliton,
+    }
+    dest = _written(cfg, ("json", "soliton_residual.json",
+                          lambda path: atomic_write_text(path, to_json_text(payload))))
     worst = max(ode.max_abs, tensor.max_abs)
-    dest = f" -> {path}" if path else ""
     return (
         f"soliton-residual {p['soliton']}: max_residual={worst:.3e} "
         f"convention_ok={conv.ok}{dest}"
@@ -442,15 +423,7 @@ def _run_soliton_residual(cfg: dict) -> str:
 
 def _run_entropy(cfg: dict) -> str:
     p = cfg["parameters"]
-    try:
-        state = cylinder.CylinderState(
-            lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"])
-    if traj.termination == "step_underflow":
-        raise NumericalError("flow terminated with step_underflow")
+    traj = _flow(p)
     if p["T_ref"] is None and traj.T_sing is None:
         raise NumericalError("flow did not collapse; pass an explicit T_ref")
     T_ref = p["T_ref"] if p["T_ref"] is not None else traj.T_sing
@@ -477,10 +450,7 @@ def _run_entropy(cfg: dict) -> str:
             trace = entropy.entropy_eval(traj, weights, config=config, times=times)
     except (ValueError, RuntimeError) as exc:
         raise NumericalError(str(exc))
-    path = None
-    if cfg["output"]["csv"]:
-        path = _artifact(cfg, "entropy.csv")
-        trace.to_csv(path)
+    dest = _written(cfg, ("csv", "entropy.csv", trace.to_csv))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])
     gap = float(np.nanmax(trace.gap)) if np.any(np.isfinite(trace.gap)) else float("nan")
     dW_min = (
@@ -488,7 +458,6 @@ def _run_entropy(cfg: dict) -> str:
         if np.any(np.isfinite(trace.dW_formula))
         else float("nan")
     )
-    dest = f" -> {path}" if path else ""
     return (
         f"entropy h0sq={p['h0sq']:g}: W0={trace.W[0]:.6f} mass_drift={drift:.2e} "
         f"gap_max={gap:.2e} dW_formula_min={dW_min:.4f}{dest}"
@@ -510,14 +479,8 @@ def _run_heat_check(cfg: dict) -> str:
         )
     except ValueError as exc:
         raise NumericalError(str(exc))
-    paths = []
-    if cfg["output"]["json"]:
-        a = _artifact(cfg, "heat_check.json")
-        heat.to_json(a)
-        b = _artifact(cfg, "monotonicity_check.json")
-        mono.to_json(b)
-        paths = [a, b]
-    dest = f" -> {', '.join(paths)}" if paths else ""
+    dest = _written(cfg, ("json", "heat_check.json", heat.to_json),
+                    ("json", "monotonicity_check.json", mono.to_json))
     return (
         f"heat-check {p['soliton']}: heat_sup={heat.max_abs:.3e} "
         f"monotonicity_sup={mono.max_abs:.3e}{dest}"
@@ -612,7 +575,7 @@ def _run_hodge_check(cfg: dict) -> str:
     )
     grid = hodge.PeriodicGrid.cube(p["dim"], p["size"])
     bits = []
-    paths = []
+    artifacts = []
     for identity in identities:
         report = _one_hodge_report(identity, grid, p)
         if p["refine"] and identity != "adjointness":
@@ -625,13 +588,12 @@ def _run_hodge_check(cfg: dict) -> str:
                 **report.residuals,
                 **{f"refined_{k}": v for k, v in fine.residuals.items()},
             }
-        if cfg["output"]["json"]:
-            path = _artifact(cfg, f"hodge_{identity}.json")
-            report.to_json(path)
-            paths.append(path)
+        artifacts.append(("json", f"hodge_{identity}.json", report.to_json))
         rate = f" rate={report.rate:.2f}" if report.rate is not None else ""
         bits.append(f"{identity}={report.sup:.3e}{rate}")
-    dest = f" -> {paths[-1] if len(paths) == 1 else cfg['output']['directory']}" if paths else ""
+    dest = _written(cfg, *artifacts)
+    if dest and len(artifacts) > 1:
+        dest = f" -> {cfg['output']['directory']}"
     return f"hodge-check {p['dim']}d n={p['size']}: " + " ".join(bits) + dest
 
 
@@ -649,6 +611,9 @@ RUNNERS = {
 
 # --------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+_ARG_TYPES = {"float": float, "int": int, "str": str}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,21 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
             if spec.kind == "flag":
                 sp.add_argument(flag, dest=name, action="store_const", const=True,
                                 default=None, help=spec.help)
-            elif spec.kind == "int":
-                sp.add_argument(flag, dest=name, type=int, default=None,
-                                help=spec.help)
-            elif spec.kind == "float":
-                sp.add_argument(flag, dest=name, type=float, default=None,
-                                help=spec.help)
             else:
-                sp.add_argument(flag, dest=name, type=str, default=None,
-                                choices=spec.choices or None, help=spec.help)
+                sp.add_argument(flag, dest=name, type=_ARG_TYPES[spec.kind],
+                                default=None, choices=spec.choices or None,
+                                help=spec.help)
     return parser
-
-
-def _single_run(cfg: dict) -> str:
-    os.makedirs(cfg["output"]["directory"], exist_ok=True)
-    return RUNNERS[cfg["command"]](cfg)
 
 
 def _run_sweep(command: str, file_cfg, cli_params, out_flag, sweep_path) -> int:
@@ -710,17 +665,14 @@ def _run_sweep(command: str, file_cfg, cli_params, out_flag, sweep_path) -> int:
         overrides = run.get("parameters", {})
         if not isinstance(overrides, dict):
             raise ConfigError(f"sweep run {i}: 'parameters' must be an object")
-        for key, value in overrides.items():
-            if key not in SCHEMAS[command]:
-                raise ConfigError(f"sweep run {i}: unknown parameter '{key}'")
-            cfg["parameters"][key] = _coerce(command, key, value, SCHEMAS[command][key])
+        _set_params(command, cfg["parameters"], overrides, f"sweep run {i}")
         cfg["output"]["directory"] = os.path.join(cfg["output"]["directory"], name)
         configs.append((name, cfg))
 
     def job(item):
         name, cfg = item
         try:
-            return name, 0, _single_run(cfg)
+            return name, 0, RUNNERS[command](cfg)
         except ConfigError as exc:
             return name, 2, f"config error: {exc}"
         except NumericalError as exc:
@@ -762,7 +714,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             sys.stdout.write(to_json_text(cfg))
             return 0
-        print(_single_run(cfg))
+        print(RUNNERS[command](cfg))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .ioutil import atomic_write_text, to_csv_text, to_json_text
+from .ioutil import Report, atomic_write_text, to_csv_text
 from .odesolve import EventSpec, OdeProblem, integrate
 
 __all__ = [
@@ -200,7 +200,7 @@ def run_flow(
 
 
 @dataclass
-class BlowupReport:
+class BlowupReport(Report):
     """Rescaling diagnostics on a geometric approach to the singular time.
 
     lambda*h^2 should approach 1/2 (the nontrivial soliton) for every
@@ -217,22 +217,6 @@ class BlowupReport:
     opening_increasing: bool
     opening_max: float
     ricci_case: bool
-
-    def to_json(self, path: Optional[str] = None) -> str:
-        payload = {
-            "sample_times": self.sample_times,
-            "lambda_h2": self.lambda_h2,
-            "limit": self.limit,
-            "limit_error": self.limit_error,
-            "opening": self.opening,
-            "opening_increasing": self.opening_increasing,
-            "opening_max": self.opening_max,
-            "ricci_case": self.ricci_case,
-        }
-        text = to_json_text(payload)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
 
 
 def _aitken(x: np.ndarray):
@@ -287,7 +271,7 @@ def blowup_analysis(traj: CylinderTrajectory, n_samples: int = 18) -> BlowupRepo
 
 
 @dataclass
-class TorsionReport:
+class TorsionReport(Report):
     """Divergence witness for the torsion integral I(t) = int 6 h^2.
 
     log_coefficient is the fitted c in I ~ -c ln(T_sing - t) over the
@@ -302,21 +286,6 @@ class TorsionReport:
     crossing_time: Optional[float]
     I_end: float
     T_sing: float
-
-    def to_json(self, path: Optional[str] = None) -> str:
-        payload = {
-            "times": self.times,
-            "torsion_integral": self.torsion_integral,
-            "log_coefficient": self.log_coefficient,
-            "psi0": self.psi0,
-            "crossing_time": self.crossing_time,
-            "I_end": self.I_end,
-            "T_sing": self.T_sing,
-        }
-        text = to_json_text(payload)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
 
 
 def torsion_divergence(

@@ -68,17 +68,14 @@ SPHERE_AREA = 8.0 * np.pi  # area of the Ric = g/2 sphere (radius sqrt 2)
 
 @dataclass(frozen=True)
 class EntropyConfig:
-    """Reference time for tau = T_ref - t, dimension, declared initial mass."""
+    """Reference time for tau = T_ref - t and declared initial mass."""
 
     T_ref: float
-    n: int = 3
     mass0: Optional[float] = None
 
     def __post_init__(self):
         if not np.isfinite(self.T_ref):
             raise ValueError("T_ref must be finite")
-        if self.n != 3:
-            raise ValueError("only n = 3 geometries are supported")
         if self.mass0 is not None and not self.mass0 > 0:
             raise ValueError("mass0 must be positive")
 

@@ -30,7 +30,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .ioutil import atomic_write_text, to_json_text
+from .ioutil import Report
+from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 
 __all__ = [
     "PeriodicGrid",
@@ -421,7 +422,7 @@ def _full_components(f: FormField):
 
 
 @dataclass
-class HodgeReport:
+class HodgeReport(Report):
     """One identity check: sup residuals, optional values and rate."""
 
     identity: str
@@ -430,24 +431,15 @@ class HodgeReport:
     values: Dict[str, float] = field(default_factory=dict)
     rate: Optional[float] = None
 
+    _skip = ("grid_spec", "rate")
+
     @property
     def sup(self) -> float:
         return max(self.residuals.values())
 
-    def to_json(self, path: Optional[str] = None) -> str:
-        payload = {
-            "identity": self.identity,
-            "grid": self.grid_spec,
-            "residuals": self.residuals,
-            "values": self.values,
-            "sup": self.sup,
-        }
-        if self.rate is not None:
-            payload["rate"] = self.rate
-        text = to_json_text(payload)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+    def _extras(self) -> dict:
+        rate = {} if self.rate is None else {"rate": self.rate}
+        return {"grid": self.grid_spec, "sup": self.sup, **rate}
 
 
 def example_fields(

@@ -6,10 +6,11 @@ runs are byte-reproducible.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,3 +57,27 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class Report:
+    """Base of the report dataclasses.
+
+    to_json serializes every dataclass field not named in _skip, plus the
+    entries of _extras(), and writes the text atomically when given a path.
+    """
+
+    _skip = ()
+
+    def _extras(self) -> dict:
+        return {}
+
+    def to_json(self, path: Optional[str] = None) -> str:
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in self._skip
+        }
+        text = to_json_text({**payload, **self._extras()})
+        if path is not None:
+            atomic_write_text(path, text)
+        return text

@@ -52,10 +52,6 @@ class OdeProblem:
             raise ValueError("tmax must exceed t0")
         object.__setattr__(self, "state0", state0)
 
-    @property
-    def timescale(self) -> float:
-        return self.tmax - self.t0
-
 
 @dataclass(frozen=True)
 class EventSpec:
@@ -135,7 +131,6 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     blowup_ceiling: float = 1e12,
-    max_step: float = np.inf,
 ) -> Trajectory:
     """Integrate problem with embedded-pair adaptive stepping.
 
@@ -169,7 +164,6 @@ def integrate(
         dense_output=True,
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
     )
 
     occurrences = []

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ioutil import atomic_write_text, to_csv_text, to_json_text
+from .ioutil import Report, atomic_write_text, to_csv_text
 from .odesolve import EventSpec, OdeProblem, Trajectory, integrate
 
 __all__ = [
@@ -122,7 +122,7 @@ def phase_trajectory(
 
 
 @dataclass
-class ShootingReport:
+class ShootingReport(Report):
     """Milestones of the smooth branch and the certification flags.
 
     r1: u=1 rising, r2: p=0 falling (top), r3: u=1 falling, r4: terminal
@@ -144,30 +144,14 @@ class ShootingReport:
     termination: str
     trajectory: Optional[Trajectory] = None
 
+    _skip = ("r1", "r2", "r3", "r4", "trajectory")
+
     @property
     def milestones(self):
         return (self.r1, self.r2, self.r3, self.r4)
 
-    def to_json(self, path: Optional[str] = None) -> str:
-        payload = {
-            "milestones": {
-                "r1": self.r1,
-                "r2": self.r2,
-                "r3": self.r3,
-                "r4": self.r4,
-            },
-            "u_max": self.u_max,
-            "invariant_drift": self.invariant_drift,
-            "terminated_at_zero": self.terminated_at_zero,
-            "delta_floor": self.delta_floor,
-            "floor_p": self.floor_p,
-            "floor_p_predicted": self.floor_p_predicted,
-            "termination": self.termination,
-        }
-        text = to_json_text(payload)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+    def _extras(self) -> dict:
+        return {"milestones": dict(zip(("r1", "r2", "r3", "r4"), self.milestones))}
 
     def trajectory_csv(self, path: Optional[str] = None) -> str:
         traj = self.trajectory

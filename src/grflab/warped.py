@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .ioutil import atomic_write_text, to_csv_text, to_json_text
+from .ioutil import Report, atomic_write_text, to_csv_text
 
 __all__ = [
     "RadialProfile",
@@ -145,7 +145,7 @@ def gaussian_shrinker() -> WarpedSolitonData:
 
 
 @dataclass
-class ResidualReport:
+class ResidualReport(Report):
     """Signed residual samples of a set of named equations on a grid."""
 
     grid: np.ndarray
@@ -160,18 +160,8 @@ class ResidualReport:
     def max_abs(self) -> float:
         return max(self.sup.values())
 
-    def to_json(self, path: Optional[str] = None) -> str:
-        payload = {
-            "grid": self.grid,
-            "residuals": {k: v for k, v in self.residuals.items()},
-            "sup": self.sup,
-            "max_abs": self.max_abs,
-            "meta": self.meta,
-        }
-        text = to_json_text(payload)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+    def _extras(self) -> dict:
+        return {"sup": self.sup, "max_abs": self.max_abs}
 
     def to_csv(self, path: Optional[str] = None) -> str:
         names = sorted(self.residuals)

@@ -95,6 +95,10 @@ def test_torsion_crossing_matches_closed_form(invoke, tmp_path):
     assert code == 0
     assert "crossing=1.729329" in out
     payload = read_json(tmp_path / "torsion.json")
+    assert set(payload) == {
+        "times", "torsion_integral", "log_coefficient", "psi0",
+        "crossing_time", "I_end", "T_sing",
+    }
     # h0^2 = 1/2 collapses at T = 2 and the integral crosses 12 at 2 - 2/e^2
     assert abs(payload["crossing_time"] - (2.0 - 2.0 * math.exp(-2.0))) < 1e-6
     assert abs(payload["log_coefficient"] - 6.0) < 1e-4
@@ -154,6 +158,7 @@ def test_heat_check_writes_both_reports(invoke, tmp_path):
     assert "monotonicity_sup=" in out
     heat = read_json(tmp_path / "heat_check.json")
     mono = read_json(tmp_path / "monotonicity_check.json")
+    assert set(heat) == set(mono) == {"grid", "residuals", "sup", "max_abs", "meta"}
     assert max(abs(v) for v in heat["sup"].values()) < 1e-4
     assert max(abs(v) for v in mono["sup"].values()) < 1e-4
 
@@ -166,6 +171,7 @@ def test_hodge_refine_reports_fourth_order_rate(invoke, tmp_path):
     assert code == 0
     assert "rate=" in out
     payload = read_json(tmp_path / "hodge_twisted.json")
+    assert set(payload) == {"identity", "grid", "residuals", "values", "sup", "rate"}
     assert 3.0 < payload["rate"] < 5.0
     assert any(key.startswith("refined_") for key in payload["residuals"])
 
@@ -329,6 +335,18 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     assert not (tmp_path / "blowup.json").exists()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("torsion", "--h0sq", "0"), 2),
+    (("cylinder-flow", "--tmax", "-1"), 2),
+    (("blowup", "--tmax", "0.05"), 3),
+])
+def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
+    out_dir = tmp_path / "never"
+    code, out, err = invoke(*argv, "--out", str(out_dir))
+    assert code == expected and out == ""
+    assert not out_dir.exists()
+
+
 def test_missing_command_prints_usage(invoke):
     code, _, err = invoke()
     assert code == 2
@@ -368,8 +386,11 @@ def test_sweep_exit_code_is_the_worst_run(invoke, tmp_path):
     assert code == 3
     lines = out.splitlines()
     assert any(line.startswith("[bad] numerical failure:") for line in lines)
-    assert (out_dir / "ok" / "blowup.json").exists()
-    assert not (out_dir / "bad" / "blowup.json").exists()
+    assert set(read_json(out_dir / "ok" / "blowup.json")) == {
+        "sample_times", "lambda_h2", "limit", "limit_error", "opening",
+        "opening_increasing", "opening_max", "ricci_case",
+    }
+    assert not (out_dir / "bad").exists()
 
 
 def test_sweep_rejects_unknown_run_keys(invoke, tmp_path):

@@ -226,8 +226,6 @@ def test_validation_errors(flow_ricci, weights_ricci):
     with pytest.raises(ValueError):
         conjugate_heat_homogeneous(no_collapse, u0=1.0)
     with pytest.raises(ValueError):
-        EntropyConfig(T_ref=1.0, n=4)
-    with pytest.raises(ValueError):
         EntropyConfig(T_ref=np.inf)
     with pytest.raises(ValueError):
         HeatWeight(u=-1.0, tau=1.0)

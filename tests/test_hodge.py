@@ -406,9 +406,12 @@ def test_report_serialization(tmp_path, g16):
     payload = json.loads(path.read_text())
     assert payload == json.loads(text)
     assert payload["identity"] == rep.identity
-    assert "rate" not in payload
+    assert set(payload) == {"identity", "grid", "residuals", "values", "sup"}
+    assert payload["grid"] == g16.spec()
     rated = HodgeReport(identity="x", grid_spec=g16.spec(), residuals={"a": 1.0}, rate=4.0)
-    assert json.loads(rated.to_json())["rate"] == 4.0
+    payload = json.loads(rated.to_json())
+    assert set(payload) == {"identity", "grid", "residuals", "values", "sup", "rate"}
+    assert payload["rate"] == 4.0
 
 
 # ------------------------------------------- algebra laws on random tori
