@@ -13,7 +13,6 @@ import numpy as np
 
 from grflab.cylinder import CylinderState, run_flow
 from grflab.entropy import (
-    EntropyConfig,
     conjugate_heat_homogeneous,
     entropy_derivative_check,
 )

@@ -1,6 +1,6 @@
 """Numerical laboratory for shrinking solitons of the generalized Ricci flow.
 
-Subpackages by theme:
+The package root exports nothing; import from the modules:
 
 * odesolve: adaptive integration with events and blowup labels
 * cylinder: the homogeneous (sphere) x (circle) flow, collapse and
@@ -10,98 +10,7 @@ Subpackages by theme:
 * entropy: shrinking entropy, conjugate-heat weights, pointwise checks
 * hodge: discrete exterior calculus oracle for the form identities
 * cli: configuration-driven command-line front end
+* ioutil: atomic writes, deterministic JSON/CSV formatting
 """
 
-from .cylinder import (
-    BlowupReport,
-    CylinderState,
-    CylinderTrajectory,
-    TorsionReport,
-    blowup_analysis,
-    run_flow,
-    torsion_divergence,
-)
-from .entropy import (
-    EntropyConfig,
-    EntropyTrace,
-    HeatWeight,
-    HeatWeightPath,
-    conjugate_heat_homogeneous,
-    entropy_derivative_check,
-    entropy_eval,
-    gaussian_entropy_check,
-    mass,
-    pointwise_monotonicity_check,
-    soliton_heat_check,
-)
-from .hodge import (
-    FormField,
-    HodgeReport,
-    PeriodicGrid,
-    VectorField,
-    adjointness_gap,
-    check_divH2,
-    check_integral_identity,
-    check_suobing,
-    check_twisted_codiff,
-)
-from .odesolve import EventSpec, OdeProblem, Trajectory, integrate
-from .shooting import ShootingReport, shoot_r3_branch
-from .warped import (
-    ConventionReport,
-    RadialProfile,
-    ResidualReport,
-    WarpedSolitonData,
-    convention_check,
-    cylinder_soliton,
-    gaussian_shrinker,
-    ode_residuals,
-    tensor_residuals,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlowupReport",
-    "CylinderState",
-    "CylinderTrajectory",
-    "ConventionReport",
-    "EntropyConfig",
-    "EntropyTrace",
-    "EventSpec",
-    "FormField",
-    "HeatWeight",
-    "HeatWeightPath",
-    "HodgeReport",
-    "OdeProblem",
-    "PeriodicGrid",
-    "RadialProfile",
-    "ResidualReport",
-    "ShootingReport",
-    "TorsionReport",
-    "Trajectory",
-    "VectorField",
-    "WarpedSolitonData",
-    "adjointness_gap",
-    "blowup_analysis",
-    "check_divH2",
-    "check_integral_identity",
-    "check_suobing",
-    "check_twisted_codiff",
-    "conjugate_heat_homogeneous",
-    "convention_check",
-    "cylinder_soliton",
-    "entropy_derivative_check",
-    "entropy_eval",
-    "gaussian_entropy_check",
-    "gaussian_shrinker",
-    "integrate",
-    "mass",
-    "ode_residuals",
-    "pointwise_monotonicity_check",
-    "run_flow",
-    "shoot_r3_branch",
-    "soliton_heat_check",
-    "tensor_residuals",
-    "torsion_divergence",
-]

@@ -55,7 +55,8 @@ class Param:
     default: object
     help: str
     choices: tuple = ()
-    optional: bool = False  # None allowed
+    at_least: Optional[float] = None  # inclusive lower bound on a number
+    above: Optional[float] = None  # exclusive lower bound on a number
 
 
 _TOL = {"rtol": Param("float", 1e-11, "relative tolerance"),
@@ -75,7 +76,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "h0sq": Param("float", 0.3, "initial torsion h0^2"),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
-        "samples": Param("int", 18, "geometric sample count"),
+        "samples": Param("int", 18, "geometric sample count", at_least=3),
         "tmax": Param("float", 10.0, "latest flow time"),
         **_TOL,
     },
@@ -83,8 +84,8 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "h0sq": Param("float", 0.5, "initial torsion h0^2, nonzero"),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
-        "psi0": Param("float", None, "crossing threshold", optional=True),
-        "fit_points": Param("int", 200, "points for the log fit"),
+        "psi0": Param("float", None, "crossing threshold"),
+        "fit_points": Param("int", 200, "points for the log fit", at_least=2),
         "tmax": Param("float", 10.0, "latest flow time"),
         **_TOL,
     },
@@ -98,7 +99,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
     "soliton-residual": {
         "soliton": Param("str", "cylinder", "which explicit soliton",
                          choices=("cylinder", "gaussian")),
-        "points": Param("int", 200, "grid points"),
+        "points": Param("int", 200, "grid points", at_least=2),
         "r_min": Param("float", 0.1, "grid start"),
         "r_max": Param("float", 3.0, "grid end"),
     },
@@ -106,28 +107,27 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "h0sq": Param("float", 0.0, "initial torsion h0^2"),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
-        "u0": Param("float", None, "initial weight; default normalizes mass to 1",
-                    optional=True),
-        "T_ref": Param("float", None, "reference time; default detected T_sing",
-                       optional=True),
-        "dt": Param("float", 1e-4, "derivative-check step; 0 skips the check"),
-        "t_max": Param("float", None, "cap on sample times", optional=True),
+        "u0": Param("float", None, "initial weight; default normalizes mass to 1"),
+        "T_ref": Param("float", None, "reference time; default detected T_sing"),
+        "dt": Param("float", 1e-4, "derivative-check step; 0 skips the check",
+                    at_least=0.0),
+        "t_max": Param("float", None, "cap on sample times"),
         **_TOL,
     },
     "heat-check": {
         "soliton": Param("str", "cylinder", "which explicit soliton",
                          choices=("cylinder", "gaussian")),
-        "dt": Param("float", 1e-4, "central time step"),
-        "dr": Param("float", 2e-3, "radial stencil step"),
-        "r_max": Param("float", 3.0, "grid half-width"),
-        "points": Param("int", 200, "grid points"),
+        "dt": Param("float", 1e-4, "central time step", above=0.0),
+        "dr": Param("float", 2e-3, "radial stencil step", above=0.0),
+        "r_max": Param("float", 3.0, "grid half-width", above=0.0),
+        "points": Param("int", 200, "grid points", at_least=2),
     },
     "hodge-check": {
         "identity": Param("str", "all", "which identity to check",
                           choices=("all", "suobing", "twisted", "integral",
                                    "divh2", "adjointness")),
         "dim": Param("int", 3, "torus dimension, 3 or 4"),
-        "size": Param("int", 32, "grid points per axis"),
+        "size": Param("int", 32, "grid points per axis", at_least=16),
         "f_amp": Param("float", 1.0, "scalar field amplitude"),
         "h_amp": Param("float", 1.0, "3-form amplitude"),
         "data": Param("str", "example", "trigonometric data family",
@@ -161,9 +161,21 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _bounded(command: str, name: str, value, spec: Param):
+    if spec.at_least is not None and not value >= spec.at_least:
+        raise ConfigError(
+            f"{command}: parameter '{name}' must be at least {spec.at_least:g}"
+        )
+    if spec.above is not None and not value > spec.above:
+        raise ConfigError(
+            f"{command}: parameter '{name}' must be greater than {spec.above:g}"
+        )
+    return value
+
+
 def _coerce(command: str, name: str, value, spec: Param):
     if value is None:
-        if spec.optional or spec.default is None:
+        if spec.default is None:
             return None
         raise ConfigError(f"{command}: parameter '{name}' must not be null")
     if spec.kind == "float":
@@ -172,11 +184,11 @@ def _coerce(command: str, name: str, value, spec: Param):
         value = float(value)
         if not math.isfinite(value):
             raise ConfigError(f"{command}: parameter '{name}' must be finite")
-        return value
+        return _bounded(command, name, value, spec)
     if spec.kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{command}: parameter '{name}' must be an integer")
-        return int(value)
+        return _bounded(command, name, int(value), spec)
     if spec.kind == "flag":
         if not isinstance(value, bool):
             raise ConfigError(f"{command}: parameter '{name}' must be a boolean")
@@ -395,8 +407,6 @@ def _run_soliton_residual(cfg: dict) -> str:
     p = cfg["parameters"]
     if not p["r_max"] > p["r_min"]:
         raise ConfigError("soliton-residual: r_max must exceed r_min")
-    if p["points"] < 2:
-        raise ConfigError("soliton-residual: need at least 2 points")
     data = _soliton(p["soliton"])
     grid = np.linspace(p["r_min"], p["r_max"], p["points"])
     ode = warped.ode_residuals(data, grid)
@@ -433,7 +443,6 @@ def _run_entropy(cfg: dict) -> str:
         u0 = 1.0 / (entropy.SPHERE_AREA * 2.0 * np.pi * p["lam0"] * p["beta0"])
     try:
         weights = entropy.conjugate_heat_homogeneous(traj, u0=u0, T_ref=T_ref)
-        config = entropy.EntropyConfig(T_ref=T_ref)
         times = None
         if p["t_max"] is not None:
             times = traj.times[traj.times <= p["t_max"]]
@@ -444,10 +453,10 @@ def _run_entropy(cfg: dict) -> str:
                 )
                 times = times[keep]
             trace = entropy.entropy_derivative_check(
-                traj, weights, config=config, dt=p["dt"], times=times
+                traj, weights, dt=p["dt"], times=times
             )
         else:
-            trace = entropy.entropy_eval(traj, weights, config=config, times=times)
+            trace = entropy.entropy_eval(traj, weights, times=times)
     except (ValueError, RuntimeError) as exc:
         raise NumericalError(str(exc))
     dest = _written(cfg, ("csv", "entropy.csv", trace.to_csv))
@@ -466,8 +475,6 @@ def _run_entropy(cfg: dict) -> str:
 
 def _run_heat_check(cfg: dict) -> str:
     p = cfg["parameters"]
-    if not p["r_max"] > 0:
-        raise ConfigError("heat-check: r_max must be positive")
     data = _soliton(p["soliton"])
     # the gaussian warp vanishes at r = 0; keep the grid one-sided there
     lo = 0.1 if p["soliton"] == "gaussian" else -p["r_max"]
@@ -565,8 +572,6 @@ def _run_hodge_check(cfg: dict) -> str:
     p = cfg["parameters"]
     if p["dim"] not in (3, 4):
         raise ConfigError("hodge-check: dim must be 3 or 4")
-    if p["size"] < 16:
-        raise ConfigError("hodge-check: size must be at least 16")
     _require_hodge_memory(p)
     identities = (
         ("suobing", "twisted", "integral", "divh2", "adjointness")

@@ -30,7 +30,6 @@ __all__ = [
     "CylinderTrajectory",
     "BlowupReport",
     "TorsionReport",
-    "flow_rhs",
     "run_flow",
     "blowup_analysis",
     "torsion_divergence",
@@ -48,14 +47,6 @@ class CylinderState:
             raise ValueError("lambda must be positive")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
-
-
-def flow_rhs(state: CylinderState) -> np.ndarray:
-    """(lambda', h', beta') at the given state."""
-    lam, h, beta = state.lam, state.h, state.beta
-    return np.array(
-        [-1.0 + lam * h * h, h / lam - 1.5 * h**3, 0.5 * h * h * beta]
-    )
 
 
 def _rhs(t, y):
@@ -169,7 +160,6 @@ def run_flow(
     lam_floor: float = 1e-8,
 ) -> CylinderTrajectory:
     """Integrate until the lambda-floor event (collapse) or tmax."""
-    flow_rhs(initial)  # validates
     y0 = np.array([initial.lam, initial.h, initial.beta, 0.0])
     problem = OdeProblem(rhs=_rhs, t0=0.0, tmax=tmax, state0=y0)
     floor_event = EventSpec(

@@ -38,7 +38,6 @@ from .cylinder import CylinderTrajectory
 from .odesolve import OdeProblem, integrate
 from .ioutil import atomic_write_text, to_csv_text
 from .warped import (
-    RadialProfile,
     ResidualReport,
     WarpedSolitonData,
     convention_check,
@@ -50,8 +49,6 @@ from .warped import (
 )
 
 __all__ = [
-    "EntropyConfig",
-    "HeatWeight",
     "HeatWeightPath",
     "EntropyTrace",
     "conjugate_heat_homogeneous",
@@ -66,54 +63,16 @@ __all__ = [
 SPHERE_AREA = 8.0 * np.pi  # area of the Ric = g/2 sphere (radius sqrt 2)
 
 
-@dataclass(frozen=True)
-class EntropyConfig:
-    """Reference time for tau = T_ref - t and declared initial mass."""
-
-    T_ref: float
-    mass0: Optional[float] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.T_ref):
-            raise ValueError("T_ref must be finite")
-        if self.mass0 is not None and not self.mass0 > 0:
-            raise ValueError("mass0 must be positive")
-
-
-@dataclass(frozen=True)
-class HeatWeight:
-    """One homogeneous conjugate-heat sample; f is derived from (u, tau)."""
-
-    u: float
-    tau: float
-
-    def __post_init__(self):
-        if not self.u > 0:
-            raise ValueError("weight must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-
-    @property
-    def f(self) -> float:
-        # u = (4 pi tau)^{-3/2} e^{-f}, inverted
-        return -math.log(self.u) - 1.5 * math.log(4.0 * math.pi * self.tau)
-
-
 @dataclass
 class HeatWeightPath:
-    """Weight u(t) along a flow, with dense evaluation between samples."""
+    """Weight u(t) along a flow, with dense evaluation between samples;
+    T_ref fixes tau = T_ref - t for the entropy evaluated on it."""
 
     times: np.ndarray
     u: np.ndarray
     T_ref: float
     u0: float
     _dense: object = field(repr=False, default=None)
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def __getitem__(self, i: int) -> HeatWeight:
-        return HeatWeight(u=float(self.u[i]), tau=float(self.T_ref - self.times[i]))
 
     def u_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -147,6 +106,8 @@ def conjugate_heat_homogeneous(
             raise ValueError("trajectory has no singular time; pass T_ref")
         T_ref = traj.T_sing
     T_ref = float(T_ref)
+    if not np.isfinite(T_ref):
+        raise ValueError("T_ref must be finite")
 
     if u0 == 0.0:
         return HeatWeightPath(
@@ -205,7 +166,6 @@ class EntropyTrace:
     mass: np.ndarray
     fd_step: Optional[float] = None
     tolerance: Optional[float] = None
-    first_term_zero: bool = False
 
     def to_csv(self, path: Optional[str] = None) -> str:
         header = ["t", "tau", "W", "dW_fd", "dW_formula", "gap"]
@@ -225,9 +185,9 @@ def _check_tau(tau: np.ndarray):
         raise ValueError("tau = T_ref - t must stay positive on the samples")
 
 
-def _w_values(traj, weights, T_ref, L0, times):
+def _w_values(traj, weights, L0, times):
     times = np.asarray(times, dtype=float)
-    tau = T_ref - times
+    tau = weights.T_ref - times
     _check_tau(tau)
     lam, h = traj.state_at(times)[:2]
     u = weights.u_at(times)
@@ -242,25 +202,18 @@ def _w_values(traj, weights, T_ref, L0, times):
 def entropy_eval(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
-    config: Optional[EntropyConfig] = None,
     L0: float = 2.0 * np.pi,
     times=None,
 ) -> EntropyTrace:
-    """Shrinking entropy along the flow.
+    """Shrinking entropy along the flow, tau = weights.T_ref - t.
 
     Homogeneous reduction: W = [tau (1/lam - h^2/2) + f - 3] mass with
     f = -ln u - (3/2) ln(4 pi tau).  Only W is filled; the derivative
     columns are NaN until entropy_derivative_check runs.
     """
-    if config is None:
-        config = EntropyConfig(T_ref=weights.T_ref)
     if times is None:
         times = weights.times
-    times, tau, lam, h, m, W = _w_values(traj, weights, config.T_ref, L0, times)
-    if config.mass0 is not None:
-        drift = abs(m[0] - config.mass0) / config.mass0
-        if drift > 1e-9:
-            raise ValueError("declared mass0 does not match the weight path")
+    times, tau, _, _, m, W = _w_values(traj, weights, L0, times)
     nan = np.full_like(W, np.nan)
     return EntropyTrace(
         times=times,
@@ -270,9 +223,6 @@ def entropy_eval(
         dW_formula=nan.copy(),
         gap=nan.copy(),
         mass=m,
-        # tau (1/lam - h^2/2) vanishes iff lam h^2 = 2; flag, never reached
-        # from lam0 h0^2 <= 1/2
-        first_term_zero=bool(np.any(np.abs(lam * h * h - 2.0) < 1e-9)),
     )
 
 
@@ -299,12 +249,12 @@ def _gap_tolerance(dt, tau, W, dW_formula, m, gap) -> float:
 def entropy_derivative_check(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
-    config: Optional[EntropyConfig] = None,
     dt: float = 1e-4,
     L0: float = 2.0 * np.pi,
     times=None,
 ) -> EntropyTrace:
-    """Central finite difference of W against the curvature formula.
+    """Central finite difference of W against the curvature formula,
+    tau = weights.T_ref - t.
 
     dW_formula = [2 tau (2 A_s^2 + A_r^2) - h^2] mass with
     A_s = 1/(2 lam) - h^2/2 - 1/(2 tau) on the two sphere directions and
@@ -314,8 +264,6 @@ def entropy_derivative_check(
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if config is None:
-        config = EntropyConfig(T_ref=weights.T_ref)
     t0, t1 = float(weights.times[0]), float(traj.t_end)
     if times is None:
         # default window keeps tau well clear of the step so the central
@@ -323,7 +271,7 @@ def entropy_derivative_check(
         keep = (
             (weights.times - dt >= t0)
             & (weights.times + dt <= t1)
-            & (config.T_ref - weights.times >= 50.0 * dt)
+            & (weights.T_ref - weights.times >= 50.0 * dt)
         )
         times = weights.times[keep]
     times = np.asarray(times, dtype=float)
@@ -332,9 +280,9 @@ def entropy_derivative_check(
     if np.any(times - dt < t0) or np.any(times + dt > t1):
         raise ValueError("finite-difference stencil leaves the trajectory")
 
-    times, tau, lam, h, m, W = _w_values(traj, weights, config.T_ref, L0, times)
-    Wp = _w_values(traj, weights, config.T_ref, L0, times + dt)[5]
-    Wm = _w_values(traj, weights, config.T_ref, L0, times - dt)[5]
+    times, tau, lam, h, m, W = _w_values(traj, weights, L0, times)
+    Wp = _w_values(traj, weights, L0, times + dt)[5]
+    Wm = _w_values(traj, weights, L0, times - dt)[5]
     dW_fd = (Wp - Wm) / (2.0 * dt)
 
     h2 = h * h
@@ -354,7 +302,6 @@ def entropy_derivative_check(
         mass=m,
         fd_step=dt,
         tolerance=tol,
-        first_term_zero=bool(np.any(np.abs(lam * h2 - 2.0) < 1e-9)),
     )
 
 

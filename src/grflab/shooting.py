@@ -14,7 +14,7 @@ near 0 at finite radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,11 +26,9 @@ __all__ = [
     "ShootingReport",
     "SERIES_C3",
     "SERIES_C5",
-    "phase_rhs",
     "orbit_invariant",
     "series_start",
     "series_phi",
-    "phase_trajectory",
     "shoot_r3_branch",
 ]
 
@@ -52,24 +50,9 @@ class PhaseState:
             raise ValueError("u must be nonnegative")
 
 
-def phase_rhs(state: PhaseState) -> np.ndarray:
-    """Right-hand side (u', p') = (p, (3/4)(u^{-1/3} - u)); needs u > 0."""
-    if state.u <= 0:
-        raise ValueError("phase_rhs is singular at u <= 0; use series_start")
-    return np.array(
-        [state.p, 0.75 * (state.u ** (-1.0 / 3.0) - state.u)], dtype=float
-    )
-
-
-def orbit_invariant(state_or_u, p: Optional[float] = None):
-    """E = 3u^2 + 4p^2 - 9u^{2/3}, conserved along phase_rhs orbits.
-
-    Accepts a PhaseState or plain (u, p) values/arrays.
-    """
-    if isinstance(state_or_u, PhaseState):
-        u, p = state_or_u.u, state_or_u.p
-    else:
-        u = state_or_u
+def orbit_invariant(u, p):
+    """E = 3u^2 + 4p^2 - 9u^{2/3}, conserved along the phase orbits;
+    scalars or arrays."""
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     return 3.0 * u * u + 4.0 * p * p - 9.0 * np.cbrt(u) ** 2
@@ -103,22 +86,6 @@ def _rhs(r, y):
     # steps past the floor cannot take a fractional power of a negative
     u = max(u, 1e-300)
     return np.array([p, 0.75 * (u ** (-1.0 / 3.0) - u)])
-
-
-def phase_trajectory(
-    u0: float,
-    p0: float,
-    r0: float = 0.0,
-    r_max: float = 12.0,
-    events: Tuple[EventSpec, ...] = (),
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-) -> Trajectory:
-    """Integrate the phase system from an interior state (u0 > 0)."""
-    if u0 <= 0:
-        raise ValueError("interior starts need u0 > 0")
-    problem = OdeProblem(rhs=_rhs, t0=r0, tmax=r_max, state0=np.array([u0, p0]))
-    return integrate(problem, events=events, rtol=rtol, atol=atol)
 
 
 @dataclass
@@ -194,9 +161,10 @@ def shoot_r3_branch(
             name="u_floor",
         ),
     )
-    traj = phase_trajectory(
-        start.u, start.p, r0=start.r, r_max=r_max, events=events, rtol=rtol, atol=atol
+    problem = OdeProblem(
+        rhs=_rhs, t0=start.r, tmax=r_max, state0=np.array([start.u, start.p])
     )
+    traj = integrate(problem, events=events, rtol=rtol, atol=atol)
 
     firsts: list = [None, None, None, None]
     u_top = None

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .ioutil import Report, atomic_write_text, to_csv_text
 
@@ -41,26 +40,18 @@ __all__ = [
     "scalar_curvature",
     "laplacian_radial",
     "torsion_norm_sq",
-    "h2_eigenvalue",
     "twisted_flux_norm_sq",
 ]
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial function with first and second derivative.
-
-    Construct from closed-form callables (vectorized in r) or from
-    samples, in which case a quintic spline supplies the derivatives.
-    """
+    """A radial function with first and second derivative, each a
+    closed-form callable vectorized in r."""
 
     value: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def from_callables(value, d1, d2) -> "RadialProfile":
-        return RadialProfile(value=value, d1=d1, d2=d2)
 
     @staticmethod
     def constant(c: float) -> "RadialProfile":
@@ -69,19 +60,6 @@ class RadialProfile:
             value=lambda r: np.full_like(np.asarray(r, dtype=float), c),
             d1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        )
-
-    @staticmethod
-    def from_samples(r: np.ndarray, values: np.ndarray) -> "RadialProfile":
-        r = np.asarray(r, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.size < 8:
-            raise ValueError("need at least 8 samples on a 1-d grid")
-        if not np.all(np.diff(r) > 0):
-            raise ValueError("sample grid must be strictly increasing")
-        spline = make_interp_spline(r, values, k=5)
-        return RadialProfile(
-            value=spline, d1=spline.derivative(1), d2=spline.derivative(2)
         )
 
     def __call__(self, r):
@@ -353,12 +331,6 @@ def torsion_norm_sq(h) -> np.ndarray:
     """|H|^2 = 6 h^2 for H = h dV (full contraction, no factorial)."""
     h = np.asarray(h, dtype=float)
     return 6.0 * h * h
-
-
-def h2_eigenvalue(h) -> np.ndarray:
-    """Eigenvalue of H2 = 2 h^2 g relative to g."""
-    h = np.asarray(h, dtype=float)
-    return 2.0 * h * h
 
 
 def twisted_flux_norm_sq(data: WarpedSolitonData, r: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from grflab.cylinder import (
     torsion_divergence,
 )
 from grflab.entropy import (
-    EntropyConfig,
     conjugate_heat_homogeneous,
     entropy_derivative_check,
     entropy_eval,
@@ -239,16 +238,15 @@ def test_criterion_7_entropy_machinery():
         for stretch in (1.0, 2.0):
             T_ref = traj.T_sing * stretch
             w = dataclasses.replace(w_sing, T_ref=T_ref)
-            config = EntropyConfig(T_ref=T_ref)
             ts = np.linspace(0.05, min(traj.T_sing - 0.6, traj.t_end - 1e-3), 10)
-            tr = entropy_derivative_check(traj, w, config=config, dt=1e-4, times=ts)
+            tr = entropy_derivative_check(traj, w, dt=1e-4, times=ts)
             assert np.abs(tr.mass - tr.mass[0]).max() / tr.mass[0] < 1e-9
             assert tr.gap.max() < 1e-6
             # the FD stencil cannot reach the floor, so evaluate the same
             # formula, dW = [2 tau (2 A_s^2 + A_r^2) - h^2] mass, directly
             # on a dense grid there
             dense_ts = np.linspace(0.01, traj.t_end - 1e-9, 200)
-            dense = entropy_eval(traj, w, config=config, times=dense_ts)
+            dense = entropy_eval(traj, w, times=dense_ts)
             assert np.abs(dense.mass - dense.mass[0]).max() / dense.mass[0] < 1e-9
             states = np.array([traj.state_at(t) for t in dense_ts])
             lam, h2 = states[:, 0], states[:, 1] ** 2

@@ -203,6 +203,11 @@ def test_grid_tolerance_feeds_the_resolution_parameter(invoke, tmp_path):
     code, out, _ = invoke("hodge-check", "--config", cfg, "--dump-config")
     assert code == 0
     assert json.loads(out)["parameters"]["size"] == 24
+    # the schema bound holds on every route into a parameter
+    cfg = write_config(tmp_path, {"tolerances": {"grid": 8}}, name="coarse.json")
+    code, out, err = invoke("hodge-check", "--config", cfg, "--dump-config")
+    assert code == 2 and out == ""
+    assert "parameter 'size' must be at least 16" in err
 
 
 def test_output_directory_precedence(invoke, tmp_path, monkeypatch):
@@ -339,6 +344,14 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     (("torsion", "--h0sq", "0"), 2),
     (("cylinder-flow", "--tmax", "-1"), 2),
     (("blowup", "--tmax", "0.05"), 3),
+    # parameters below their schema bound are config errors
+    (("torsion", "--fit-points", "0"), 2),
+    (("torsion", "--fit-points", "1"), 2),
+    (("heat-check", "--dt", "0"), 2),
+    (("heat-check", "--dr", "0"), 2),
+    (("heat-check", "--points", "1"), 2),
+    (("entropy", "--dt", "-1"), 2),
+    (("blowup", "--samples", "2"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"

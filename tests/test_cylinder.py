@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from grflab.cylinder import (
     CylinderState,
+    _rhs,
     blowup_analysis,
-    flow_rhs,
     run_flow,
     torsion_divergence,
 )
@@ -43,10 +43,11 @@ def test_scalar_state_at_matches_dense_output(flow_half):
 
 
 def test_rhs_closed_form():
-    out = flow_rhs(CylinderState(1.0, 1.0, 1.0))
-    assert np.allclose(out, [0.0, -0.5, 0.5], atol=1e-15)
-    out = flow_rhs(CylinderState(2.0, 0.0, 3.0))
-    assert np.allclose(out, [-1.0, 0.0, 0.0], atol=1e-15)
+    # (lambda', h', beta', I') at (lambda, h, beta, I)
+    out = _rhs(0.0, np.array([1.0, 1.0, 1.0, 0.0]))
+    assert np.allclose(out, [0.0, -0.5, 0.5, 6.0], atol=1e-15)
+    out = _rhs(0.0, np.array([2.0, 0.0, 3.0, 5.0]))
+    assert np.allclose(out, [-1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_ricci_case_closed_form(flow_ricci):

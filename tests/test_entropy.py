@@ -7,8 +7,6 @@ import pytest
 import grflab.entropy as ent
 from grflab.cylinder import CylinderState, run_flow
 from grflab.entropy import (
-    EntropyConfig,
-    HeatWeight,
     conjugate_heat_homogeneous,
     entropy_derivative_check,
     entropy_eval,
@@ -68,7 +66,7 @@ def test_entropy_initial_value_closed_form(flow_ricci, weights_ricci):
 
 def test_entropy_initial_value_on_separatrix(flow_half, weights_half):
     # tau (1/lambda - h^2/2) = 3/2 exactly on the h0^2 = 1/2 branch
-    trace = entropy_eval(flow_half, weights_half, config=EntropyConfig(T_ref=2.0), times=np.array([0.0]))
+    trace = entropy_eval(flow_half, weights_half, times=np.array([0.0]))
     expect = np.log(16.0 * np.pi**2) - 1.5 * np.log(8.0 * np.pi) - 1.5
     assert abs(trace.W[0] - expect) < 1e-10
 
@@ -106,9 +104,7 @@ def test_formula_derivative_positivity_identity(flow_half, weights_half):
     # dW/m = 4 tau A_s^2 + tau h^4/2 + 1/(2 tau) with
     # A_s = 1/(2 lambda) - h^2/2 - 1/(2 tau): manifestly positive
     times = np.linspace(0.1, 1.5, 15)
-    trace = entropy_derivative_check(
-        flow_half, weights_half, config=EntropyConfig(T_ref=2.0), dt=1e-4, times=times
-    )
+    trace = entropy_derivative_check(flow_half, weights_half, dt=1e-4, times=times)
     states = np.array([flow_half.state_at(t) for t in times])
     tau = 2.0 - times
     lam, h = states[:, 0], states[:, 1]
@@ -197,26 +193,11 @@ def test_zero_weight_path(flow_ricci):
         entropy_eval(flow_ricci, weights, times=np.array([0.1]))
 
 
-def test_first_term_zero_flag(flow_ricci, weights_ricci):
-    trace = entropy_eval(flow_ricci, weights_ricci, times=np.array([0.0, 0.5]))
-    assert not trace.first_term_zero
-    # lambda0 h0^2 = 2 makes the geometry term vanish at t = 0
-    traj = run_flow(CylinderState(1.0, np.sqrt(2.0), 1.0))
-    weights = conjugate_heat_homogeneous(traj, u0=1.0)
-    trace = entropy_eval(traj, weights, times=np.array([0.0, 0.2]))
-    assert trace.first_term_zero
-
-
 def test_trace_csv_header(flow_ricci, weights_ricci):
     trace = entropy_eval(flow_ricci, weights_ricci, times=np.array([0.1, 0.2]))
     lines = trace.to_csv().splitlines()
     assert lines[0] == "t,tau,W,dW_fd,dW_formula,gap"
     assert len(lines) == 3
-
-
-def test_heat_weight_roundtrip():
-    hw = HeatWeight(u=0.01, tau=0.7)
-    assert abs(hw.u - (4.0 * np.pi * hw.tau) ** -1.5 * np.exp(-hw.f)) < 1e-16
 
 
 def test_validation_errors(flow_ricci, weights_ricci):
@@ -225,14 +206,8 @@ def test_validation_errors(flow_ricci, weights_ricci):
     no_collapse = run_flow(CylinderState(1.0, 0.3, 1.0), tmax=0.1)
     with pytest.raises(ValueError):
         conjugate_heat_homogeneous(no_collapse, u0=1.0)
-    with pytest.raises(ValueError):
-        EntropyConfig(T_ref=np.inf)
-    with pytest.raises(ValueError):
-        HeatWeight(u=-1.0, tau=1.0)
-    with pytest.raises(ValueError):
-        HeatWeight(u=1.0, tau=0.0)
-    with pytest.raises(ValueError):
-        entropy_eval(flow_ricci, weights_ricci, config=EntropyConfig(T_ref=1.0, mass0=2.0), times=np.array([0.1]))
+    with pytest.raises(ValueError, match="T_ref must be finite"):
+        conjugate_heat_homogeneous(flow_ricci, u0=1.0, T_ref=np.inf)
     with pytest.raises(ValueError):
         entropy_eval(flow_ricci, weights_ricci, times=np.array([5.0]))  # tau < 0
 
@@ -275,7 +250,7 @@ def test_soliton_gate_errors():
     rescaled = WarpedSolitonData(
         phi=RadialProfile.constant(np.sqrt(2.0)),
         h=RadialProfile.constant(1.0 / np.sqrt(2.0)),
-        f=RadialProfile.from_callables(lambda r: r * r / 4.0, lambda r: r / 2.0, lambda r: 0.5 + 0.0 * r),
+        f=RadialProfile(lambda r: r * r / 4.0, lambda r: r / 2.0, lambda r: 0.5 + 0.0 * r),
         lambda_ode=0.25,
     )
     with pytest.raises(ValueError, match="constant 1"):

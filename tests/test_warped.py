@@ -2,7 +2,6 @@
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflab.warped import (
@@ -13,7 +12,6 @@ from grflab.warped import (
     convention_check,
     cylinder_soliton,
     gaussian_shrinker,
-    h2_eigenvalue,
     laplacian_radial,
     normalize_phi,
     ode_residuals,
@@ -32,7 +30,7 @@ SQRT3 = np.sqrt(3.0)
 
 def smooth_branch_profile():
     # normalized warp profile: phi^2 + (phi')^2 + 2 phi phi'' = 1 exactly
-    return RadialProfile.from_callables(
+    return RadialProfile(
         lambda r: SQRT3 * np.sin(r / SQRT3),
         lambda r: np.cos(r / SQRT3),
         lambda r: -np.sin(r / SQRT3) / SQRT3,
@@ -149,26 +147,9 @@ def test_curvature_and_laplacian_closed_forms():
 def test_torsion_pointwise_helpers():
     h = np.array([0.0, 1.0, 2.0])
     assert np.array_equal(torsion_norm_sq(h), 6.0 * h * h)
-    assert np.array_equal(h2_eigenvalue(h), 2.0 * h * h)
     # cylinder: h = 1, f' = r, so the twisted flux density is 2 r^2
     r = np.linspace(-2.0, 2.0, 41)
     assert np.abs(twisted_flux_norm_sq(cylinder_soliton(), r) - 2.0 * r * r).max() < 1e-13
-
-
-def test_profile_from_samples_recovers_derivatives():
-    r = np.linspace(0.0, 3.0, 301)
-    p = RadialProfile.from_samples(r, np.sin(r))
-    mid = np.linspace(0.5, 2.5, 50)
-    assert np.abs(p.value(mid) - np.sin(mid)).max() < 1e-8
-    assert np.abs(p.d1(mid) - np.cos(mid)).max() < 1e-6
-    assert np.abs(p.d2(mid) + np.sin(mid)).max() < 1e-4
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        RadialProfile.from_samples(np.linspace(0, 1, 4), np.zeros(4))
-    with pytest.raises(ValueError):
-        RadialProfile.from_samples(np.array([0.0, 0.5, 0.4, 1.0, 2.0, 3.0, 4.0, 5.0]), np.zeros(8))
 
 
 @settings(max_examples=40, deadline=None)
