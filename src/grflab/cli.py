@@ -3,10 +3,17 @@
 Each subcommand maps onto one module operation, reads an optional strict
 JSON config (unknown keys rejected), lets flags override config values,
 writes artifacts atomically into the output directory and prints a
-one-line summary of the key scalars.  Exit status: 0 success, 2 config
-or validation failure, 3 numerical failure (step underflow, missing
-collapse, residual blowup).  The output directory is created by the
-first artifact write, so a run that exits 2 or 3 leaves none behind.
+one-line summary of the key scalars.  The output directory is created
+by the first artifact write, so a run that exits 2 or 3 leaves none
+behind.
+
+Exit status: 0 success; 2 a rejected input; 3 a numerical failure.  The
+library raises ValueError when an argument breaks a stated precondition
+(domain, sign, grid, stencil window) and RuntimeError when the
+computation ran and missed its goal (a solver failed, the flow did not
+collapse, a cross-check exceeded its bound).  ConfigError is a
+ValueError, NumericalError a RuntimeError, and _execute is the one place
+that turns either kind into an exit status.
 
 Config layout (all sections optional):
 
@@ -31,7 +38,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +48,11 @@ from .ioutil import atomic_write_text, to_json_text
 ENV_OUTPUT_DIR = "GRFLAB_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "grflab_out"
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Rejected configuration; maps to exit status 2."""
 
 
-class NumericalError(Exception):
+class NumericalError(RuntimeError):
     """Computation failed or did not reach its goal; exit status 3."""
 
 
@@ -126,7 +133,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "identity": Param("str", "all", "which identity to check",
                           choices=("all", "suobing", "twisted", "integral",
                                    "divh2", "adjointness")),
-        "dim": Param("int", 3, "torus dimension, 3 or 4"),
+        "dim": Param("int", 3, "torus dimension", choices=(3, 4)),
         "size": Param("int", 32, "grid points per axis", at_least=16),
         "f_amp": Param("float", 1.0, "scalar field amplitude"),
         "h_amp": Param("float", 1.0, "3-form amplitude"),
@@ -161,7 +168,28 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _bounded(command: str, name: str, value, spec: Param):
+# accepted JSON types and their description, per Param kind; bool is an
+# int subclass, so only a flag accepts it
+_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+          "flag": (bool, "a boolean"), "str": (str, "a string")}
+
+
+def _coerce(command: str, name: str, value, spec: Param):
+    if value is None:
+        if spec.default is None:
+            return None
+        raise ConfigError(f"{command}: parameter '{name}' must not be null")
+    types, what = _KINDS[spec.kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and spec.kind != "flag"):
+        raise ConfigError(f"{command}: parameter '{name}' must be {what}")
+    if spec.kind == "float":
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{command}: parameter '{name}' must be finite")
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(
+            f"{command}: parameter '{name}' must be one of {list(spec.choices)}"
+        )
     if spec.at_least is not None and not value >= spec.at_least:
         raise ConfigError(
             f"{command}: parameter '{name}' must be at least {spec.at_least:g}"
@@ -171,37 +199,6 @@ def _bounded(command: str, name: str, value, spec: Param):
             f"{command}: parameter '{name}' must be greater than {spec.above:g}"
         )
     return value
-
-
-def _coerce(command: str, name: str, value, spec: Param):
-    if value is None:
-        if spec.default is None:
-            return None
-        raise ConfigError(f"{command}: parameter '{name}' must not be null")
-    if spec.kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{command}: parameter '{name}' must be a number")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError(f"{command}: parameter '{name}' must be finite")
-        return _bounded(command, name, value, spec)
-    if spec.kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{command}: parameter '{name}' must be an integer")
-        return _bounded(command, name, int(value), spec)
-    if spec.kind == "flag":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{command}: parameter '{name}' must be a boolean")
-        return bool(value)
-    if spec.kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{command}: parameter '{name}' must be a string")
-        if spec.choices and value not in spec.choices:
-            raise ConfigError(
-                f"{command}: parameter '{name}' must be one of {list(spec.choices)}"
-            )
-        return value
-    raise AssertionError(spec.kind)
 
 
 _GRID_PARAM = {"hodge-check": "size", "soliton-residual": "points",
@@ -305,15 +302,10 @@ def _written(cfg: dict, *artifacts) -> str:
 
 
 def _flow(p: dict, **limits) -> cylinder.CylinderTrajectory:
-    """run_flow from (lam0, h0sq, beta0); a rejected input exits 2, a step
-    underflow 3."""
-    try:
-        state = cylinder.CylinderState(
-            lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"]
-        )
-        traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], **limits)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    """run_flow from (lam0, h0sq, beta0); a step underflow is a numerical
+    failure."""
+    state = cylinder.CylinderState(lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"])
+    traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], **limits)
     if traj.termination == "step_underflow":
         raise NumericalError("flow terminated with step_underflow")
     return traj
@@ -335,20 +327,9 @@ def _run_cylinder_flow(cfg: dict) -> str:
     )
 
 
-def _collapsed_flow(p: dict) -> cylinder.CylinderTrajectory:
-    traj = _flow(p, tmax=p["tmax"])
-    if traj.T_sing is None:
-        raise NumericalError("flow did not reach the collapse event")
-    return traj
-
-
 def _run_blowup(cfg: dict) -> str:
     p = cfg["parameters"]
-    traj = _collapsed_flow(p)
-    try:
-        report = cylinder.blowup_analysis(traj, n_samples=p["samples"])
-    except ValueError as exc:
-        raise NumericalError(str(exc))
+    report = cylinder.blowup_analysis(_flow(p, tmax=p["tmax"]), n_samples=p["samples"])
     dest = _written(cfg, ("json", "blowup.json", report.to_json))
     return (
         f"blowup h0sq={p['h0sq']:g}: limit={report.limit:.6f} "
@@ -358,15 +339,9 @@ def _run_blowup(cfg: dict) -> str:
 
 def _run_torsion(cfg: dict) -> str:
     p = cfg["parameters"]
-    if p["h0sq"] == 0:
-        raise ConfigError("torsion: h0sq must be nonzero for a divergence witness")
-    traj = _collapsed_flow(p)
-    try:
-        report = cylinder.torsion_divergence(
-            traj, psi0=p["psi0"], fit_points=p["fit_points"]
-        )
-    except ValueError as exc:
-        raise NumericalError(str(exc))
+    report = cylinder.torsion_divergence(
+        _flow(p, tmax=p["tmax"]), psi0=p["psi0"], fit_points=p["fit_points"]
+    )
     dest = _written(cfg, ("json", "torsion.json", report.to_json))
     cross = "none" if report.crossing_time is None else f"{report.crossing_time:.6f}"
     return (
@@ -377,13 +352,10 @@ def _run_torsion(cfg: dict) -> str:
 
 def _run_shoot(cfg: dict) -> str:
     p = cfg["parameters"]
-    try:
-        report = shooting.shoot_r3_branch(
-            r_switch=p["r_switch"], delta_floor=p["delta_floor"],
-            r_max=p["r_max"], rtol=p["rtol"], atol=p["atol"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = shooting.shoot_r3_branch(
+        r_switch=p["r_switch"], delta_floor=p["delta_floor"],
+        r_max=p["r_max"], rtol=p["rtol"], atol=p["atol"],
+    )
     if report.termination == "step_underflow":
         raise NumericalError("phase integration hit step_underflow")
     if not report.terminated_at_zero:
@@ -434,31 +406,21 @@ def _run_soliton_residual(cfg: dict) -> str:
 def _run_entropy(cfg: dict) -> str:
     p = cfg["parameters"]
     traj = _flow(p)
-    if p["T_ref"] is None and traj.T_sing is None:
-        raise NumericalError("flow did not collapse; pass an explicit T_ref")
-    T_ref = p["T_ref"] if p["T_ref"] is not None else traj.T_sing
     u0 = p["u0"]
     if u0 is None:
         # normalize the conserved total weight to 1
-        u0 = 1.0 / (entropy.SPHERE_AREA * 2.0 * np.pi * p["lam0"] * p["beta0"])
-    try:
-        weights = entropy.conjugate_heat_homogeneous(traj, u0=u0, T_ref=T_ref)
-        times = None
-        if p["t_max"] is not None:
-            times = traj.times[traj.times <= p["t_max"]]
-        if p["dt"] > 0:
-            if times is not None:
-                keep = (times - p["dt"] >= traj.times[0]) & (
-                    times + p["dt"] <= traj.t_end
-                )
-                times = times[keep]
-            trace = entropy.entropy_derivative_check(
-                traj, weights, dt=p["dt"], times=times
-            )
-        else:
-            trace = entropy.entropy_eval(traj, weights, times=times)
-    except (ValueError, RuntimeError) as exc:
-        raise NumericalError(str(exc))
+        u0 = 1.0 / (entropy.SPHERE_AREA * entropy.CIRCLE_LENGTH * p["lam0"] * p["beta0"])
+    weights = entropy.conjugate_heat_homogeneous(traj, u0=u0, T_ref=p["T_ref"])
+    times = None
+    if p["t_max"] is not None:
+        times = traj.times[traj.times <= p["t_max"]]
+    if p["dt"] > 0:
+        if times is not None:
+            keep = (times - p["dt"] >= traj.times[0]) & (times + p["dt"] <= traj.t_end)
+            times = times[keep]
+        trace = entropy.entropy_derivative_check(traj, weights, dt=p["dt"], times=times)
+    else:
+        trace = entropy.entropy_eval(traj, weights, times=times)
     dest = _written(cfg, ("csv", "entropy.csv", trace.to_csv))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])
     gap = float(np.nanmax(trace.gap)) if np.any(np.isfinite(trace.gap)) else float("nan")
@@ -479,13 +441,8 @@ def _run_heat_check(cfg: dict) -> str:
     # the gaussian warp vanishes at r = 0; keep the grid one-sided there
     lo = 0.1 if p["soliton"] == "gaussian" else -p["r_max"]
     grid = np.linspace(lo, p["r_max"], p["points"])
-    try:
-        heat = entropy.soliton_heat_check(grid, dt=p["dt"], data=data)
-        mono = entropy.pointwise_monotonicity_check(
-            grid, dt=p["dt"], data=data, dr=p["dr"]
-        )
-    except ValueError as exc:
-        raise NumericalError(str(exc))
+    heat = entropy.soliton_heat_check(grid, dt=p["dt"], data=data)
+    mono = entropy.pointwise_monotonicity_check(grid, dt=p["dt"], data=data, dr=p["dr"])
     dest = _written(cfg, ("json", "heat_check.json", heat.to_json),
                     ("json", "monotonicity_check.json", mono.to_json))
     return (
@@ -570,8 +527,6 @@ def _require_hodge_memory(p: dict) -> None:
 
 def _run_hodge_check(cfg: dict) -> str:
     p = cfg["parameters"]
-    if p["dim"] not in (3, 4):
-        raise ConfigError("hodge-check: dim must be 3 or 4")
     _require_hodge_memory(p)
     identities = (
         ("suobing", "twisted", "integral", "divh2", "adjointness")
@@ -648,7 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_sweep(command: str, file_cfg, cli_params, out_flag, sweep_path) -> int:
+def _sweep_runs(command: str, file_cfg, cli_params, out_flag, sweep_path) -> list:
+    """One (name, cfg) per run of the sweep file, each into its own
+    subdirectory of the output directory."""
     sweep = _load_json(sweep_path)
     unknown = set(sweep) - {"runs"}
     if unknown:
@@ -673,20 +630,53 @@ def _run_sweep(command: str, file_cfg, cli_params, out_flag, sweep_path) -> int:
         _set_params(command, cfg["parameters"], overrides, f"sweep run {i}")
         cfg["output"]["directory"] = os.path.join(cfg["output"]["directory"], name)
         configs.append((name, cfg))
+    return configs
 
-    def job(item):
-        name, cfg = item
-        try:
-            return name, 0, RUNNERS[command](cfg)
-        except ConfigError as exc:
-            return name, 2, f"config error: {exc}"
-        except NumericalError as exc:
-            return name, 3, f"numerical failure: {exc}"
 
+def _resolve_runs(args) -> Tuple[str, list]:
+    """The command and its (name, cfg) runs: the sweep's runs, or one
+    unnamed run."""
+    file_cfg = _load_json(args.config) if args.config else None
+    if args.command == "run":
+        if file_cfg is None:
+            raise ConfigError("run: --config is required")
+        command = file_cfg.get("command")
+        if command is None:
+            raise ConfigError("config has no 'command'")
+        if command not in SCHEMAS:
+            raise ConfigError(f"unknown command '{command}'")
+        cli_params = {}
+    else:
+        command = args.command
+        cli_params = {name: getattr(args, name) for name in SCHEMAS[command]}
+    if args.sweep:
+        return command, _sweep_runs(command, file_cfg, cli_params, args.out, args.sweep)
+    return command, [(None, resolve_config(command, file_cfg, cli_params, args.out))]
+
+
+def _execute(run, *args) -> Tuple[int, object]:
+    """(0, run(*args)), or the exit status and message of what it raised.
+
+    The one place an exception becomes an exit status: a rejected input
+    (ConfigError or a library ValueError) is 2, a computation that ran
+    and missed its goal (NumericalError or a library RuntimeError) is 3.
+    """
+    try:
+        return 0, run(*args)
+    except ValueError as exc:
+        return 2, f"config error: {exc}"
+    except RuntimeError as exc:
+        return 3, f"numerical failure: {exc}"
+
+
+def _run_sweep(command: str, runs: list) -> int:
+    """Run the sweep on a small thread pool, print one line per run and
+    return the worst exit status."""
     worst = 0
-    with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-        for name, code, message in pool.map(job, configs):
-            print(f"[{name}] {message}")
+    with ThreadPoolExecutor(max_workers=min(4, len(runs))) as pool:
+        results = pool.map(lambda run: _execute(RUNNERS[command], run[1]), runs)
+        for (name, _), (code, line) in zip(runs, results):
+            print(f"[{name}] {line}")
             worst = max(worst, code)
     return worst
 
@@ -697,36 +687,20 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    try:
-        file_cfg = _load_json(args.config) if args.config else None
-        if args.command == "run":
-            if file_cfg is None:
-                raise ConfigError("run: --config is required")
-            command = file_cfg.get("command")
-            if command is None:
-                raise ConfigError("config has no 'command'")
-            if command not in SCHEMAS:
-                raise ConfigError(f"unknown command '{command}'")
-            cli_params = {}
-        else:
-            command = args.command
-            cli_params = {
-                name: getattr(args, name) for name in SCHEMAS[command]
-            }
-        if args.sweep:
-            return _run_sweep(command, file_cfg, cli_params, args.out, args.sweep)
-        cfg = resolve_config(command, file_cfg, cli_params, args.out)
-        if args.dump_config:
-            sys.stdout.write(to_json_text(cfg))
-            return 0
-        print(RUNNERS[command](cfg))
+    code, resolved = _execute(_resolve_runs, args)
+    if code:
+        print(resolved, file=sys.stderr)
+        return code
+    command, runs = resolved
+    if args.sweep:
+        return _run_sweep(command, runs)
+    cfg = runs[0][1]
+    if args.dump_config:
+        sys.stdout.write(to_json_text(cfg))
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    code, line = _execute(RUNNERS[command], cfg)
+    print(line, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

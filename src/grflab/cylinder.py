@@ -72,10 +72,7 @@ class CylinderTrajectory:
     T_sing: Optional[float]
     termination: str
     sol: object
-    lam_floor: float
     initial: CylinderState
-    rtol: float
-    atol: float
     _breaks: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -160,6 +157,8 @@ def run_flow(
     lam_floor: float = 1e-8,
 ) -> CylinderTrajectory:
     """Integrate until the lambda-floor event (collapse) or tmax."""
+    if not lam_floor > 0:
+        raise ValueError("lam_floor must be positive")
     y0 = np.array([initial.lam, initial.h, initial.beta, 0.0])
     problem = OdeProblem(rhs=_rhs, t0=0.0, tmax=tmax, state0=y0)
     floor_event = EventSpec(
@@ -182,10 +181,7 @@ def run_flow(
         T_sing=T_sing,
         termination=termination,
         sol=traj.sol,
-        lam_floor=lam_floor,
         initial=initial,
-        rtol=rtol,
-        atol=atol,
     )
 
 
@@ -231,13 +227,13 @@ def _aitken(x: np.ndarray):
 def blowup_analysis(traj: CylinderTrajectory, n_samples: int = 18) -> BlowupReport:
     """Sample t_i = T - 2^{-i}(T - t_start) and extrapolate lambda*h^2."""
     if traj.T_sing is None:
-        raise ValueError("trajectory did not reach the collapse event")
+        raise RuntimeError("flow did not reach the collapse event")
     T = traj.T_sing
     t_start = float(traj.times[0])
     t_i = T - 0.5 ** np.arange(1, n_samples + 1) * (T - t_start)
     t_i = t_i[t_i <= traj.t_end]
     if t_i.size < 3:
-        raise ValueError("need at least 3 samples before the floor event")
+        raise RuntimeError("need at least 3 samples before the floor event")
 
     lam, h, beta, _ = traj.state_at(t_i)
     x = lam * h**2
@@ -284,12 +280,15 @@ def torsion_divergence(
     fit_points: int = 200,
 ) -> TorsionReport:
     """Fit the logarithmic divergence of I(t) near the singular time."""
-    if traj.T_sing is None:
-        raise ValueError("trajectory did not reach the collapse event")
     if traj.initial.h == 0.0:
         raise ValueError(
-            "h0 = 0: the torsion integral converges and provides no divergence witness"
+            "h0 must be nonzero for a divergence witness: at h0 = 0 the "
+            "torsion integral converges"
         )
+    if psi0 is not None and not psi0 >= 0:
+        raise ValueError("psi0 must be nonnegative")
+    if traj.T_sing is None:
+        raise RuntimeError("flow did not reach the collapse event")
     T = traj.T_sing
     delta_end = T - traj.t_end
     # log-uniform samples over the last decade of (T_sing - t)
@@ -301,16 +300,15 @@ def torsion_divergence(
 
     crossing = None
     I_end = float(traj.torsion_integral[-1])
-    if psi0 is not None:
-        if psi0 <= I_end:
-            crossing = float(
-                brentq(
-                    lambda t: traj.state_at(t)[3] - psi0,
-                    traj.times[0],
-                    traj.t_end,
-                    xtol=1e-13,
-                )
+    if psi0 is not None and psi0 <= I_end:
+        crossing = float(
+            brentq(
+                lambda t: traj.state_at(t)[3] - psi0,
+                traj.times[0],
+                traj.t_end,
+                xtol=1e-13,
             )
+        )
     return TorsionReport(
         times=traj.times,
         torsion_integral=traj.torsion_integral,

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 SPHERE_AREA = 8.0 * np.pi  # area of the Ric = g/2 sphere (radius sqrt 2)
+CIRCLE_LENGTH = 2.0 * np.pi  # circle length at beta = 1
 
 
 @dataclass
@@ -71,13 +72,10 @@ class HeatWeightPath:
     times: np.ndarray
     u: np.ndarray
     T_ref: float
-    u0: float
-    _dense: object = field(repr=False, default=None)
+    _dense: object = field(repr=False)
 
     def u_at(self, t):
         t = np.asarray(t, dtype=float)
-        if self.u0 == 0.0:
-            return np.zeros_like(t)
         return np.asarray(self._dense(t), dtype=float).reshape(t.shape)
 
 
@@ -85,8 +83,6 @@ def conjugate_heat_homogeneous(
     traj: CylinderTrajectory,
     u0: float,
     T_ref: Optional[float] = None,
-    rtol: float = 1e-13,
-    atol: Optional[float] = None,
 ) -> HeatWeightPath:
     """Solve u' = (1/lam - (3/2) h^2) u along the trajectory.
 
@@ -95,24 +91,19 @@ def conjugate_heat_homogeneous(
     flow identity (ln u)' = -(ln lam beta)', so mass conservation stays a
     genuine two-route check downstream.
 
-    T_ref defaults to the detected singular time.  u0 = 0 short-circuits
-    to the zero solution of the linear equation.
+    T_ref defaults to the detected singular time.  u0 must be positive:
+    the entropy takes log u.
     """
     u0 = float(u0)
-    if u0 < 0:
-        raise ValueError("u0 must be nonnegative")
+    if not u0 > 0:
+        raise ValueError("u0 must be positive")
     if T_ref is None:
         if traj.T_sing is None:
-            raise ValueError("trajectory has no singular time; pass T_ref")
+            raise RuntimeError("flow did not collapse; pass an explicit T_ref")
         T_ref = traj.T_sing
     T_ref = float(T_ref)
     if not np.isfinite(T_ref):
         raise ValueError("T_ref must be finite")
-
-    if u0 == 0.0:
-        return HeatWeightPath(
-            times=traj.times, u=np.zeros_like(traj.times), T_ref=T_ref, u0=0.0
-        )
 
     def rhs(t, y):
         lam, h = traj.state_at(t)[:2]
@@ -123,8 +114,8 @@ def conjugate_heat_homogeneous(
         (traj.times[0], traj.t_end),
         np.array([u0]),
         method="RK45",
-        rtol=rtol,
-        atol=u0 * 1e-14 if atol is None else atol,
+        rtol=1e-13,
+        atol=u0 * 1e-14,
         dense_output=True,
         t_eval=traj.times,
     )
@@ -134,7 +125,6 @@ def conjugate_heat_homogeneous(
         times=traj.times,
         u=res.y[0],
         T_ref=T_ref,
-        u0=u0,
         _dense=lambda t: res.sol(t)[0],
     )
 
@@ -142,15 +132,15 @@ def conjugate_heat_homogeneous(
 def mass(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
-    L0: float = 2.0 * np.pi,
     times=None,
 ) -> np.ndarray:
-    """Total weight u(t) V(t), V = 8 pi lam L0 beta.  Constant in exact arithmetic."""
+    """Total weight u(t) V(t), V = 8 pi lam L beta with circle length
+    L = CIRCLE_LENGTH.  Constant in exact arithmetic."""
     if times is None:
         times = weights.times
     times = np.asarray(times, dtype=float)
     lam, _, beta, _ = traj.state_at(times)
-    return weights.u_at(times) * SPHERE_AREA * lam * float(L0) * beta
+    return weights.u_at(times) * SPHERE_AREA * lam * CIRCLE_LENGTH * beta
 
 
 @dataclass
@@ -164,7 +154,6 @@ class EntropyTrace:
     dW_formula: np.ndarray
     gap: np.ndarray
     mass: np.ndarray
-    fd_step: Optional[float] = None
     tolerance: Optional[float] = None
 
     def to_csv(self, path: Optional[str] = None) -> str:
@@ -185,7 +174,7 @@ def _check_tau(tau: np.ndarray):
         raise ValueError("tau = T_ref - t must stay positive on the samples")
 
 
-def _w_values(traj, weights, L0, times):
+def _w_values(traj, weights, times):
     times = np.asarray(times, dtype=float)
     tau = weights.T_ref - times
     _check_tau(tau)
@@ -193,7 +182,7 @@ def _w_values(traj, weights, L0, times):
     u = weights.u_at(times)
     if np.any(u <= 0):
         raise ValueError("entropy needs a positive weight")
-    m = mass(traj, weights, L0=L0, times=times)
+    m = mass(traj, weights, times=times)
     f = -np.log(u) - 1.5 * np.log(4.0 * np.pi * tau)
     W = (tau * (1.0 / lam - 0.5 * h * h) + f - 3.0) * m
     return times, tau, lam, h, m, W
@@ -202,7 +191,6 @@ def _w_values(traj, weights, L0, times):
 def entropy_eval(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
-    L0: float = 2.0 * np.pi,
     times=None,
 ) -> EntropyTrace:
     """Shrinking entropy along the flow, tau = weights.T_ref - t.
@@ -213,7 +201,7 @@ def entropy_eval(
     """
     if times is None:
         times = weights.times
-    times, tau, _, _, m, W = _w_values(traj, weights, L0, times)
+    times, tau, _, _, m, W = _w_values(traj, weights, times)
     nan = np.full_like(W, np.nan)
     return EntropyTrace(
         times=times,
@@ -240,7 +228,7 @@ def _gap_tolerance(dt, tau, W, dW_formula, m, gap) -> float:
     tol = max(1e-6, 10.0 * dt * dt * scale)
     worst = float(np.max(gap))
     if worst > tol:
-        raise ValueError(
+        raise RuntimeError(
             "derivative routes disagree: gap %.3e exceeds tolerance %.3e" % (worst, tol)
         )
     return tol
@@ -250,7 +238,6 @@ def entropy_derivative_check(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
     dt: float = 1e-4,
-    L0: float = 2.0 * np.pi,
     times=None,
 ) -> EntropyTrace:
     """Central finite difference of W against the curvature formula,
@@ -260,7 +247,7 @@ def entropy_derivative_check(
     A_s = 1/(2 lam) - h^2/2 - 1/(2 tau) on the two sphere directions and
     A_r = -h^2/2 - 1/(2 tau) on the circle direction; the -h^2 term is
     -|H|^2/6, and the homogeneous reduction kills the twisted-flux term.
-    Raises if the worst gap exceeds max(1e-6, 10 dt^2 scale).
+    Raises RuntimeError if the worst gap exceeds max(1e-6, 10 dt^2 scale).
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -280,9 +267,9 @@ def entropy_derivative_check(
     if np.any(times - dt < t0) or np.any(times + dt > t1):
         raise ValueError("finite-difference stencil leaves the trajectory")
 
-    times, tau, lam, h, m, W = _w_values(traj, weights, L0, times)
-    Wp = _w_values(traj, weights, L0, times + dt)[5]
-    Wm = _w_values(traj, weights, L0, times - dt)[5]
+    times, tau, lam, h, m, W = _w_values(traj, weights, times)
+    Wp = _w_values(traj, weights, times + dt)[5]
+    Wm = _w_values(traj, weights, times - dt)[5]
     dW_fd = (Wp - Wm) / (2.0 * dt)
 
     h2 = h * h
@@ -300,7 +287,6 @@ def entropy_derivative_check(
         dW_formula=dW_formula,
         gap=gap,
         mass=m,
-        fd_step=dt,
         tolerance=tol,
     )
 
@@ -410,7 +396,6 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
         dW_formula=dW_formula,
         gap=gap,
         mass=m,
-        fd_step=dt,
         tolerance=tol,
     )
 
@@ -427,8 +412,6 @@ def _require_soliton(data: WarpedSolitonData, grid: np.ndarray, dt: float):
         raise ValueError("grid must be a finite 1-d array")
     if np.max(np.abs(grid)) > 5.0 + 1e-12:
         raise ValueError("soliton checks are restricted to |r| <= 5")
-    if np.any(data.phi(grid) <= 0):
-        raise ValueError("phi must be positive on the grid")
     report = convention_check(data, grid)
     if not report:
         raise ValueError("data is not a soliton: " + report.message)

@@ -94,8 +94,8 @@ class PeriodicGrid:
         object.__setattr__(self, "metric", metric)
 
     @staticmethod
-    def cube(dim: int, n: int, metric=None) -> "PeriodicGrid":
-        return PeriodicGrid(dim=dim, sizes=(n,) * dim, metric=metric)
+    def cube(dim: int, n: int) -> "PeriodicGrid":
+        return PeriodicGrid(dim=dim, sizes=(n,) * dim)
 
     @property
     def spacing(self) -> Tuple[float, ...]:
@@ -116,10 +116,11 @@ class PeriodicGrid:
         ]
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
-    def refined(self, factor: int = 2) -> "PeriodicGrid":
+    def refined(self) -> "PeriodicGrid":
+        """The grid with twice the points per axis."""
         return PeriodicGrid(
             dim=self.dim,
-            sizes=tuple(s * factor for s in self.sizes),
+            sizes=tuple(2 * s for s in self.sizes),
             periods=self.periods,
             metric=self.metric,
         )

@@ -94,8 +94,9 @@ class ShootingReport(Report):
 
     r1: u=1 rising, r2: p=0 falling (top), r3: u=1 falling, r4: terminal
     floor u=delta_floor.  terminated_at_zero certifies the orbit came
-    back to u ~ 0 at finite radius; a step_underflow before that leaves
-    it false (numerics failure, not a conclusion).
+    back to u ~ 0 at finite radius through r1 < r2 < r3 < r4; a
+    step_underflow before that leaves it false (numerics failure, not a
+    conclusion).
     """
 
     r1: Optional[float]
@@ -149,6 +150,8 @@ def shoot_r3_branch(
     u, the worst drift of the conserved E over all accepted steps, and
     the floor cross-check p ~ -(3/2) u^{1/3} implied by E=0.
     """
+    if not 0.0 < delta_floor < 1.0:
+        raise ValueError("delta_floor must lie in (0, 1)")
     start = series_start(r_switch)
     events = (
         EventSpec(lambda r, y: y[0] - 1.0, direction="rising", name="u_one_up"),
@@ -178,7 +181,11 @@ def shoot_r3_branch(
     drift = float(np.max(np.abs(energies - energies[0])))
     u_max = float(np.max(traj.states[:, 0]) if u_top is None else u_top)
 
-    terminated = traj.termination == "event" and firsts[3] is not None
+    terminated = (
+        traj.termination == "event"
+        and None not in firsts
+        and all(a < b for a, b in zip(firsts, firsts[1:]))
+    )
     floor_p = floor_pred = None
     if terminated:
         floor_p = float(traj.states[-1, 1])

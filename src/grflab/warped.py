@@ -157,6 +157,8 @@ class ResidualReport(Report):
 def _fields(data: WarpedSolitonData, r: np.ndarray):
     r = np.asarray(r, dtype=float)
     phi, dphi, ddphi = data.phi(r), data.phi.d1(r), data.phi.d2(r)
+    if np.any(phi <= 0):
+        raise ValueError("phi must be positive on the grid")
     h, dh, ddh = data.h(r), data.h.d1(r), data.h.d2(r)
     df, ddf = data.f.d1(r), data.f.d2(r)
     return r, phi, dphi, ddphi, h, dh, ddh, df, ddf

@@ -352,6 +352,16 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     (("heat-check", "--points", "1"), 2),
     (("entropy", "--dt", "-1"), 2),
     (("blowup", "--samples", "2"), 2),
+    # library ValueErrors: a broken precondition, not a numerical failure
+    (("heat-check", "--r-max", "6"), 2),
+    (("heat-check", "--soliton", "gaussian", "--dr", "0.2"), 2),
+    (("entropy", "--u0", "-1"), 2),
+    (("entropy", "--u0", "0"), 2),
+    (("entropy", "--t-max", "0"), 2),
+    (("torsion", "--psi0", "-1"), 2),
+    (("cylinder-flow", "--lam-floor", "-1", "--tmax", "3"), 2),
+    (("shoot", "--delta-floor", "2"), 2),
+    (("soliton-residual", "--soliton", "gaussian", "--r-min", "-1"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
@@ -392,6 +402,7 @@ def test_sweep_exit_code_is_the_worst_run(invoke, tmp_path):
         "runs": [
             {"name": "ok"},
             {"name": "bad", "parameters": {"tmax": 0.05}},
+            {"name": "input", "parameters": {"lam0": -1}},
         ],
     }, name="sweep.json")
     out_dir = tmp_path / "sweep_out"
@@ -399,11 +410,13 @@ def test_sweep_exit_code_is_the_worst_run(invoke, tmp_path):
     assert code == 3
     lines = out.splitlines()
     assert any(line.startswith("[bad] numerical failure:") for line in lines)
+    assert any(line.startswith("[input] config error:") for line in lines)
     assert set(read_json(out_dir / "ok" / "blowup.json")) == {
         "sample_times", "lambda_h2", "limit", "limit_error", "opening",
         "opening_increasing", "opening_max", "ricci_case",
     }
     assert not (out_dir / "bad").exists()
+    assert not (out_dir / "input").exists()
 
 
 def test_sweep_rejects_unknown_run_keys(invoke, tmp_path):

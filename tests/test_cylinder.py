@@ -119,7 +119,7 @@ def test_blowup_flags_ricci_case(flow_ricci):
 
 def test_blowup_needs_collapse():
     traj = run_flow(CylinderState(1.0, 0.3, 1.0), tmax=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         blowup_analysis(traj)
 
 

@@ -87,6 +87,14 @@ def test_derivative_check_gap_small(flow_ricci, weights_ricci):
     assert np.all(np.isfinite(trace.dW_fd))
 
 
+def test_gap_above_its_bound_is_a_runtime_error(flow_ricci, weights_ricci):
+    # a constant weight does not solve the conjugate heat equation, so the
+    # finite difference of W leaves the curvature formula by O(1)
+    frozen = dataclasses.replace(weights_ricci, _dense=lambda t: np.full_like(t, MASS1_U0))
+    with pytest.raises(RuntimeError, match="derivative routes disagree"):
+        entropy_derivative_check(flow_ricci, frozen, times=np.linspace(0.1, 0.8, 15))
+
+
 def test_derivative_check_fd_order(flow_ricci):
     # large-mass weights push the fd truncation above rounding so the
     # second-order collapse of the gap is measurable
@@ -186,13 +194,6 @@ def test_gaussian_validation():
         gaussian_entropy_check(2.0 / 3.0, [0.1, 0.6])
 
 
-def test_zero_weight_path(flow_ricci):
-    weights = conjugate_heat_homogeneous(flow_ricci, u0=0.0, T_ref=1.0)
-    assert np.all(weights.u_at(np.linspace(0.0, 0.9, 10)) == 0.0)
-    with pytest.raises(ValueError):
-        entropy_eval(flow_ricci, weights, times=np.array([0.1]))
-
-
 def test_trace_csv_header(flow_ricci, weights_ricci):
     trace = entropy_eval(flow_ricci, weights_ricci, times=np.array([0.1, 0.2]))
     lines = trace.to_csv().splitlines()
@@ -203,8 +204,10 @@ def test_trace_csv_header(flow_ricci, weights_ricci):
 def test_validation_errors(flow_ricci, weights_ricci):
     with pytest.raises(ValueError):
         conjugate_heat_homogeneous(flow_ricci, u0=-1.0)
-    no_collapse = run_flow(CylinderState(1.0, 0.3, 1.0), tmax=0.1)
     with pytest.raises(ValueError):
+        conjugate_heat_homogeneous(flow_ricci, u0=0.0)
+    no_collapse = run_flow(CylinderState(1.0, 0.3, 1.0), tmax=0.1)
+    with pytest.raises(RuntimeError):
         conjugate_heat_homogeneous(no_collapse, u0=1.0)
     with pytest.raises(ValueError, match="T_ref must be finite"):
         conjugate_heat_homogeneous(flow_ricci, u0=1.0, T_ref=np.inf)
