@@ -71,7 +71,7 @@ _TOL = {"rtol": Param("float", 1e-11, "relative tolerance"),
 
 SCHEMAS: Dict[str, Dict[str, Param]] = {
     "cylinder-flow": {
-        "h0sq": Param("float", 0.1, "initial torsion h0^2"),
+        "h0sq": Param("float", 0.1, "initial torsion h0^2", at_least=0.0),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
         "tmax": Param("float", 10.0, "latest flow time"),
@@ -80,7 +80,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         **_TOL,
     },
     "blowup": {
-        "h0sq": Param("float", 0.3, "initial torsion h0^2"),
+        "h0sq": Param("float", 0.3, "initial torsion h0^2", at_least=0.0),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
         "samples": Param("int", 18, "geometric sample count", at_least=3),
@@ -88,7 +88,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         **_TOL,
     },
     "torsion": {
-        "h0sq": Param("float", 0.5, "initial torsion h0^2, nonzero"),
+        "h0sq": Param("float", 0.5, "initial torsion h0^2, nonzero", at_least=0.0),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
         "psi0": Param("float", None, "crossing threshold"),
@@ -111,7 +111,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "r_max": Param("float", 3.0, "grid end"),
     },
     "entropy": {
-        "h0sq": Param("float", 0.0, "initial torsion h0^2"),
+        "h0sq": Param("float", 0.0, "initial torsion h0^2", at_least=0.0),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
         "u0": Param("float", None, "initial weight; default normalizes mass to 1"),
@@ -491,11 +491,14 @@ def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
 _random_trig_form = hodge.random_trig_form
 
 
-# Peak memory of hodge-check in grid-sized float64 arrays.  At 48^4 one
-# array is 40.5 MiB; the twisted check, the largest, allocates at most
-# 1134 MiB (28 arrays) and the whole process peaks at 1220 MiB RSS, i.e.
-# 30 arrays with the interpreter and its modules.
-HODGE_LIVE_ARRAYS = 30
+# Peak tracemalloc allocation of hodge-check in grid-sized float64 arrays,
+# the worst case over 3-d grids of 16..96 and 4-d grids of 16..48 points
+# per axis.  The adjointness check works on full random forms: 20.43
+# arrays at 16^4, 20.005 at 48^4.  The example checks keep their fields
+# at broadcast shape and hold little more than the contiguous copy that
+# `integral` sums: 1.65 arrays at 16^3, 1.1 at 64^3, 1.005 at 48^4.
+ADJOINTNESS_ARRAYS = 20.5
+EXAMPLE_ARRAYS = 1.65
 
 
 def _available_memory() -> Optional[int]:
@@ -514,9 +517,18 @@ def _available_memory() -> Optional[int]:
 
 
 def _require_hodge_memory(p: dict) -> None:
-    """Reject a grid whose estimated peak exceeds the available memory."""
-    size = p["size"] * (2 if p["refine"] else 1)
-    need = HODGE_LIVE_ARRAYS * 8 * size ** p["dim"]
+    """Reject a grid whose estimated peak exceeds the available memory.
+
+    The checks run one after another, so the peak is the larger of the
+    adjointness check on the base grid and the example checks on the grid
+    they run on, the doubled one with --refine.
+    """
+    terms = []
+    if p["identity"] in ("all", "adjointness"):
+        terms.append((ADJOINTNESS_ARRAYS, p["size"]))
+    if p["identity"] != "adjointness":
+        terms.append((EXAMPLE_ARRAYS, p["size"] * (2 if p["refine"] else 1)))
+    need, size = max((arrays * 8 * n ** p["dim"], n) for arrays, n in terms)
     available = _available_memory()
     if available is not None and need > available:
         raise ConfigError(

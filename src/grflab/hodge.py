@@ -21,6 +21,14 @@ Pointwise identities whose two discrete routes share every stencil
 construction; their grid-convergence content lives in the residual
 against the analytic reference, which the check reports separately
 whenever a reference is supplied.
+
+Storage: every array a field holds, and every pointwise array an
+operator returns, has the grid's number of axes, and each axis has
+length 1 or the full grid size; numpy broadcasting supplies the rest.
+A field that depends on one coordinate therefore costs one line of
+values, not a grid.  Each element sees the same operations it would on
+the expanded array, so results are bit-identical to it; only `integral`
+expands, because pairwise summation depends on the array's shape.
 """
 from __future__ import annotations
 
@@ -143,7 +151,13 @@ class PeriodicGrid:
         slices, one of them wrapping.  No shifted copy of u is made, and
         every element sees the same operations as the np.roll formula, so
         the result is bit-identical to it.
+
+        u is constant along an axis of length 1, where the stencil gives
+        u - u: +0.0 where u is finite and nan where it is not, exactly
+        what the formula gives on the expanded array.
         """
+        if u.shape[axis] == 1:
+            return np.subtract(u, u)
         h = self.spacing[axis]
         out = np.empty_like(u)
         v, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
@@ -173,7 +187,13 @@ def _perm_sign(seq) -> int:
 
 @dataclass
 class FormField:
-    """k-form with one array per strictly increasing multi-index."""
+    """k-form with one array per strictly increasing multi-index.
+
+    A component is stored at its broadcast shape: grid.dim axes, each of
+    length 1 or the full grid size.  An array with fewer axes is
+    reshaped, never expanded; a shape that does not broadcast to the
+    grid's is rejected.
+    """
 
     # keep ndarray * FormField out of numpy broadcasting; use __rmul__
     __array_ufunc__ = None
@@ -186,18 +206,21 @@ class FormField:
         # dim + 1 admits the identically zero image of d on top forms
         if not 0 <= self.degree <= self.grid.dim + 1:
             raise ValueError("degree out of range")
-        shape = tuple(self.grid.sizes)
+        shape = self.grid.sizes
         for idx in list(self.comps):
             arr = np.asarray(self.comps[idx], dtype=float)
             if tuple(sorted(idx)) != idx or len(set(idx)) != len(idx):
                 raise ValueError("component indices must be strictly increasing")
             if len(idx) != self.degree:
                 raise ValueError("component index length must equal the degree")
-            if arr.shape != shape:
-                try:
-                    arr = np.broadcast_to(arr, shape)
-                except ValueError:
-                    raise ValueError("component shape must match the grid")
+            try:
+                fits = np.broadcast_shapes(arr.shape, shape) == shape
+            except ValueError:
+                fits = False
+            if not fits:
+                raise ValueError("component shape must broadcast to the grid")
+            if arr.ndim < len(shape):
+                arr = arr.reshape((1,) * (len(shape) - arr.ndim) + arr.shape)
             self.comps[idx] = arr
 
     @staticmethod
@@ -209,8 +232,8 @@ class FormField:
         return FormField(grid, degree, {})
 
     def comp(self, idx: Index) -> np.ndarray:
-        """Component for an increasing index, zeros if absent."""
-        return self.comps.get(tuple(idx), np.zeros(self.grid.sizes))
+        """Component for an increasing index, a compact zero if absent."""
+        return self.comps.get(tuple(idx), np.zeros((1,) * self.grid.dim))
 
     def indices(self):
         return sorted(self.comps)
@@ -261,6 +284,22 @@ class VectorField:
             raise ValueError("need one component per axis")
 
 
+def _add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """acc + term, written into acc when acc already has the result's shape.
+
+    acc must be an array the caller allocated.
+    """
+    if acc.shape == np.broadcast_shapes(acc.shape, term.shape):
+        acc += term
+        return acc
+    return acc + term
+
+
+def _accumulate(out: Dict[Index, np.ndarray], target: Index, term: np.ndarray):
+    """out[target] += term for a freshly allocated term."""
+    out[target] = _add(out[target], term) if target in out else term
+
+
 def d(f: FormField) -> FormField:
     """Exterior derivative by the 4th-order stencil."""
     grid, k = f.grid, f.degree
@@ -276,18 +315,19 @@ def d(f: FormField) -> FormField:
             term = grid.deriv(arr, a)
             if sign < 0:
                 np.negative(term, out=term)
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
+            _accumulate(out, target, term)
     return FormField(grid, k + 1, out)
 
 
-def hodge(f: FormField) -> FormField:
-    """Hodge star for the constant diagonal metric.
+def hodge(f: FormField, sign: float = 1.0) -> FormField:
+    """Hodge star for the constant diagonal metric, times sign = +-1.
 
     (*w)_{Ic} = sign(I, Ic) sqrt(det g) (prod_{i in I} 1/g_i) w_I with Ic
-    the increasing complement of I.
+    the increasing complement of I.  A component whose factor is exactly
+    1.0 is passed through, not copied, so fields may share component
+    arrays; no function here writes into a component it did not
+    allocate.  Multiplying by +-1 is exact, so the sign folded into the
+    factor gives the same bits as negating the result.
     """
     grid, k = f.grid, f.degree
     n = grid.dim
@@ -297,11 +337,10 @@ def hodge(f: FormField) -> FormField:
     out: Dict[Index, np.ndarray] = {}
     for idx, arr in f.comps.items():
         comp_idx = tuple(a for a in full if a not in idx)
-        sign = _perm_sign(idx + comp_idx)
-        factor = sign * grid.sqrt_det
+        factor = sign * _perm_sign(idx + comp_idx) * grid.sqrt_det
         for a in idx:
             factor /= grid.metric[a]
-        out[comp_idx] = factor * arr
+        out[comp_idx] = arr if factor == 1.0 else factor * arr
     return FormField(grid, n - k, out)
 
 
@@ -313,7 +352,7 @@ def codiff(f: FormField) -> FormField:
     if not f.comps:
         return FormField.zero(grid, k - 1)
     sign = (-1.0) ** (grid.dim * (k + 1) + 1)
-    return sign * hodge(d(hodge(f)))
+    return hodge(d(hodge(f)), sign)
 
 
 def interior(X: VectorField, f: FormField) -> FormField:
@@ -330,10 +369,7 @@ def interior(X: VectorField, f: FormField) -> FormField:
             term = X.comps[m] * arr
             if pos % 2:
                 term = -term
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
+            _accumulate(out, target, term)
     return FormField(grid, k - 1, out)
 
 
@@ -359,10 +395,7 @@ def wedge(a: FormField, b: FormField) -> FormField:
             term = va * vb
             if sign < 0:
                 term = -term
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
+            _accumulate(out, target, term)
     return FormField(grid, k, out)
 
 
@@ -383,20 +416,27 @@ def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     grid = a.grid
-    out = np.zeros(grid.sizes)
+    out = np.zeros((1,) * grid.dim)
     for idx in a.indices():
         if tuple(idx) not in b.comps:
             continue
         factor = 1.0
         for i in idx:
             factor /= grid.metric[i]
-        out += factor * a.comps[idx] * b.comps[idx]
+        a_scaled = a.comps[idx] if factor == 1.0 else factor * a.comps[idx]
+        out = _add(out, a_scaled * b.comps[idx])
     return out
 
 
 def integral(values: np.ndarray, grid: PeriodicGrid) -> float:
-    """Trapezoid rule on the periodic grid: mean times total volume."""
-    return float(np.sum(values, dtype=np.float64)) * grid.cell_volume
+    """Trapezoid rule on the periodic grid: mean times total volume.
+
+    Sums a contiguous full-grid copy of values: pairwise summation
+    depends on the array's shape, so summing the broadcast form would
+    change the last digits.
+    """
+    full = np.ascontiguousarray(np.broadcast_to(values, grid.sizes))
+    return float(np.sum(full, dtype=np.float64)) * grid.cell_volume
 
 
 def l2_inner(a: FormField, b: FormField) -> float:
@@ -639,10 +679,12 @@ def check_divH2(H: FormField) -> HodgeReport:
     def Hc(i, j, k):
         return dense.get((i, j, k))
 
+    unit_shape = (1,) * n  # the shape of a constant
+
     # |H|^2 raw
-    H2norm = np.zeros(grid.sizes)
+    H2norm = np.zeros(unit_shape)
     for (i, j, k), arr in dense.items():
-        H2norm += ginv[i] * ginv[j] * ginv[k] * arr * arr
+        H2norm = _add(H2norm, ginv[i] * ginv[j] * ginv[k] * arr * arr)
 
     dstar = codiff(H)  # 2-form
 
@@ -650,18 +692,18 @@ def check_divH2(H: FormField) -> HodgeReport:
     worst = 0.0
     for i in range(n):
         # (div H2)_i = sum_j g^{jj} D_j H2_{ji}
-        div_i = np.zeros(grid.sizes)
+        div_i = np.zeros(unit_shape)
         for j in range(n):
-            H2_ji = np.zeros(grid.sizes)
+            H2_ji = np.zeros(unit_shape)
             for p in range(n):
                 for q in range(n):
                     a, b = Hc(j, p, q), Hc(i, p, q)
                     if a is None or b is None:
                         continue
-                    H2_ji += ginv[p] * ginv[q] * a * b
-            div_i += ginv[j] * grid.deriv(H2_ji, j)
+                    H2_ji = _add(H2_ji, ginv[p] * ginv[q] * a * b)
+            div_i = _add(div_i, ginv[j] * grid.deriv(H2_ji, j))
         grad_term = grid.deriv(H2norm, i) / 6.0
-        contraction = np.zeros(grid.sizes)
+        contraction = np.zeros(unit_shape)
         for m in range(n):
             for nn in range(n):
                 if m == nn:
@@ -673,7 +715,7 @@ def check_divH2(H: FormField) -> HodgeReport:
                 h_imn = Hc(i, m, nn)
                 if h_imn is None:
                     continue
-                contraction += ginv[m] * ginv[nn] * val * h_imn
+                contraction = _add(contraction, ginv[m] * ginv[nn] * val * h_imn)
         res = div_i - (grad_term - contraction)
         worst = max(worst, float(np.max(np.abs(res))))
     residuals["sup"] = worst

@@ -370,4 +370,4 @@ def test_criterion_9_hodge_oracle():
         f"rates={{{', '.join(f'{k}={v:.2f}' for k, v in rates.items())}}} "
         f"adjointness={adj_worst:.2e} [{elapsed:.2f} s]"
     )
-    assert elapsed < 60.0
+    assert elapsed < 30.0

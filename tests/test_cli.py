@@ -310,6 +310,13 @@ def test_zero_torsion_witness_is_a_config_error(invoke, tmp_path):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize("command", ["cylinder-flow", "blowup", "torsion", "entropy"])
+def test_negative_h0sq_is_rejected_by_its_bound(invoke, tmp_path, command):
+    code, _, err = invoke(command, "--h0sq", "-1", "--out", str(tmp_path))
+    assert code == 2
+    assert "parameter 'h0sq' must be at least 0" in err
+
+
 def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path):
     start = time.perf_counter()
     code, out, err = invoke(
@@ -322,9 +329,10 @@ def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path):
 
 
 def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypatch):
-    # 32^3 needs 7.5 MiB by the estimate, its refinement 64^3 60 MiB
-    monkeypatch.setattr(cli, "_available_memory", lambda: 20 * 2**20)
-    argv = ("hodge-check", "--identity", "suobing", "--size", "32",
+    # the integral check needs 0.4 MiB at 32^3 by the estimate, 3.3 MiB on
+    # its refinement 64^3
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 2**20)
+    argv = ("hodge-check", "--identity", "integral", "--size", "32",
             "--out", str(tmp_path))
     assert invoke(*argv)[0] == 0
     code, _, err = invoke(*argv, "--refine")
@@ -362,6 +370,8 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     (("cylinder-flow", "--lam-floor", "-1", "--tmax", "3"), 2),
     (("shoot", "--delta-floor", "2"), 2),
     (("soliton-residual", "--soliton", "gaussian", "--r-min", "-1"), 2),
+    (("cylinder-flow", "--h0sq", "-1"), 2),
+    (("entropy", "--h0sq", "-1"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"

@@ -112,6 +112,13 @@ def roll_deriv(grid, u, axis):
     return out
 
 
+def assert_same_bits(a, b):
+    """Equal values, nan in the same places and the same sign on zeros."""
+    assert np.array_equal(a, b, equal_nan=True)
+    numbers = ~np.isnan(a)
+    assert np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers]))
+
+
 @pytest.mark.parametrize("sizes", [(16, 17, 19), (16, 17, 18, 19), (24, 16, 16)])
 def test_stencil_matches_roll_formula_bit_for_bit(sizes):
     dim = len(sizes)
@@ -122,10 +129,16 @@ def test_stencil_matches_roll_formula_bit_for_bit(sizes):
     transposed = rng.standard_normal(sizes[::-1]).T
     assert not transposed.flags.c_contiguous
     broadcast = [np.broadcast_to(np.sin(3.0 * x + 0.2), sizes) for x in grid.coords()]
-    for u in (contiguous, transposed, *broadcast):
+    # a line of values with length-1 axes, holding -0.0, inf and nan
+    line = np.sin(3.0 * grid.coords()[1] + 0.2)
+    line.flat[[2, 5, 9]] = (-0.0, np.inf, np.nan)
+    for u in (contiguous, transposed, *broadcast, line):
         for axis in range(dim):
-            out = grid.deriv(u, axis)
-            assert np.array_equal(out, roll_deriv(grid, u, axis))
+            with np.errstate(invalid="ignore"):  # inf - inf
+                out = grid.deriv(u, axis)
+                expected = roll_deriv(grid, np.broadcast_to(u, sizes).copy(), axis)
+            assert out.shape == u.shape
+            assert_same_bits(np.broadcast_to(out, sizes), expected)
             assert out.flags.writeable
             assert not np.shares_memory(out, u)
 
@@ -200,6 +213,72 @@ def test_form_arithmetic_and_array_scaling(g16):
         assert np.array_equal(left.comp(idx), weight * a.comp(idx))
     assert (a - a).sup() == 0.0
     assert (2.0 * a).sup() == 2.0 * a.sup()
+
+
+def test_components_are_stored_at_their_broadcast_shape(g16):
+    line = np.cos(np.arange(16.0)).reshape(16, 1, 1)
+    f = FormField(g16, 0, {(): line})
+    assert f.comps[()].shape == (16, 1, 1)
+    assert np.shares_memory(f.comps[()], line)
+    # fewer axes are padded in front, as numpy broadcasts them
+    assert FormField.scalar(g16, np.arange(16.0)).comps[()].shape == (1, 1, 16)
+    assert FormField.scalar(g16, 0.5).comps[()].shape == (1, 1, 1)
+    assert FormField.zero(g16, 1).comp((0,)).shape == (1, 1, 1)
+    for bad in (np.zeros((2, 16, 16)), np.zeros((1, 16, 16, 16)), np.zeros(17)):
+        with pytest.raises(ValueError, match="broadcast to the grid"):
+            FormField(g16, 0, {(): bad})
+
+
+def expanded(field):
+    """The same field with every component copied out to the full grid."""
+    return FormField(field.grid, field.degree, {
+        idx: np.broadcast_to(arr, field.grid.sizes).copy()
+        for idx, arr in field.comps.items()
+    })
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("data", ["example", "closed"])
+def test_checks_on_compact_fields_equal_checks_on_expanded_fields(dim, data):
+    grid = PeriodicGrid.cube(dim, 16)
+    f, H, ref = example_fields(grid, 0.3, 0.45)
+    if data == "closed":
+        H, ref = closed_three_form(grid, (0.45, 0.36)), None
+    for field in (f, H):
+        assert all(np.prod(arr.shape) < np.prod(grid.sizes) for arr in field.comps.values())
+
+    def reports(f, H, ref):
+        return [
+            check_suobing(f, H, reference=ref),
+            check_twisted_codiff(f, H),
+            check_integral_identity(f, H),
+            check_divH2(H),
+        ]
+
+    full_ref = None if ref is None else expanded(ref)
+    for compact, full in zip(reports(f, H, ref), reports(expanded(f), expanded(H), full_ref)):
+        assert compact.residuals == full.residuals
+        assert compact.values == full.values
+
+
+def test_integral_of_a_compact_array_equals_its_expanded_copy():
+    grid = PeriodicGrid(dim=4, sizes=(16, 17, 18, 19))
+    w, x, y, z = grid.coords()
+    for values in (np.cos(x) * np.exp(np.sin(w)), np.sin(y) ** 2 + 0.1, np.zeros((1,) * 4)):
+        full = np.broadcast_to(values, grid.sizes).copy()
+        assert integral(values, grid) == integral(full, grid)
+
+
+def test_hodge_sign_is_folded_into_the_factor(g16, gm16):
+    for grid in (g16, gm16):
+        for degree in range(grid.dim + 1):
+            field = random_trig_form(grid, degree, seed=50 + degree)
+            star, negated = hodge(field), hodge(field, -1.0)
+            for idx in star.indices():
+                assert np.array_equal(negated.comps[idx], -1.0 * star.comps[idx])
+    # on the unit metric the factor of a degree-0 component is exactly 1.0
+    f = random_trig_form(g16, 0, seed=60)
+    assert hodge(f).comps[(0, 1, 2)] is f.comps[()]
 
 
 def test_degree_and_grid_mismatch_rejected(g16, g32):
