@@ -42,7 +42,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import cylinder, entropy, hodge, shooting, warped
+# The compute modules are imported by the runners that use them, so a
+# command loads only what it runs and none loads scipy before it needs it.
+# hodge is light and stays here: _random_trig_form below binds one of its
+# functions at module level.
+from . import hodge
 from .ioutil import atomic_write_text, to_json_text
 
 ENV_OUTPUT_DIR = "GRFLAB_OUTPUT_DIR"
@@ -301,9 +305,11 @@ def _written(cfg: dict, *artifacts) -> str:
     return f" -> {', '.join(paths)}" if paths else ""
 
 
-def _flow(p: dict, **limits) -> cylinder.CylinderTrajectory:
+def _flow(p: dict, **limits):
     """run_flow from (lam0, h0sq, beta0); a step underflow is a numerical
     failure."""
+    from . import cylinder
+
     state = cylinder.CylinderState(lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"])
     traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], **limits)
     if traj.termination == "step_underflow":
@@ -328,6 +334,8 @@ def _run_cylinder_flow(cfg: dict) -> str:
 
 
 def _run_blowup(cfg: dict) -> str:
+    from . import cylinder
+
     p = cfg["parameters"]
     report = cylinder.blowup_analysis(_flow(p, tmax=p["tmax"]), n_samples=p["samples"])
     dest = _written(cfg, ("json", "blowup.json", report.to_json))
@@ -338,6 +346,8 @@ def _run_blowup(cfg: dict) -> str:
 
 
 def _run_torsion(cfg: dict) -> str:
+    from . import cylinder
+
     p = cfg["parameters"]
     report = cylinder.torsion_divergence(
         _flow(p, tmax=p["tmax"]), psi0=p["psi0"], fit_points=p["fit_points"]
@@ -351,6 +361,8 @@ def _run_torsion(cfg: dict) -> str:
 
 
 def _run_shoot(cfg: dict) -> str:
+    from . import shooting
+
     p = cfg["parameters"]
     report = shooting.shoot_r3_branch(
         r_switch=p["r_switch"], delta_floor=p["delta_floor"],
@@ -371,11 +383,15 @@ def _run_shoot(cfg: dict) -> str:
     )
 
 
-def _soliton(name: str) -> warped.WarpedSolitonData:
+def _soliton(name: str):
+    from . import warped
+
     return warped.cylinder_soliton() if name == "cylinder" else warped.gaussian_shrinker()
 
 
 def _run_soliton_residual(cfg: dict) -> str:
+    from . import warped
+
     p = cfg["parameters"]
     if not p["r_max"] > p["r_min"]:
         raise ConfigError("soliton-residual: r_max must exceed r_min")
@@ -404,6 +420,8 @@ def _run_soliton_residual(cfg: dict) -> str:
 
 
 def _run_entropy(cfg: dict) -> str:
+    from . import entropy
+
     p = cfg["parameters"]
     traj = _flow(p)
     u0 = p["u0"]
@@ -436,6 +454,8 @@ def _run_entropy(cfg: dict) -> str:
 
 
 def _run_heat_check(cfg: dict) -> str:
+    from . import entropy
+
     p = cfg["parameters"]
     data = _soliton(p["soliton"])
     # the gaussian warp vanishes at r = 0; keep the grid one-sided there
@@ -499,6 +519,9 @@ _random_trig_form = hodge.random_trig_form
 # `integral` sums: 1.65 arrays at 16^3, 1.1 at 64^3, 1.005 at 48^4.
 ADJOINTNESS_ARRAYS = 20.5
 EXAMPLE_ARRAYS = 1.65
+# Resident size that loading scipy.special adds (measured 24.7 MiB); the
+# integral check loads it after the memory check has run.
+SCIPY_SPECIAL_BYTES = 25 * 2**20
 
 
 def _available_memory() -> Optional[int]:
@@ -516,12 +539,23 @@ def _available_memory() -> Optional[int]:
         return None
 
 
+def _resident_memory() -> int:
+    """Bytes this process holds resident now, 0 when that cannot be read."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def _require_hodge_memory(p: dict) -> None:
     """Reject a grid whose estimated peak exceeds the available memory.
 
-    The checks run one after another, so the peak is the larger of the
-    adjointness check on the base grid and the example checks on the grid
-    they run on, the doubled one with --refine.
+    The estimate is the process's peak resident size: what it holds now,
+    plus scipy.special, plus the grid arrays of the largest check.  The
+    checks run one after another, so that is the larger of the adjointness
+    check on the base grid and the example checks on the grid they run on,
+    the doubled one with --refine.
     """
     terms = []
     if p["identity"] in ("all", "adjointness"):
@@ -529,6 +563,7 @@ def _require_hodge_memory(p: dict) -> None:
     if p["identity"] != "adjointness":
         terms.append((EXAMPLE_ARRAYS, p["size"] * (2 if p["refine"] else 1)))
     need, size = max((arrays * 8 * n ** p["dim"], n) for arrays, n in terms)
+    need += _resident_memory() + SCIPY_SPECIAL_BYTES
     available = _available_memory()
     if available is not None and need > available:
         raise ConfigError(

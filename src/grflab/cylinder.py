@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ioutil import Report, atomic_write_text, to_csv_text
 from .odesolve import EventSpec, OdeProblem, integrate
@@ -301,6 +300,8 @@ def torsion_divergence(
     crossing = None
     I_end = float(traj.torsion_integral[-1])
     if psi0 is not None and psi0 <= I_end:
+        from scipy.optimize import brentq  # on call, so loading cylinder loads no scipy
+
         crossing = float(
             brentq(
                 lambda t: traj.state_at(t)[3] - psi0,

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .cylinder import CylinderTrajectory
-from .odesolve import OdeProblem, integrate
+from .odesolve import OdeProblem, integrate, solve_ivp
 from .ioutil import atomic_write_text, to_csv_text
 from .warped import (
     ResidualReport,

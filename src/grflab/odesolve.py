@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "OdeProblem",
     "EventSpec",
     "Trajectory",
     "integrate",
+    "solve_ivp",
     "TERMINATIONS",
 ]
 
@@ -123,6 +123,17 @@ def _make_scipy_event(indicator, direction, terminal):
     ev.direction = _DIRECTIONS[direction]
     ev.terminal = bool(terminal)
     return ev
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    scipy.integrate takes most of a cold start, so the package's one route
+    to it loads it only when an ODE is solved.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def integrate(

@@ -329,8 +329,10 @@ def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path):
 
 
 def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypatch):
-    # the integral check needs 0.4 MiB at 32^3 by the estimate, 3.3 MiB on
-    # its refinement 64^3
+    # the integral check needs 0.4 MiB of grid arrays at 32^3 by the
+    # estimate, 3.3 MiB on its refinement 64^3; the other terms are zeroed
+    monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
+    monkeypatch.setattr(cli, "SCIPY_SPECIAL_BYTES", 0)
     monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 2**20)
     argv = ("hodge-check", "--identity", "integral", "--size", "32",
             "--out", str(tmp_path))
@@ -338,6 +340,18 @@ def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypat
     code, _, err = invoke(*argv, "--refine")
     assert code == 2
     assert "64 points per axis" in err
+
+
+def test_hodge_memory_estimate_counts_the_resident_process(invoke, tmp_path, monkeypatch):
+    # 1 MiB above scipy.special covers the 0.4 MiB of grid arrays at 32^3,
+    # not the process that holds them
+    monkeypatch.setattr(cli, "_available_memory", lambda: cli.SCIPY_SPECIAL_BYTES + 2**20)
+    out_dir = tmp_path / "never"
+    code, out, err = invoke("hodge-check", "--identity", "integral", "--size", "32",
+                            "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert "MiB available" in err
+    assert not out_dir.exists()
 
 
 def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
