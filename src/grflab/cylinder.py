@@ -15,14 +15,13 @@ and witnesses divergence at the singular time.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .ioutil import Report, atomic_write_text, to_csv_text
-from .odesolve import EventSpec, OdeProblem, integrate
+from .odesolve import EventSpec, OdeProblem, OdeSolution, brentq, integrate
 
 __all__ = [
     "CylinderState",
@@ -70,12 +69,8 @@ class CylinderTrajectory:
     states: np.ndarray
     T_sing: Optional[float]
     termination: str
-    sol: object
+    sol: OdeSolution
     initial: CylinderState
-    _breaks: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._breaks = self.sol.ts.tolist()
 
     # diagnostic views
 
@@ -113,18 +108,7 @@ class CylinderTrajectory:
 
     def state_at(self, t):
         """Dense-output states, shape (4,) or (4, len(t))."""
-        if np.ndim(t) != 0:
-            return np.asarray(self.sol(t), dtype=float)
-        # scalar t: the segment OdeSolution picks (the lower one at a step
-        # point) and its Runge-Kutta interpolant, evaluated with the same
-        # operations as scipy's RkDenseOutput but without its array set-up
-        seg = self.sol.interpolants[
-            min(max(bisect_left(self._breaks, t) - 1, 0), len(self._breaks) - 2)
-        ]
-        x = (t - seg.t_old) / seg.h
-        y = seg.h * np.dot(seg.Q, np.cumprod(np.full(seg.Q.shape[1], x)))
-        y += seg.y_old
-        return y
+        return self.sol(t)
 
     def to_csv(self, path: Optional[str] = None, dt_out: Optional[float] = None) -> str:
         """Trajectory table; dt_out switches to a uniform sample grid."""
@@ -300,8 +284,6 @@ def torsion_divergence(
     crossing = None
     I_end = float(traj.torsion_integral[-1])
     if psi0 is not None and psi0 <= I_end:
-        from scipy.optimize import brentq  # on call, so loading cylinder loads no scipy
-
         crossing = float(
             brentq(
                 lambda t: traj.state_at(t)[3] - psi0,

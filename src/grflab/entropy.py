@@ -112,7 +112,6 @@ def conjugate_heat_homogeneous(
         rhs,
         (traj.times[0], traj.t_end),
         np.array([u0]),
-        method="RK45",
         rtol=1e-13,
         atol=u0 * 1e-14,
         dense_output=True,

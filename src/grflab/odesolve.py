@@ -1,14 +1,22 @@
 """Adaptive ODE integration with event location and blowup detection.
 
-Thin, deterministic front end over an embedded Runge-Kutta 4(5) pair
-(Dormand-Prince, via scipy) with dense output.  Every run ends with an
-explicit termination label; step-size underflow and state blowup are
-reported, never swallowed.
+The integrator is the Dormand-Prince 5(4) embedded Runge-Kutta pair
+(Dormand & Prince 1980) with Shampine's quartic dense output, written in
+numpy so that solving an ODE loads no scipy.  It repeats the RK45 solver
+of scipy 1.17.1 operation for operation: the same initial step, step
+control, stage and error sums, interpolant, segment choice and event
+location, so every step, event and dense value equals scipy's bit for
+bit.  brentq is a port of scipy's C Brent root finder.
+Every run ends with an explicit termination label; step-size underflow
+and state blowup are reported, never swallowed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -16,8 +24,12 @@ __all__ = [
     "OdeProblem",
     "EventSpec",
     "Trajectory",
+    "OdeSolution",
+    "OdeResult",
     "integrate",
     "solve_ivp",
+    "brentq",
+    "RTOL_FLOOR",
     "TERMINATIONS",
 ]
 
@@ -25,6 +37,48 @@ __all__ = [
 TERMINATIONS = ("reached_tmax", "event", "blowup", "step_underflow")
 
 _DIRECTIONS = {"rising": 1.0, "falling": -1.0, "any": 0.0}
+
+EPS = np.finfo(float).eps
+# Below 100 eps the local error test asks for more than float64 can give.
+RTOL_FLOOR = 100 * EPS
+
+# Dormand-Prince 5(4): nodes C, stage matrix A, fifth-order weights B and
+# the error weights E (fifth minus fourth order, over the six stages and
+# the first-same-as-last stage).  P maps the seven stages to Shampine's
+# quartic dense output with the optimal c6.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
+# Step control: the new step is h * SAFETY * err^(-1/5), held within
+# [MIN_FACTOR, MAX_FACTOR] times h, and never grown right after a rejection.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5
+
+_MESSAGES = {
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+    -1: "Required step size is less than spacing between numbers.",
+}
 
 
 @dataclass(frozen=True)
@@ -70,6 +124,12 @@ class EventSpec:
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {sorted(_DIRECTIONS)}")
 
+    def __call__(self, t, y) -> float:
+        # silence overflow chatter near blowups; the ceiling event and the
+        # underflow label carry the diagnosis
+        with np.errstate(all="ignore"):
+            return float(self.indicator(t, y))
+
 
 @dataclass
 class Trajectory:
@@ -102,6 +162,353 @@ class Trajectory:
         return self.states[-1]
 
 
+class _Step:
+    """Dense output over one accepted step [t_old, t_old + h]."""
+
+    __slots__ = ("t_old", "h", "Q", "y_old")
+
+    def __init__(self, t_old, h, K, y_old):
+        self.t_old = float(t_old)
+        self.h = float(h)
+        self.Q = K.T.dot(_P)
+        self.y_old = y_old
+
+    def __call__(self, t):
+        x = (t - self.t_old) / self.h
+        if isinstance(x, float):
+            x = float(x)
+            x2 = x * x
+            x3 = x2 * x
+            y = self.h * np.dot(self.Q, np.array([x, x2, x3, x3 * x]))
+            y += self.y_old
+            return y
+        p = np.cumprod(np.tile(x, (self.Q.shape[1], 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None]
+        return y
+
+
+class OdeSolution:
+    """Piecewise dense output of a run, callable on a time or a 1-d array.
+
+    A time on a step point takes the earlier step's interpolant; times
+    outside [ts[0], ts[-1]] take the nearest end step's.
+    """
+
+    def __init__(self, ts, steps):
+        self.ts = np.asarray(ts)
+        self._breaks = self.ts.tolist()
+        self.steps = steps
+
+    def __call__(self, t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            k = bisect_left(self._breaks, t) - 1
+            return self.steps[min(max(k, 0), len(self.steps) - 1)](t)
+        t = np.asarray(t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.searchsorted(self.ts, t_sorted, side="left") - 1
+        np.clip(segments, 0, len(self.steps) - 1, out=segments)
+        ys = []
+        start = 0
+        for k, group in groupby(segments):
+            end = start + len(list(group))
+            ys.append(self.steps[k](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """What solve_ivp returns, field for field scipy's OdeResult subset.
+
+    status is 0 at t_bound, 1 at a terminal event and -1 when the step
+    underflows; t_events/y_events hold each event's crossings in order.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    t_events: list
+    y_events: list
+    status: int
+    message: str
+    sol: Optional[OdeSolution]
+    nfev: int
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+    """First step from the Hairer-Norsett-Wanner estimate (II.4), one rhs call."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _active_events(g, g_new, direction):
+    g, g_new = np.asarray(g), np.asarray(g_new)
+    up = (g <= 0) & (g_new >= 0)
+    down = (g >= 0) & (g_new <= 0)
+    either = up | down
+    mask = up & (direction > 0) | down & (direction < 0) | either & (direction == 0)
+    return np.nonzero(mask)[0]
+
+
+def solve_ivp(
+    fun,
+    t_span,
+    y0,
+    *,
+    t_eval=None,
+    dense_output: bool = False,
+    events: Sequence[EventSpec] = (),
+    rtol: float = 1e-3,
+    atol: float = 1e-6,
+) -> OdeResult:
+    """Dormand-Prince 5(4) solve of y' = fun(t, y) over t_span = (t0, tf).
+
+    The subset of scipy's solve_ivp(method="RK45") that grflab uses, with
+    the same steps, events and dense output bit for bit.
+    Events are EventSpec instances; a terminal one stops the run at its
+    first crossing.  t_eval, if given, must be increasing within t_span:
+    t and y then hold the dense output there instead of the steps.
+    """
+    t0, tf = map(float, t_span)
+    if not tf > t0:
+        raise ValueError("t_span must be increasing")
+    if not rtol >= RTOL_FLOOR:
+        raise ValueError(f"rtol must be at least 100 eps = {RTOL_FLOOR:.4g}, got {rtol:.4g}")
+    if not atol >= 0:
+        raise ValueError("atol must be nonnegative")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1 or not np.all(np.isfinite(y0)):
+        raise ValueError("y0 must be a finite 1-d vector")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1 or np.any(t_eval < t0) or np.any(t_eval > tf):
+            raise ValueError("t_eval must be a 1-d array within t_span")
+        if np.any(np.diff(t_eval) <= 0):
+            raise ValueError("t_eval must be increasing")
+        t_eval_i = 0
+
+    def rhs(t, y):
+        return np.asarray(fun(t, y), dtype=float)
+
+    f = rhs(t0, y0)
+    h_abs = _initial_step(rhs, t0, y0, tf, f, rtol, atol)
+    nfev = 2
+    K = np.empty((_B.size + 1, y0.size))
+    t, y = t0, y0
+    ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
+    breaks = [t0]
+    steps = []
+
+    directions = np.array([_DIRECTIONS[e.direction] for e in events])
+    max_events = np.array([1.0 if e.terminal else np.inf for e in events])
+    event_count = np.zeros(len(events))
+    g = [event(t0, y0) for event in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+
+    status = None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs
+            if t_new > tf:
+                t_new = tf
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            K[0] = f
+            for s in range(1, _B.size):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = rhs(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = rhs(t + h, y_new)
+            K[-1] = f_new
+            nfev += _B.size  # five new stages and the end-point slope
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t >= tf:
+            status = 0
+        step = _Step(t_old, h, K, y_old)
+        if dense_output:
+            steps.append(step)
+
+        if events:
+            g_new = [event(t, y) for event in events]
+            active = _active_events(g, g_new, directions)
+            if active.size > 0:
+                event_count[active] += 1
+                roots = np.asarray([
+                    brentq(lambda s, e=events[i]: e(s, step(s)), t_old, t,
+                           xtol=4 * EPS, rtol=4 * EPS)
+                    for i in active
+                ])
+                stopped = event_count[active] >= max_events[active]
+                if np.any(stopped):
+                    order = np.argsort(roots)
+                    active, roots = active[order], roots[order]
+                    last = np.nonzero(stopped[order])[0][0]
+                    active, roots = active[: last + 1], roots[: last + 1]
+                    status = 1
+                for i, t_root in zip(active, roots):
+                    t_events[i].append(t_root)
+                    y_events[i].append(step(t_root))
+                if status == 1:
+                    t = roots[-1]
+                    y = step(t)
+            g = g_new
+
+        if t_eval is None:
+            if len(ts) > 1 and ts[-1] == t and dense_output:
+                # a terminal crossing exactly at the step start: drop the step
+                steps.pop()
+            else:
+                ts.append(t)
+                ys.append(y)
+        else:
+            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
+            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
+            if t_eval_step.size > 0:
+                ts.append(t_eval_step)
+                ys.append(step(t_eval_step))
+                t_eval_i = t_eval_i_new
+            breaks.append(t)
+
+    if t_eval is None:
+        t_out, y_out = np.array(ts), np.vstack(ys).T
+    elif ts:
+        t_out, y_out = np.hstack(ts), np.hstack(ys)
+    else:
+        t_out, y_out = np.empty(0), np.empty((y0.size, 0))
+    return OdeResult(
+        t=t_out,
+        y=y_out,
+        t_events=[np.asarray(te) for te in t_events],
+        y_events=[np.asarray(ye) for ye in y_events],
+        status=status,
+        message=_MESSAGES[status],
+        sol=OdeSolution(ts if t_eval is None else breaks, steps) if dense_output else None,
+        nfev=nfev,
+    )
+
+
+def brentq(f, a, b, xtol: float = 2e-12, rtol: float = 4 * EPS, maxiter: int = 100) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign (Brent 1973).
+
+    A port of the C loop of scipy's brentq: the same inverse-quadratic
+    and secant trials, bisection fallbacks and stopping test
+    |step| < (xtol + rtol |x|) / 2, so it calls f at the same points and
+    returns the same float.
+    """
+    if not xtol > 0:
+        raise ValueError(f"xtol must be positive, got {xtol:g}")
+    if not rtol >= 4 * EPS:
+        raise ValueError(f"rtol must be at least 4 eps = {4 * EPS:.4g}, got {rtol:g}")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C division gives inf or nan here, and either bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations; last x = {xcur!r}")
+
+
 def _wrap_rhs(rhs, dim):
     def wrapped(t, y):
         # silence transient overflow chatter near blowups; the ceiling
@@ -115,27 +522,6 @@ def _wrap_rhs(rhs, dim):
     return wrapped
 
 
-def _make_scipy_event(indicator, direction, terminal):
-    def ev(t, y):
-        with np.errstate(all="ignore"):
-            return float(indicator(t, y))
-
-    ev.direction = _DIRECTIONS[direction]
-    ev.terminal = bool(terminal)
-    return ev
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call.
-
-    scipy.integrate takes most of a cold start, so the package's one route
-    to it loads it only when an ODE is solved.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def integrate(
     problem: OdeProblem,
     events: Sequence[EventSpec] = (),
@@ -145,11 +531,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate problem with embedded-pair adaptive stepping.
 
-    Local error per step is controlled by rtol*|state| + atol.  The run
-    terminates at tmax, at the first terminal event, when max|state|
-    exceeds blowup_ceiling, or when the adaptive step underflows; the
-    outcome is recorded in Trajectory.termination.  Stepping is
-    deterministic: identical inputs give identical output.
+    Local error per step is controlled by rtol*|state| + atol, with rtol
+    at least RTOL_FLOOR.  The run terminates at tmax, at the first
+    terminal event, when max|state| exceeds blowup_ceiling, or when the
+    adaptive step underflows; the outcome is recorded in
+    Trajectory.termination.  Stepping is deterministic: identical inputs
+    give identical output.
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
@@ -157,21 +544,15 @@ def integrate(
         raise ValueError("blowup_ceiling must be positive")
 
     dim = problem.state0.size
-    scipy_events = [
-        _make_scipy_event(e.indicator, e.direction, e.terminal) for e in events
-    ]
     # sentinel: |state|_inf crossing the ceiling from below, terminal
-    ceiling = _make_scipy_event(
+    ceiling = EventSpec(
         lambda t, y: blowup_ceiling - float(np.max(np.abs(y))), "falling", True
     )
-    scipy_events.append(ceiling)
-
     res = solve_ivp(
         _wrap_rhs(problem.rhs, dim),
         (problem.t0, problem.tmax),
         problem.state0,
-        method="RK45",
-        events=scipy_events,
+        events=(*events, ceiling),
         dense_output=True,
         rtol=rtol,
         atol=atol,

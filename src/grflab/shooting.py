@@ -152,6 +152,8 @@ def shoot_r3_branch(
     """
     if not 0.0 < delta_floor < 1.0:
         raise ValueError("delta_floor must lie in (0, 1)")
+    if not r_max > r_switch:
+        raise ValueError(f"r_max ({r_max:g}) must exceed r_switch ({r_switch:g})")
     start = series_start(r_switch)
     events = (
         EventSpec(lambda r, y: y[0] - 1.0, direction="rising", name="u_one_up"),

@@ -386,6 +386,9 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     (("soliton-residual", "--soliton", "gaussian", "--r-min", "-1"), 2),
     (("cylinder-flow", "--h0sq", "-1"), 2),
     (("entropy", "--h0sq", "-1"), 2),
+    # an rtol below 100 eps is rejected, not clamped to it
+    (("cylinder-flow", "--rtol", "1e-20"), 2),
+    (("shoot", "--r-max", "0.01"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"

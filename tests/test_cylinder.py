@@ -1,8 +1,11 @@
 """Homogeneous cylinder flow: closed forms, invariants, blowup, torsion."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grflab import odesolve
 from grflab.cylinder import (
     CylinderState,
     _rhs,
@@ -28,18 +31,23 @@ def flow_half():
     return run_flow(CylinderState(1.0, np.sqrt(0.5), 1.0))
 
 
-def test_scalar_state_at_matches_dense_output(flow_half):
-    # the scalar path must give OdeSolution's values bit for bit, on step
-    # points (lower segment), between them and just outside the run
-    traj = run_flow(CylinderState(1.0, np.sqrt(0.3), 1.0))
+def test_scalar_state_at_matches_dense_output(recorded_solves, scipy_twin):
+    # state_at gives scipy's OdeSolution values bit for bit, scalar and
+    # vectorized, on step points (earlier segment), between them and just
+    # outside the run
     rng = np.random.default_rng(5)
-    for run in (traj, flow_half):
+    for h0sq in (0.3, 0.5):
+        runs = []
+        state = CylinderState(1.0, np.sqrt(h0sq), 1.0)
+        (call,) = recorded_solves(odesolve, lambda: runs.append(run_flow(state)))
+        run, ref = runs[0], scipy_twin(*call)[1]
         ts = np.concatenate(
             [rng.uniform(0.0, run.t_end, 2000), run.times, [-1e-3, run.t_end + 1e-3]]
         )
-        assert all(np.array_equal(run.state_at(float(t)), run.sol(t)) for t in ts)
-        assert all(np.array_equal(run.state_at(t), run.sol(t)) for t in ts[:50])
-        assert np.array_equal(run.state_at(ts[:50]), run.sol(ts[:50]))
+        scipy = f"differs from scipy {sys.modules['scipy'].__version__}"
+        assert all(np.array_equal(run.state_at(float(t)), ref.sol(t)) for t in ts), scipy
+        assert all(np.array_equal(run.state_at(t), ref.sol(t)) for t in ts[:50]), scipy
+        assert np.array_equal(run.state_at(ts), ref.sol(ts)), scipy
 
 
 def test_rhs_closed_form():

@@ -1,9 +1,22 @@
-"""Integrator front end: closed forms, event location, termination labels."""
+"""Integrator front end: closed forms, event location, termination labels,
+and bit-for-bit agreement with scipy's RK45 and brentq."""
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
-from grflab.odesolve import TERMINATIONS, EventSpec, OdeProblem, Trajectory, integrate
+from grflab import cylinder, entropy, odesolve, shooting
+from grflab.odesolve import (
+    RTOL_FLOOR,
+    TERMINATIONS,
+    EventSpec,
+    OdeProblem,
+    Trajectory,
+    brentq,
+    integrate,
+)
+
+SCIPY = f"scipy {scipy.__version__}"
 
 
 def test_exponential_decay_matches_closed_form():
@@ -111,6 +124,12 @@ def test_integrate_validation():
         integrate(problem, atol=-1.0)
     with pytest.raises(ValueError):
         integrate(problem, blowup_ceiling=0.0)
+    # a tolerance below the floor is refused, not clamped to it
+    with pytest.raises(ValueError, match="100 eps"):
+        integrate(problem, rtol=0.5 * RTOL_FLOOR)
+    with pytest.raises(ValueError, match="100 eps"):
+        odesolve.solve_ivp(problem.rhs, (0.0, 1.0), [1.0], rtol=1e-20)
+    integrate(problem, rtol=RTOL_FLOOR)
     with pytest.raises(ValueError):
         EventSpec(indicator=lambda t, y: y[0], direction="up")
     with pytest.raises(ValueError):
@@ -139,3 +158,109 @@ def test_linear_ode_matches_exponential(a, y0):
     traj = integrate(problem)
     expect = y0 * np.exp(a * 3.0)
     assert abs(traj.state_end[0] - expect) <= 1e-7 * max(1.0, abs(expect))
+
+
+# --------------------------------------------------------------------------
+# bit for bit against scipy.integrate.solve_ivp(method="RK45") and brentq
+
+
+def assert_same_run(ours, ref):
+    for name in ("t", "y", "status", "nfev"):
+        assert np.array_equal(getattr(ours, name), getattr(ref, name)), f"{name} differs from {SCIPY}"
+    ref_events = ([], []) if ref.t_events is None else (ref.t_events, ref.y_events)
+    assert len(ours.t_events) == len(ref_events[0]), SCIPY
+    for mine, theirs in zip((ours.t_events, ours.y_events), ref_events):
+        for i, (a, b) in enumerate(zip(mine, theirs)):
+            assert np.array_equal(a, b), f"event {i} differs from {SCIPY}"
+    # 1,000 points across the run plus every step point, where the
+    # earlier step's interpolant must be the one used
+    ts = ours.sol.ts
+    pts = np.concatenate([np.linspace(ts[0], ts[-1], 1000), ts])
+    assert np.array_equal(ours.sol(pts), ref.sol(pts)), f"vectorized dense output differs from {SCIPY}"
+    for t in pts:
+        assert np.array_equal(ours.sol(t), ref.sol(t)), f"dense output at t={t!r} differs from {SCIPY}"
+
+
+@pytest.mark.parametrize("h0sq", [0.0, 0.1, 0.3, 0.5, 1.5, 3.0])
+def test_cylinder_flow_matches_scipy(recorded_solves, scipy_twin, h0sq):
+    # the lambda-floor event and the blowup-ceiling sentinel ride along
+    state = cylinder.CylinderState(1.0, np.sqrt(h0sq), 1.0)
+    (call,) = recorded_solves(odesolve, lambda: cylinder.run_flow(state))
+    assert len(call[1]["events"]) == 2
+    assert_same_run(*scipy_twin(*call))
+
+
+def test_shooting_matches_scipy(recorded_solves, scipy_twin):
+    (call,) = recorded_solves(odesolve, shooting.shoot_r3_branch)
+    ours, ref = scipy_twin(*call)
+    assert [e.size for e in ours.t_events] == [1, 1, 1, 1, 0]
+    assert_same_run(ours, ref)
+
+
+def test_gaussian_pair_matches_scipy(recorded_solves, scipy_twin):
+    (call,) = recorded_solves(
+        odesolve, lambda: entropy.gaussian_entropy_check(0.375, np.linspace(0.0, 0.5, 11))
+    )
+    assert_same_run(*scipy_twin(*call))
+
+
+def test_conjugate_heat_solve_matches_scipy(recorded_solves, scipy_twin):
+    traj = cylinder.run_flow(cylinder.CylinderState(1.0, np.sqrt(0.5), 1.0))
+    (call,) = recorded_solves(
+        entropy, lambda: entropy.conjugate_heat_homogeneous(traj, u0=1.0)
+    )
+    assert call[1]["t_eval"] is traj.times
+    assert_same_run(*scipy_twin(*call))
+
+
+def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
+    # a source switched on at t = 1: the step that straddles the switch
+    # misses the tolerance by far more than 5x, so the step shrinks by
+    # MIN_FACTOR; none of the lab's own runs rejects a step that hard
+    problem = OdeProblem(
+        rhs=lambda t, y: np.array([1e6 if t > 1.0 else 0.0]), t0=0.0, tmax=2.0,
+        state0=np.array([0.0]),
+    )
+    (call,) = recorded_solves(odesolve, lambda: integrate(problem))
+    assert_same_run(*scipy_twin(*call))
+
+
+def brent_iterates(f, a, b, **kwargs):
+    """Points each Brent visits on f over [a, b], then its root or the
+    error it raised."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    visited = []
+    for solver in (brentq, scipy_brentq):
+        xs = []
+        try:
+            xs.append(solver(lambda x: xs.append(x) or f(x), a, b, **kwargs))
+        except (ValueError, RuntimeError) as exc:
+            xs.append(type(exc))
+        visited.append(xs)
+    return visited
+
+
+def test_brentq_matches_scipy_on_the_torsion_crossing():
+    # torsion --psi0 12: I(t) = 12 on the default h0sq = 0.5 flow
+    traj = cylinder.run_flow(cylinder.CylinderState(1.0, np.sqrt(0.5), 1.0))
+    ours, ref = brent_iterates(
+        lambda t: traj.state_at(t)[3] - 12.0, traj.times[0], traj.t_end, xtol=1e-13
+    )
+    assert len(ours) > 5
+    assert ours == ref, f"Brent iterates differ from {SCIPY}"
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: x * x - 2.0, 0.0, 2.0),  # |f(a)| = |f(b)|: the bracket ends tie
+    (lambda x: x**5 - 0.1, -2.0, 1.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.exp(x) - 2.0, -4.0, 4.0),
+    (lambda x: np.arctan(50.0 * (x - 0.3)) + 0.1, -2.0, 2.0),  # steep: bisects
+    (lambda x: (x - 0.3) ** 9, -1.0, 1.5),  # flat: creeps by delta, never converges
+    (lambda x: x - 5.0, 0.0, 1.0),  # no sign change
+], ids=["cubic", "sqrt2", "quintic", "cos", "exp", "arctan", "flat", "same-sign"])
+def test_brentq_matches_scipy(f, a, b):
+    ours, ref = brent_iterates(f, a, b)
+    assert ours == ref, f"Brent iterates differ from {SCIPY}"

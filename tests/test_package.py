@@ -47,7 +47,13 @@ def test_package_root_does_not_import_scipy():
     (["heat-check"], 0, ("scipy",)),
     (["cylinder-flow", "--h0sq", "-1"], 2, ("scipy",)),
     (["hodge-check", "--dim", "3", "--size", "16"], 0, ("scipy.integrate", "scipy.optimize")),
-], ids=["help", "soliton-residual", "heat-check", "rejected-input", "hodge-check"])
+    (["cylinder-flow"], 0, ("scipy",)),
+    (["blowup"], 0, ("scipy",)),
+    (["torsion", "--psi0", "12"], 0, ("scipy",)),
+    (["shoot", "--csv"], 0, ("scipy",)),
+    (["entropy", "--dt", "1e-4"], 0, ("scipy",)),
+], ids=["help", "soliton-residual", "heat-check", "rejected-input", "hodge-check",
+        "cylinder-flow", "blowup", "torsion", "shoot", "entropy"])
 def test_command_loads_only_the_scipy_it_runs(argv, expected, absent, tmp_path):
     if argv != ["--help"]:
         argv = argv + ["--out", str(tmp_path / "out")]

@@ -31,7 +31,7 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_tracer_counts_the_conjugate_heat_solve():
-    # entropy calls odesolve's lazy solve_ivp by name; the tracer replaces
+    # entropy calls odesolve's in-house solve_ivp by name; the tracer replaces
     # that name to count the solve's right-hand-side evaluations
     tracer = load_tracer()
     traj = cylinder.run_flow(cylinder.CylinderState(lam=1.0, h=0.5, beta=1.0), tmax=0.1)
