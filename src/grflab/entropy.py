@@ -114,7 +114,6 @@ def conjugate_heat_homogeneous(
         np.array([u0]),
         rtol=1e-13,
         atol=u0 * 1e-14,
-        dense_output=True,
         t_eval=traj.times,
     )
     if not res.success:

@@ -47,8 +47,8 @@ def scipy_twin():
     def twin(args, kwargs):
         ref_kwargs = dict(kwargs)
         events = ref_kwargs.pop("events", ())
-        ref = solve_ivp(*args, method="RK45", events=[adapt(e) for e in events] or None,
-                        **ref_kwargs)
+        ref = solve_ivp(*args, method="RK45", dense_output=True,
+                        events=[adapt(e) for e in events] or None, **ref_kwargs)
         return odesolve.solve_ivp(*args, **kwargs), ref
 
     return twin

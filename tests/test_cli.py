@@ -388,6 +388,7 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     (("entropy", "--h0sq", "-1"), 2),
     # an rtol below 100 eps is rejected, not clamped to it
     (("cylinder-flow", "--rtol", "1e-20"), 2),
+    # r_max at or below r_switch is rejected by name
     (("shoot", "--r-max", "0.01"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):

@@ -225,6 +225,35 @@ def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
     assert_same_run(*scipy_twin(*call))
 
 
+@pytest.mark.parametrize("k", [0, 7])
+def test_terminal_crossing_at_a_step_start_matches_scipy(recorded_solves, scipy_twin, k):
+    # |t - t_k| touches 0 at the step point t_k, falling into it and rising
+    # out of it: the rising terminal event's root is the next step's start,
+    # so the run ends at t_k without that step.  At t0 (k = 0) the step is
+    # kept and t0 appears twice, as in scipy.
+    problem = OdeProblem(rhs=lambda t, y: -y, t0=0.0, tmax=5.0, state0=np.array([1.0]))
+    free = integrate(problem)
+    t_k = free.times[k]
+    touch = EventSpec(lambda t, y: abs(t - t_k), direction="rising", terminal=True)
+    runs = []
+    (call,) = recorded_solves(odesolve, lambda: runs.append(integrate(problem, events=(touch,))))
+    ours, ref = scipy_twin(*call)
+    assert_same_run(ours, ref)
+    traj = runs[0]
+    assert traj.termination == "event"
+    assert traj.events == [(t_k, free.states[k], 0)]
+    if k == 0:
+        assert np.array_equal(traj.times, [0.0, 0.0])
+        assert np.array_equal(traj.states, free.states[[0, 0]])
+        assert len(ours.sol.steps) == 1
+    else:
+        assert np.array_equal(traj.times, free.times[: k + 1])
+        assert np.array_equal(traj.states, free.states[: k + 1])
+        assert len(ours.sol.steps) == k
+        ts = np.linspace(0.0, t_k, 101)
+        assert np.array_equal(traj.sol(ts), free.sol(ts))
+
+
 def brent_iterates(f, a, b, **kwargs):
     """Points each Brent visits on f over [a, b], then its root or the
     error it raised."""
