@@ -484,9 +484,11 @@ def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
         rng = np.random.default_rng(p["seed"])
         gaps = {}
         for k in range(grid.dim):
-            alpha = _random_trig_form(grid, k, rng)
-            beta = _random_trig_form(grid, k + 1, rng)
-            gaps[f"degree_{k}"] = hodge.adjointness_gap(alpha, beta)
+            # the pair lives only for this call, so one degree's fields are
+            # freed before the next degree's are drawn
+            gaps[f"degree_{k}"] = hodge.adjointness_gap(
+                _random_trig_form(grid, k, rng), _random_trig_form(grid, k + 1, rng)
+            )
         return hodge.HodgeReport(
             identity="adjointness", grid_spec=grid.spec(), residuals=gaps
         )
@@ -513,11 +515,15 @@ _random_trig_form = hodge.random_trig_form
 
 # Peak tracemalloc allocation of hodge-check in grid-sized float64 arrays,
 # the worst case over 3-d grids of 16..96 and 4-d grids of 16..48 points
-# per axis.  The adjointness check works on full random forms: 20.43
-# arrays at 16^4, 20.005 at 48^4.  The example checks keep their fields
-# at broadcast shape and hold little more than the contiguous copy that
-# `integral` sums: 1.65 arrays at 16^3, 1.1 at 64^3, 1.005 at 48^4.
-ADJOINTNESS_ARRAYS = 20.5
+# per axis, measured after one warm-up call per process.  The adjointness
+# check works on full random forms: 14.43 arrays at 16^4, 14.005 at 48^4.
+# At its peak a 4-d degree-1 or degree-2 pair holds its 10 components and
+# forms one component of d(*beta): the pointwise sum, the component's
+# running sum, one stencil term and the scaled copy of the *beta
+# component the term differentiates.  The example checks keep their
+# fields at broadcast shape and hold little more than the contiguous copy
+# that `integral` sums: 1.65 arrays at 16^3, 1.1 at 64^3, 1.005 at 48^4.
+ADJOINTNESS_ARRAYS = 14.5
 EXAMPLE_ARRAYS = 1.65
 # Resident size that loading scipy.special adds (measured 24.7 MiB); the
 # integral check loads it after the memory check has run.
@@ -718,9 +724,14 @@ def _execute(run, *args) -> Tuple[int, object]:
 
 def _run_sweep(command: str, runs: list) -> int:
     """Run the sweep on a small thread pool, print one line per run and
-    return the worst exit status."""
+    return the worst exit status.
+
+    hodge-check runs one at a time: each run's memory guard counts all
+    available memory as its own, and the stencils are bandwidth-bound.
+    """
+    workers = 1 if command == "hodge-check" else min(4, len(runs))
     worst = 0
-    with ThreadPoolExecutor(max_workers=min(4, len(runs))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = pool.map(lambda run: _execute(RUNNERS[command], run[1]), runs)
         for (name, _), (code, line) in zip(runs, results):
             print(f"[{name}] {line}")

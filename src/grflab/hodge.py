@@ -29,6 +29,14 @@ A field that depends on one coordinate therefore costs one line of
 values, not a grid.  Each element sees the same operations it would on
 the expanded array, so results are bit-identical to it; only `integral`
 expands, because pairwise summation depends on the array's shape.
+
+A result is written into an array the operator allocated itself, never
+into a component it was given.  `adjointness_gap` builds neither d alpha
+nor d* beta: it forms one component at a time, folds it into its
+pointwise inner product and drops it.  Beyond the two input fields it
+then holds at most four grid arrays: the pointwise sum, the running sum
+of the component being formed, one stencil term, and the scaled copy of
+the *beta component that term differentiates when its factor is not 1.0.
 """
 from __future__ import annotations
 
@@ -47,6 +55,7 @@ __all__ = [
     "VectorField",
     "HodgeReport",
     "d",
+    "d_component",
     "hodge",
     "codiff",
     "interior",
@@ -284,15 +293,24 @@ class VectorField:
             raise ValueError("need one component per axis")
 
 
-def _add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """acc + term, written into acc when acc already has the result's shape.
+def _apply(ufunc, x: np.ndarray, y: np.ndarray, *owned: np.ndarray) -> np.ndarray:
+    """ufunc(x, y), written into the first of `owned` that already has the
+    result's shape, else into a fresh array.
 
-    acc must be an array the caller allocated.
+    `owned` lists operands the caller allocated and gives up; one smaller
+    than the result is left alone.  Elementwise results do not depend on
+    where they are written, so the bits are those of ufunc(x, y).
     """
-    if acc.shape == np.broadcast_shapes(acc.shape, term.shape):
-        acc += term
-        return acc
-    return acc + term
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    for buf in owned:
+        if buf.shape == shape:
+            return ufunc(x, y, out=buf)
+    return ufunc(x, y)
+
+
+def _add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """acc + term for two arrays the caller allocated and gives up."""
+    return _apply(np.add, acc, term, acc, term)
 
 
 def _accumulate(out: Dict[Index, np.ndarray], target: Index, term: np.ndarray):
@@ -300,23 +318,60 @@ def _accumulate(out: Dict[Index, np.ndarray], target: Index, term: np.ndarray):
     out[target] = _add(out[target], term) if target in out else term
 
 
+def _star(grid: PeriodicGrid, idx: Index, sign: float = 1.0) -> Tuple[Index, float]:
+    """(Ic, factor) with (sign * w)_{Ic} = factor w_I: the increasing
+    complement of I and sign(I, Ic) sqrt(det g) prod_{i in I} 1/g_i."""
+    comp_idx = tuple(a for a in range(grid.dim) if a not in idx)
+    factor = sign * _perm_sign(idx + comp_idx) * grid.sqrt_det
+    for a in idx:
+        factor /= grid.metric[a]
+    return comp_idx, factor
+
+
+def _scaled(arr: np.ndarray, factor: float) -> np.ndarray:
+    """factor * arr, or arr itself when the factor is exactly 1.0."""
+    return arr if factor == 1.0 else factor * arr
+
+
+def d_component(f: FormField, target: Index, star: bool = False) -> Optional[np.ndarray]:
+    """Component `target` of d f, or of d(*f) with star=True; None when no
+    term reaches it.
+
+    Sums the terms (-1)^{pos(a)} D_a f_I over I + (a,) = target in the
+    order of f's components, the order `d` visits them.  With star=True
+    each component of *f is formed for its one term and dropped after it,
+    so *f is never held whole.
+    """
+    grid = f.grid
+    out = None
+    for idx, arr in f.comps.items():
+        factor = 1.0
+        if star:
+            idx, factor = _star(grid, idx)
+        missing = [a for a in target if a not in idx]
+        if len(idx) + 1 != len(target) or len(missing) != 1:
+            continue
+        (a,) = missing
+        term = grid.deriv(_scaled(arr, factor), a)
+        if target.index(a) % 2:
+            np.negative(term, out=term)
+        out = term if out is None else _add(out, term)
+        del term  # a loop variable would hold it while the next is formed
+    return out
+
+
 def d(f: FormField) -> FormField:
-    """Exterior derivative by the 4th-order stencil."""
+    """Exterior derivative by the 4th-order stencil.
+
+    Components appear in the order f's components first reach them.
+    """
     grid, k = f.grid, f.degree
     if k >= grid.dim:
         return FormField.zero(grid, grid.dim + 1)
-    out: Dict[Index, np.ndarray] = {}
-    for idx, arr in f.comps.items():
-        for a in range(grid.dim):
-            if a in idx:
-                continue
-            target = tuple(sorted(idx + (a,)))
-            sign = (-1.0) ** target.index(a)
-            term = grid.deriv(arr, a)
-            if sign < 0:
-                np.negative(term, out=term)
-            _accumulate(out, target, term)
-    return FormField(grid, k + 1, out)
+    targets = dict.fromkeys(
+        tuple(sorted(idx + (a,))) for idx in f.comps for a in range(grid.dim) if a not in idx
+    )
+    return FormField(grid, k + 1, {t: d_component(f, t) for t in targets})
 
 
 def hodge(f: FormField, sign: float = 1.0) -> FormField:
@@ -330,18 +385,13 @@ def hodge(f: FormField, sign: float = 1.0) -> FormField:
     factor gives the same bits as negating the result.
     """
     grid, k = f.grid, f.degree
-    n = grid.dim
-    if k > n:
+    if k > grid.dim:
         raise ValueError("no star above the top degree")
-    full = tuple(range(n))
     out: Dict[Index, np.ndarray] = {}
     for idx, arr in f.comps.items():
-        comp_idx = tuple(a for a in full if a not in idx)
-        factor = sign * _perm_sign(idx + comp_idx) * grid.sqrt_det
-        for a in idx:
-            factor /= grid.metric[a]
-        out[comp_idx] = arr if factor == 1.0 else factor * arr
-    return FormField(grid, n - k, out)
+        comp_idx, factor = _star(grid, idx, sign)
+        out[comp_idx] = _scaled(arr, factor)
+    return FormField(grid, grid.dim - k, out)
 
 
 def codiff(f: FormField) -> FormField:
@@ -351,8 +401,12 @@ def codiff(f: FormField) -> FormField:
         return FormField.zero(grid, 0)
     if not f.comps:
         return FormField.zero(grid, k - 1)
-    sign = (-1.0) ** (grid.dim * (k + 1) + 1)
-    return hodge(d(hodge(f)), sign)
+    return hodge(d(hodge(f)), _codiff_sign(grid, k))
+
+
+def _codiff_sign(grid: PeriodicGrid, k: int) -> float:
+    """The sign in d* = (-1)^{n(k+1)+1} * d * on k-forms."""
+    return (-1.0) ** (grid.dim * (k + 1) + 1)
 
 
 def interior(X: VectorField, f: FormField) -> FormField:
@@ -411,6 +465,25 @@ def gradient(f: FormField) -> VectorField:
     )
 
 
+def _pair(
+    out: np.ndarray, grid: PeriodicGrid, idx: Index, a: np.ndarray, b: np.ndarray,
+    owns_a: bool = False, owns_b: bool = False,
+) -> np.ndarray:
+    """out + (prod_{i in idx} 1/g_i) a b: one component of `inner_pointwise`.
+
+    owns_a / owns_b mark an operand the caller allocated and gives up,
+    which the product may overwrite.
+    """
+    factor = 1.0
+    for i in idx:
+        factor /= grid.metric[i]
+    if factor != 1.0:
+        a = np.multiply(a, factor, out=a if owns_a else None)
+        owns_a = True
+    owned = [x for x, mine in ((a, owns_a), (b, owns_b)) if mine]
+    return _add(out, _apply(np.multiply, a, b, *owned))
+
+
 def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
     """Degree-normalized inner product <a, b> (increasing indices)."""
     if a.degree != b.degree:
@@ -418,13 +491,8 @@ def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
     grid = a.grid
     out = np.zeros((1,) * grid.dim)
     for idx in a.indices():
-        if tuple(idx) not in b.comps:
-            continue
-        factor = 1.0
-        for i in idx:
-            factor /= grid.metric[i]
-        a_scaled = a.comps[idx] if factor == 1.0 else factor * a.comps[idx]
-        out = _add(out, a_scaled * b.comps[idx])
+        if idx in b.comps:
+            out = _pair(out, grid, idx, a.comps[idx], b.comps[idx])
     return out
 
 
@@ -444,10 +512,39 @@ def l2_inner(a: FormField, b: FormField) -> float:
 
 
 def adjointness_gap(alpha: FormField, beta: FormField) -> float:
-    """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form."""
+    """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form.
+
+    Neither d alpha nor d* beta is built: each of their components is
+    formed, folded into its pointwise inner product in the order
+    `inner_pointwise` takes and dropped.  The component of d* beta on J
+    is the outer star of d(*beta) on the complement of J.  Both pointwise
+    sums, and so the gap, are bit-identical to those of
+    l2_inner(d(alpha), beta) and l2_inner(alpha, codiff(beta)).  Each
+    component's name is deleted before the next one is formed.
+    """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
-    return abs(l2_inner(d(alpha), beta) - l2_inner(alpha, codiff(beta)))
+    grid = alpha.grid
+    pointwise = np.zeros((1,) * grid.dim)
+    for idx in beta.indices():
+        d_alpha = d_component(alpha, idx)
+        if d_alpha is not None:
+            pointwise = _pair(pointwise, grid, idx, d_alpha, beta.comps[idx], owns_a=True)
+        del d_alpha
+    left = integral(pointwise, grid)
+    pointwise = np.zeros((1,) * grid.dim)
+    sign = _codiff_sign(grid, beta.degree)
+    for idx in alpha.indices():
+        source, _ = _star(grid, idx)
+        d_star = d_component(beta, source, star=True)
+        if d_star is None:
+            continue
+        _, factor = _star(grid, source, sign)
+        if factor != 1.0:
+            np.multiply(d_star, factor, out=d_star)
+        pointwise = _pair(pointwise, grid, idx, alpha.comps[idx], d_star, owns_b=True)
+        del d_star
+    return abs(left - integral(pointwise, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ directory.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 import json
 import math
 import os
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from grflab import cli
+from grflab import cli, hodge
 
 
 @pytest.fixture()
@@ -352,6 +354,56 @@ def test_hodge_memory_estimate_counts_the_resident_process(invoke, tmp_path, mon
     assert code == 2 and out == ""
     assert "MiB available" in err
     assert not out_dir.exists()
+
+
+def test_adjointness_report_peak_stays_within_the_memory_estimate():
+    # the 24^4 report peaks at 14.08 grid arrays: a pair's 10 components
+    # plus one component of d(*beta) being formed.  Keeping the previous
+    # degree's pair alive or building d alpha whole goes past the estimate.
+    grid = hodge.PeriodicGrid.cube(4, 24)
+    p = {"seed": 7}
+    cli._one_hodge_report("adjointness", grid, p)  # the first call allocates once
+    tracemalloc.start()
+    try:
+        cli._one_hodge_report("adjointness", grid, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.ADJOINTNESS_ARRAYS * 8 * 24**4
+
+
+def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):
+    # memory for 1.5 runs of the 16^4 adjointness check: each run's guard
+    # passes on its own, so the runs must not hold their arrays at once
+    monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
+    monkeypatch.setattr(cli, "SCIPY_SPECIAL_BYTES", 0)
+    monkeypatch.setattr(cli, "_available_memory",
+                        lambda: int(1.5 * cli.ADJOINTNESS_ARRAYS * 8 * 16**4))
+    run, lock = cli.RUNNERS["hodge-check"], threading.Lock()
+    active = most = 0
+
+    def counted(cfg):
+        nonlocal active, most
+        with lock:
+            active += 1
+            most = max(most, active)
+        try:
+            time.sleep(0.05)  # long enough for a pooled run to start beside it
+            return run(cfg)
+        finally:
+            with lock:
+                active -= 1
+
+    monkeypatch.setitem(cli.RUNNERS, "hodge-check", counted)
+    sweep = write_config(tmp_path, {
+        "runs": [{"name": f"s{seed}", "parameters": {"seed": seed}} for seed in range(4)]
+    }, name="sweep.json")
+    code, out, _ = invoke("hodge-check", "--dim", "4", "--size", "16",
+                          "--identity", "adjointness", "--sweep", sweep,
+                          "--out", str(tmp_path / "sweep_out"))
+    assert code == 0
+    assert out.count("adjointness=") == 4
+    assert most == 1
 
 
 def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):

@@ -57,6 +57,11 @@ def g4():
     return PeriodicGrid(dim=4, sizes=(16, 16, 16, 16))
 
 
+@pytest.fixture(scope="module")
+def gm4():
+    return PeriodicGrid(dim=4, sizes=(16, 18, 17, 20), metric=(1.3, 0.7, 2.1, 0.9))
+
+
 def random_trig_form(grid, degree, seed):
     rng = np.random.default_rng(seed)
     axes = grid.coords()
@@ -304,6 +309,77 @@ def test_adjointness_of_d_and_codiff(g16, gm16, g4):
             assert adjointness_gap(a, b) < 1e-12
     with pytest.raises(ValueError):
         adjointness_gap(random_trig_form(g16, 0, seed=1), random_trig_form(g16, 2, seed=2))
+
+
+def loop_d(f):
+    """Reference: d in one pass over f's components, each term added to
+    its target as soon as it is formed."""
+    grid = f.grid
+    out = {}
+    for idx, arr in f.comps.items():
+        for a in range(grid.dim):
+            if a in idx:
+                continue
+            target = tuple(sorted(idx + (a,)))
+            term = grid.deriv(arr, a)
+            if target.index(a) % 2:
+                term = -term
+            out[target] = out[target] + term if target in out else term
+    return out
+
+
+def reversed_form(field):
+    """The same field with its components stored in reverse order."""
+    return FormField(field.grid, field.degree, dict(reversed(list(field.comps.items()))))
+
+
+@pytest.mark.parametrize("grid_name", ["gm16", "gm4"])
+def test_d_matches_the_one_pass_loop_bit_for_bit(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    rng = np.random.default_rng(11)
+    fields = [separable_trig_form(grid, k, rng) for k in range(grid.dim + 1)]
+    fields += [random_trig_form(grid, k, seed=70 + k) for k in range(grid.dim + 1)]
+    fields += [reversed_form(field) for field in fields]
+    for f in fields:
+        df, expected = d(f), loop_d(f)
+        # components in the order f's components first reach them
+        assert list(df.comps) == list(expected)
+        for idx, arr in expected.items():
+            assert df.comps[idx].shape == arr.shape
+            assert_same_bits(df.comps[idx], arr)
+
+
+def adjoint_pairs(grid):
+    """(alpha, beta) of degrees k, k + 1: full random forms on every
+    degree, broadcast-shape example fields, and the two mixed."""
+    rng = np.random.default_rng(grid.dim)
+
+    def full(k):
+        return separable_trig_form(grid, k, rng)
+
+    f, H, ref = example_fields(grid, 0.3, 0.45)
+    closed = closed_three_form(grid)
+    pairs = [(full(k), full(k + 1)) for k in range(grid.dim)]
+    pairs += [(f, d(f)), (ref, H), (ref, closed), (reversed_form(ref), reversed_form(closed))]
+    pairs += [(f, full(1)), (full(0), d(f)), (full(2), H), (ref, full(3)), (full(2), closed)]
+    return pairs
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm16", "gm4"])
+def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    gaps = []
+    for alpha, beta in adjoint_pairs(grid):
+        inputs = [arr.copy() for arr in (*alpha.comps.values(), *beta.comps.values())]
+        gap = adjointness_gap(alpha, beta)
+        expected = abs(l2_inner(d(alpha), beta) - l2_inner(alpha, codiff(beta)))
+        assert gap.hex() == expected.hex()
+        # no product is written into an input component
+        for before, after in zip(inputs, (*alpha.comps.values(), *beta.comps.values())):
+            assert_same_bits(after, before)
+        gaps.append(gap)
+    # rounding-level gaps, not zeros, so the comparison sees the last bits
+    assert sum(gap > 0.0 for gap in gaps) >= len(gaps) // 2
 
 
 def test_wedge_and_interior_shapes(g16):
