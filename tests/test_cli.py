@@ -356,11 +356,17 @@ def test_hodge_memory_estimate_counts_the_resident_process(invoke, tmp_path, mon
     assert not out_dir.exists()
 
 
-def test_adjointness_report_peak_stays_within_the_memory_estimate():
+@pytest.mark.parametrize("dim, size, arrays", [
+    (4, 24, cli.ADJOINTNESS_ARRAYS),
+    (3, 64, 9.5),
+], ids=["4d-24", "3d-64"])
+def test_adjointness_report_peak_stays_within_the_memory_estimate(dim, size, arrays):
     # the 24^4 report peaks at 14.08 grid arrays: a pair's 10 components
     # plus one component of d(*beta) being formed.  Keeping the previous
     # degree's pair alive or building d alpha whole goes past the estimate.
-    grid = hodge.PeriodicGrid.cube(4, 24)
+    # At 64^3 the peak is 9.10: a pair's 6 components and 3 grid arrays,
+    # so working arrays kept beyond the ones in use at once go past 9.5.
+    grid = hodge.PeriodicGrid.cube(dim, size)
     p = {"seed": 7}
     cli._one_hodge_report("adjointness", grid, p)  # the first call allocates once
     tracemalloc.start()
@@ -369,7 +375,7 @@ def test_adjointness_report_peak_stays_within_the_memory_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli.ADJOINTNESS_ARRAYS * 8 * 24**4
+    assert peak <= arrays * 8 * size**dim
 
 
 def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):

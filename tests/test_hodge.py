@@ -137,7 +137,14 @@ def test_stencil_matches_roll_formula_bit_for_bit(sizes):
     # a line of values with length-1 axes, holding -0.0, inf and nan
     line = np.sin(3.0 * grid.coords()[1] + 0.2)
     line.flat[[2, 5, 9]] = (-0.0, np.inf, np.nan)
-    for u in (contiguous, transposed, *broadcast, line):
+    # the same in the last-axis columns that the flat path recomputes
+    special = rng.standard_normal(sizes)
+    m = sizes[-1]
+    for row, col in enumerate((0, 1, m - 2, m - 1)):
+        special[row, ..., col] = -0.0
+        special[row + 4, ..., col] = np.inf
+        special[row + 8, ..., col] = np.nan
+    for u in (contiguous, transposed, *broadcast, line, special):
         for axis in range(dim):
             with np.errstate(invalid="ignore"):  # inf - inf
                 out = grid.deriv(u, axis)
@@ -146,6 +153,30 @@ def test_stencil_matches_roll_formula_bit_for_bit(sizes):
             assert_same_bits(np.broadcast_to(out, sizes), expected)
             assert out.flags.writeable
             assert not np.shares_memory(out, u)
+            # every element of a given out is written, in either layout
+            for order in "CF":
+                prefilled = np.full(u.shape, np.nan, order=order)
+                with np.errstate(invalid="ignore"):
+                    into = grid.deriv(u, axis, out=prefilled)
+                assert into is prefilled
+                assert_same_bits(np.broadcast_to(into, sizes), expected)
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda u: np.empty(u.shape[:-1] + (u.shape[-1] + 1,)),  # wrong shape
+    lambda u: np.empty(u.shape, dtype=np.float32),  # wrong dtype
+    lambda u: np.broadcast_to(np.empty(u.shape[-1]), u.shape),  # read-only
+    lambda u: u,  # u itself
+    lambda u: u[::-1],  # overlaps u
+], ids=["shape", "dtype", "read-only", "same", "overlapping"])
+def test_deriv_rejects_an_unusable_out(g16, make_out):
+    u = np.random.default_rng(3).standard_normal(g16.sizes)
+    before = u.copy()
+    out = make_out(u)
+    for axis in range(g16.dim):
+        with pytest.raises(ValueError):
+            g16.deriv(u, axis, out=out)
+    assert_same_bits(u, before)
 
 
 def full_grid_trig_form(grid, degree, rng):
@@ -349,9 +380,16 @@ def test_d_matches_the_one_pass_loop_bit_for_bit(grid_name, request):
             assert_same_bits(df.comps[idx], arr)
 
 
+def transposed_form(field):
+    """The same field with every component stored in Fortran order."""
+    comps = {idx: np.asfortranarray(arr) for idx, arr in field.comps.items()}
+    return FormField(field.grid, field.degree, comps)
+
+
 def adjoint_pairs(grid):
     """(alpha, beta) of degrees k, k + 1: full random forms on every
-    degree, broadcast-shape example fields, and the two mixed."""
+    degree, a pair of them not C-contiguous, broadcast-shape example
+    fields, and the two mixed."""
     rng = np.random.default_rng(grid.dim)
 
     def full(k):
@@ -360,6 +398,7 @@ def adjoint_pairs(grid):
     f, H, ref = example_fields(grid, 0.3, 0.45)
     closed = closed_three_form(grid)
     pairs = [(full(k), full(k + 1)) for k in range(grid.dim)]
+    pairs.append((transposed_form(full(1)), transposed_form(full(2))))
     pairs += [(f, d(f)), (ref, H), (ref, closed), (reversed_form(ref), reversed_form(closed))]
     pairs += [(f, full(1)), (full(0), d(f)), (full(2), H), (ref, full(3)), (full(2), closed)]
     return pairs
