@@ -516,17 +516,15 @@ _random_trig_form = hodge.random_trig_form
 # Peak tracemalloc allocation of hodge-check in grid-sized float64 arrays,
 # the worst case over 3-d grids of 16..96 and 4-d grids of 16..48 points
 # per axis, measured after one warm-up call per process.  The adjointness
-# check works on full random forms: 14.43 arrays at 16^4, 14.085 at 24^4,
-# 14.005 at 48^4, 11.86 at 16^3 and 9.10 at 64^3.  At its peak a 4-d
-# degree-1 or degree-2 pair holds its 10 components and forms one
-# component of d(*beta): the pointwise sum, the component's running sum,
-# one stencil term and the scaled copy of the *beta component the term
-# differentiates.  It reuses those four arrays rather than reallocating
-# them, and allocates each only when the pairing first needs that many at
-# once, so in 3-d, where the four are never in use together, it holds
-# three (a 3-d pair has 6 components).  The example checks keep their
-# fields at broadcast shape and hold little more than the contiguous copy
-# that `integral` sums: 1.65 arrays at 16^3, 1.1 at 64^3, 1.005 at 48^4.
+# check works on full random forms: 14.42 arrays at 16^4, 12.21 at 24^4,
+# 11.40 at 32^4, 11.07 at 48^4, 12.94 at 16^3, 8.55 at 64^3 and 7.45 at
+# 96^3.  It holds a pair's components (10 for a 4-d degree-1 or degree-2
+# pair, 6 in 3-d), the full-grid pointwise sum and three working arrays
+# of one slab of axis-0 planes each (at most 1 MiB of planes, or the
+# whole grid when it fits: three more grid arrays at 16^4 and 16^3).  The
+# example checks keep their fields at broadcast shape and hold little more
+# than the contiguous copy that `integral` sums: 1.65 arrays at 16^3, 1.1
+# at 64^3, 1.005 at 48^4.
 ADJOINTNESS_ARRAYS = 14.5
 EXAMPLE_ARRAYS = 1.65
 # Resident size that loading scipy.special adds (measured 24.7 MiB); the

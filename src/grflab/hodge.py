@@ -32,21 +32,17 @@ expands, because pairwise summation depends on the array's shape.
 
 A result is written into an array the operator allocated itself, never
 into a component it was given.  `adjointness_gap` builds neither d alpha
-nor d* beta: it forms one component at a time, folds it into its
-pointwise inner product and drops it.  Beyond the two input fields it
-then holds at most four grid arrays: the pointwise sum, the running sum
-of the component being formed, one stencil term, and the scaled copy of
-the *beta component that term differentiates when its factor is not 1.0.
-Those arrays are reused, not reallocated: the call keeps each dropped
-grid-shaped array and writes the next stencil term, sign flip, scaling
-or product into it with out=, allocating a new one only while all it
-holds are in use.  It so holds the arrays the pairing has in use at its
-busiest, and does not fault in fresh pages for every term.  A result at
-a broadcast shape is allocated as before.
+nor d* beta.  It walks slabs of axis-0 planes, each at most `_SLAB_BYTES`
+(a grid whose whole array fits is one slab), and on each slab forms every
+component of both pairings from the slab's rows only.  Beyond the two
+input fields it so holds one full-grid array, the pointwise sum it
+integrates, plus three working arrays of one slab each, which stay in
+cache while a component is formed, scaled, multiplied and added.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -86,8 +82,47 @@ Index = Tuple[int, ...]
 
 # Rows per block when `PeriodicGrid.deriv` recomputes the wrap columns of
 # its flat path: the four cache lines a row touches, 1 MiB per block, stay
-# in L2 across the block's 16 column operations.
+# in L2 across the block's 20 column operations.
 _WRAP_ROWS = 4096
+
+# Bytes of axis-0 planes per slab that `adjointness_gap` forms its terms
+# on: half the 2 MiB per-core L2, so a slab's working arrays stay cached
+# across the operations that form, scale, multiply and add one component.
+# A budget of 2 MiB measured slower at 48^4 and 96^3.
+_SLAB_BYTES = 1 << 20
+
+
+def _stencil(out, v, lo: int, hi: int, h: float, scale: float = 1.0, tmp=None):
+    """Rows lo..hi-1 of the 4th-order stencil of v along axis 0, into out.
+
+    (8 (v[i+1] - v[i-1]) - v[i+2] + v[i-2]) / 12h with periodic wrap in
+    len(v), evaluated in that order: the one place the stencil is
+    written.  Each operation runs on as few slices as its neighbour
+    offsets allow, one more wherever that offset wraps, and the
+    multiplication and division on out whole.  With a scale other than
+    1.0 each neighbour is multiplied by it as it is read, into out for
+    the first and into `tmp` (an array of out's shape) for the others:
+    the stencil of the scaled array without a scaled copy of it.
+    """
+    n = len(v)
+    cuts = [c for c in (1, 2, n - 2, n - 1) if lo < c < hi]  # where an offset wraps
+
+    def rows(s, a, b, into):
+        start = (a + s) % n
+        x = v[start:start + b - a]
+        return x if scale == 1.0 else np.multiply(scale, x, out=into[a - lo:b - lo])
+
+    edges = [lo, *[c for c in cuts if c == 1 or c == n - 1], hi]
+    for a, b in zip(edges, edges[1:]):
+        np.subtract(rows(1, a, b, out), rows(-1, a, b, tmp), out=out[a - lo:b - lo])
+    out *= 8.0
+    for s, op in ((2, np.subtract), (-2, np.add)):
+        edges = [lo, *[c for c in cuts if c == (-s) % n], hi]
+        for a, b in zip(edges, edges[1:]):
+            part = out[a - lo:b - lo]
+            op(part, rows(s, a, b, tmp), out=part)
+    out /= 12.0 * h
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,29 +200,29 @@ class PeriodicGrid:
         """4th-order periodic central difference along one axis.
 
         (8 (u[i+1] - u[i-1]) - u[i+2] + u[i-2]) / 12h, evaluated in that
-        order into `out`, or into a fresh array when out is None.  out
-        must be a writable float64 array of u's shape that does not
-        overlap u: an aliased out would read values already overwritten,
-        so it raises ValueError.  No shifted copy of u is made, and every
-        element sees the same operations as the np.roll formula, so the
-        result is bit-identical to it.
+        order by `_stencil` into `out`, or into a fresh array when out is
+        None.  out must be a writable float64 array of u's shape that does
+        not overlap u: an aliased out would read values already
+        overwritten, so it raises ValueError.  No shifted copy of u is
+        made, and every element sees the same operations as the np.roll
+        formula, so the result is bit-identical to it.
 
         Two evaluation paths, one result:
 
-        * a C-contiguous grid-shaped u and out, differentiated along the
-          last axis, are walked as flat arrays with element offsets +-1
-          and +-2, so each operation is one loop over the whole grid
-          rather than a loop of m-2 elements per row, which made this
-          axis cost twice the others.  The offsets reach into the
-          neighbouring row in columns 0, 1, m-2 and m-1; those columns
-          are then recomputed from their wrapped neighbours, one column
-          at a time over blocks of `_WRAP_ROWS` rows;
+        * a C-contiguous u and out made of full grid planes, the whole
+          grid or a slab of axis-0 planes, differentiated along the last
+          axis, are walked as flat arrays with element offsets +-1 and
+          +-2, so each operation is one loop over the whole array rather
+          than a loop of m-2 elements per row, which made this axis cost
+          twice the others.  The offsets reach into the neighbouring row
+          in columns 0, 1, m-2 and m-1; those columns are then recomputed
+          from their wrapped neighbours, one column at a time over blocks
+          of `_WRAP_ROWS` rows;
         * every other axis, and every broadcast-shape or non-contiguous
-          u or out, uses contiguous slices along the axis: the first
-          difference covers the interior 1..m-2 in one slice and the
-          wrap planes 0 and m-1 separately, and each +-2 shift is two
-          slices, one of them wrapping.  Their inner loops are already
-          long, and the flat form measured slower there.
+          u or out, uses contiguous slices along the axis: each operation
+          covers the rows its neighbour offset reaches without wrapping
+          in one slice and the rest in another.  Their inner loops are
+          already long, and the flat form measured slower there.
 
         u is constant along an axis of length 1, where the stencil gives
         u - u: +0.0 where u is finite and nan where it is not, exactly
@@ -201,41 +236,27 @@ class PeriodicGrid:
             raise ValueError("out must not overlap u")
         if u.shape[axis] == 1:
             return np.subtract(u, u, out=out)
+        h = self.spacing[axis]
         if (
             axis == u.ndim - 1
-            and u.shape == self.sizes
+            and u.shape[1:] == self.sizes[1:]
             and u.flags.c_contiguous
             and out.flags.c_contiguous
         ):
             f, g = u.reshape(-1), out.reshape(-1)
             # right in columns 2..m-3 of every row
-            np.subtract(f[3:-1], f[1:-3], out=g[2:-2])
-            g[2:-2] *= 8.0
-            g[2:-2] -= f[4:]
-            g[2:-2] += f[:-4]
+            _stencil(g[2:-2], f, 2, len(f) - 2, h)
             # columns 0, 1, m-2 and m-1 again, one column at a time over
             # blocks of rows whose cache lines stay resident between ops
             m = u.shape[-1]
             rows, cols = u.reshape(-1, m), out.reshape(-1, m)
             for start in range(0, len(rows), _WRAP_ROWS):
-                a, b = rows[start:start + _WRAP_ROWS], cols[start:start + _WRAP_ROWS]
+                a, b = rows[start:start + _WRAP_ROWS].T, cols[start:start + _WRAP_ROWS].T
                 for i in (0, 1, m - 2, m - 1):
-                    c = b[:, i]
-                    np.subtract(a[:, (i + 1) % m], a[:, i - 1], out=c)
-                    c *= 8.0
-                    c -= a[:, (i + 2) % m]
-                    c += a[:, i - 2]
+                    _stencil(b[i:i + 1], a, i, i + 1, h)
         else:
             v, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
-            np.subtract(v[2:], v[:-2], out=o[1:-1])
-            np.subtract(v[1], v[-1], out=o[0])
-            np.subtract(v[0], v[-2], out=o[-1])
-            o *= 8.0
-            o[:-2] -= v[2:]
-            o[-2:] -= v[:2]
-            o[2:] += v[:-2]
-            o[:2] += v[-2:]
-        out /= 12.0 * self.spacing[axis]
+            _stencil(o, v, 0, len(v), h)
         return out
 
 
@@ -350,55 +371,16 @@ class VectorField:
             raise ValueError("need one component per axis")
 
 
-class _Scratch:
-    """Grid-shaped float arrays that one call hands out again once dropped.
-
-    `take(shape)` returns a dropped array of the grid's shape, or a new
-    one when none is free, and None for any other shape, so that numpy
-    allocates that result as before.  `give` keeps the grid-shaped ones
-    among arrays the caller dropped and lets the rest go.  A call so holds
-    no more grid arrays at once than when it freed each one, and the pages
-    of a reused array are not faulted in again.  Only arrays the call
-    itself allocated may be given.
-    """
-
-    __slots__ = ("shape", "_free")
-
-    def __init__(self, shape: Tuple[int, ...]):
-        self.shape = shape
-        self._free = []
-
-    def take(self, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
-        if shape != self.shape:
-            return None
-        return self._free.pop() if self._free else np.empty(self.shape)
-
-    def give(self, *arrays: np.ndarray, keep: Optional[np.ndarray] = None) -> None:
-        """Return the dropped arrays among `arrays`, all but `keep`; each
-        array is given once."""
-        for arr in arrays:
-            if arr is not keep and arr.shape == self.shape:
-                self._free.append(arr)
-
-
-def _apply(ufunc, x: np.ndarray, y: np.ndarray, *owned: np.ndarray) -> np.ndarray:
-    """ufunc(x, y), written into the first of `owned` that already has the
-    result's shape, else into a fresh array.
-
-    `owned` lists operands the caller allocated and gives up; one smaller
-    than the result is left alone.  Elementwise results do not depend on
-    where they are written, so the bits are those of ufunc(x, y).
-    """
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    for buf in owned:
-        if buf.shape == shape:
-            return ufunc(x, y, out=buf)
-    return ufunc(x, y)
-
-
 def _add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """acc + term for two arrays the caller allocated and gives up."""
-    return _apply(np.add, acc, term, acc, term)
+    """acc + term for two arrays the caller allocated and gives up, written
+    into the first that already has the result's shape, else into a fresh
+    array.  Elementwise results do not depend on where they are written,
+    so the bits are those of acc + term."""
+    shape = np.broadcast_shapes(acc.shape, term.shape)
+    for buf in (acc, term):
+        if buf.shape == shape:
+            return np.add(acc, term, out=buf)
+    return acc + term
 
 
 def _accumulate(out: Dict[Index, np.ndarray], target: Index, term: np.ndarray):
@@ -421,45 +403,39 @@ def _scaled(arr: np.ndarray, factor: float) -> np.ndarray:
     return arr if factor == 1.0 else factor * arr
 
 
-def d_component(
-    f: FormField, target: Index, star: bool = False, scratch: Optional[_Scratch] = None
-) -> Optional[np.ndarray]:
-    """Component `target` of d f, or of d(*f) with star=True; None when no
-    term reaches it.
+def _d_terms(f: FormField, target: Index, star: bool = False):
+    """The terms of component `target` of d f, or of d(*f) with star=True.
 
-    Sums the terms (-1)^{pos(a)} D_a f_I over I + (a,) = target in the
-    order of f's components, the order `d` visits them.  With star=True
-    each component of *f is formed for its one term and dropped after it,
-    so *f is never held whole.  Grid-shaped arrays come from `scratch`
-    (a fresh one per call when None is given): the first term is formed
-    in the array that becomes the sum, and each later term, and each
-    scaled *f component, in one that goes back to scratch once added.
+    One (array, axis, factor, negate) per term (-1)^{pos(a)} D_a (factor
+    f_I) with I + (a,) = target, in the order of f's components, the order
+    `d` sums them.  The factor is that of the star, 1.0 without it.
     """
     grid = f.grid
-    if scratch is None:
-        scratch = _Scratch(grid.sizes)
-    out = None
+    terms = []
     for idx, arr in f.comps.items():
         factor = 1.0
         if star:
             idx, factor = _star(grid, idx)
         missing = [a for a in target if a not in idx]
-        if len(idx) + 1 != len(target) or len(missing) != 1:
-            continue
-        (a,) = missing
-        src = arr if factor == 1.0 else np.multiply(factor, arr, out=scratch.take(arr.shape))
-        term = grid.deriv(src, a, out=scratch.take(src.shape))
-        if src is not arr:
-            scratch.give(src)
-        if target.index(a) % 2:
+        if len(idx) + 1 == len(target) and len(missing) == 1:
+            (a,) = missing
+            terms.append((arr, a, factor, target.index(a) % 2 == 1))
+    return terms
+
+
+def d_component(f: FormField, target: Index) -> Optional[np.ndarray]:
+    """Component `target` of d f; None when no term reaches it.
+
+    Sums the terms (-1)^{pos(a)} D_a f_I over I + (a,) = target in the
+    order of f's components, the order `d` visits them.
+    """
+    out = None
+    for arr, a, _, negate in _d_terms(f, target):
+        term = f.grid.deriv(arr, a)
+        if negate:
             np.negative(term, out=term)
-        if out is None:
-            out = term
-        else:
-            total = _add(out, term)
-            scratch.give(out, term, keep=total)
-            out = total
-        del src, term  # loop variables would hold them while the next is formed
+        out = term if out is None else _add(out, term)
+        del term  # the loop variable would hold it while the next is formed
     return out
 
 
@@ -568,27 +544,12 @@ def gradient(f: FormField) -> VectorField:
     )
 
 
-def _pair(
-    out: np.ndarray, grid: PeriodicGrid, idx: Index, a: np.ndarray, b: np.ndarray,
-    scratch: _Scratch, owns_a: bool = False, owns_b: bool = False,
-) -> np.ndarray:
-    """out + (prod_{i in idx} 1/g_i) a b: one component of `inner_pointwise`.
-
-    owns_a / owns_b mark an operand the caller allocated and gives up,
-    which the product may overwrite.  A metric-scaled copy of an operand
-    the caller keeps comes from scratch, and every owned array the sum
-    does not keep, out included, goes back to it.
-    """
+def _inverse_metric(grid: PeriodicGrid, idx: Index) -> float:
+    """prod_{i in idx} 1/g_i, the metric weight of one component pairing."""
     factor = 1.0
     for i in idx:
         factor /= grid.metric[i]
-    if factor != 1.0:
-        a = np.multiply(a, factor, out=a if owns_a else scratch.take(a.shape))
-        owns_a = True
-    owned = [x for x, mine in ((a, owns_a), (b, owns_b)) if mine]
-    total = _add(out, _apply(np.multiply, a, b, *owned))
-    scratch.give(out, *owned, keep=total)
-    return total
+    return factor
 
 
 def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
@@ -596,11 +557,11 @@ def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     grid = a.grid
-    scratch = _Scratch(grid.sizes)
     out = np.zeros((1,) * grid.dim)
     for idx in a.indices():
         if idx in b.comps:
-            out = _pair(out, grid, idx, a.comps[idx], b.comps[idx], scratch)
+            factor = _inverse_metric(grid, idx)
+            out = _add(out, _scaled(a.comps[idx], factor) * b.comps[idx])
     return out
 
 
@@ -619,46 +580,120 @@ def l2_inner(a: FormField, b: FormField) -> float:
     return integral(inner_pointwise(a, b), a.grid)
 
 
+def _rows(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of a broadcast-shape array along axis 0; an
+    array constant along axis 0 is its own slab."""
+    return arr if arr.shape[0] == 1 else arr[start:stop]
+
+
+def _view(buf: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """The leading part of a flat working array, as a C-contiguous array
+    of the given shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _slab_deriv(
+    grid: PeriodicGrid, arr: np.ndarray, axis: int, factor: float,
+    start: int, stop: int, out: np.ndarray, scaled: np.ndarray,
+) -> np.ndarray:
+    """Rows start..stop-1 of D_axis (factor arr), written into out.
+
+    Along axes >= 1, and along an axis 0 of length 1, this is `deriv` of
+    the slab's rows of arr, scaled into the working array `scaled` first
+    when the factor is not 1.0.  Along axis 0 the stencil reads the
+    neighbour rows start-2..stop+1 of arr with periodic wrap and scales
+    each as it reads it.  Every element sees the operations `deriv`
+    gives it on the scaled full array.
+    """
+    if axis > 0 or arr.shape[0] == 1:
+        src = _rows(arr, start, stop)
+        if factor != 1.0:
+            src = np.multiply(factor, src, out=_view(scaled, src.shape))
+        return grid.deriv(src, axis, out=out)
+    return _stencil(out, arr, start, stop, grid.spacing[0], factor, _view(scaled, out.shape))
+
+
+def _stream_pairing(
+    grid: PeriodicGrid, pairs, pointwise: np.ndarray, step: int, work
+) -> None:
+    """Fill `pointwise` with one pairing, `step` axis-0 planes at a time.
+
+    `pairs` lists (terms, factor, other, other_factor), one per component:
+    the sum of the `_d_terms` terms, scaled by factor, times other scaled
+    by other_factor, added in list order into a slab of pointwise zeroed
+    first.  `work` holds three flat working arrays of one slab each: the
+    component, one term or the scaled other, and scaled source values.
+    """
+    comp_buf, term_buf, scaled = work
+    n = grid.sizes[0]
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        total = pointwise[start:stop]
+        total.fill(0.0)
+        comp = _view(comp_buf, total.shape)
+        for terms, factor, other, other_factor in pairs:
+            for i, (arr, axis, scale, negate) in enumerate(terms):
+                shape = _rows(arr, start, stop).shape
+                into = comp if i == 0 and shape == comp.shape else _view(term_buf, shape)
+                term = _slab_deriv(grid, arr, axis, scale, start, stop, into, scaled)
+                if negate:
+                    np.negative(term, out=term)
+                if i == 0:
+                    if term is not comp:
+                        np.copyto(comp, term)
+                else:
+                    comp += term
+            if factor != 1.0:
+                comp *= factor
+            mate = _rows(other, start, stop)
+            if other_factor != 1.0:
+                mate = np.multiply(mate, other_factor, out=_view(term_buf, mate.shape))
+            comp *= mate
+            total += comp
+
+
 def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form.
 
-    Neither d alpha nor d* beta is built: each of their components is
-    formed, folded into its pointwise inner product in the order
-    `inner_pointwise` takes and dropped.  The component of d* beta on J
-    is the outer star of d(*beta) on the complement of J.  Both pointwise
-    sums, and so the gap, are bit-identical to those of
-    l2_inner(d(alpha), beta) and l2_inner(alpha, codiff(beta)).  Each
-    component's name is deleted before the next one is formed.
+    Neither d alpha nor d* beta is built.  The check walks slabs of axis-0
+    planes of at most `_SLAB_BYTES` each and forms every component of a
+    pairing on one slab at a time: stencils along axes >= 1 run on the
+    slab, stencils along axis 0 read the two neighbour planes on either
+    side with periodic wrap.  Each component is scaled, multiplied by its
+    partner's slab and added into that slab of one full-grid pointwise
+    array, in the order `inner_pointwise` takes.  The component of d* beta
+    on J is the outer star of d(*beta) on the complement of J.  The left
+    pointwise sum is integrated whole; the same array is then zeroed and
+    refilled for the right one.  Every element sees the operations it
+    sees in l2_inner(d(alpha), beta) and l2_inner(alpha, codiff(beta)),
+    in the same order, and `integral` sums the same contiguous array, so
+    the gap is bit-identical to theirs.
     """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
     grid = alpha.grid
-    scratch = _Scratch(grid.sizes)
-    pointwise = np.zeros((1,) * grid.dim)
+    left = []
     for idx in beta.indices():
-        d_alpha = d_component(alpha, idx, scratch=scratch)
-        if d_alpha is not None:
-            pointwise = _pair(
-                pointwise, grid, idx, d_alpha, beta.comps[idx], scratch, owns_a=True
-            )
-        del d_alpha
-    left = integral(pointwise, grid)
-    scratch.give(pointwise)
-    pointwise = np.zeros((1,) * grid.dim)
+        terms = _d_terms(alpha, idx)
+        if terms:
+            left.append((terms, _inverse_metric(grid, idx), beta.comps[idx], 1.0))
+    right = []
     sign = _codiff_sign(grid, beta.degree)
     for idx in alpha.indices():
         source, _ = _star(grid, idx)
-        d_star = d_component(beta, source, star=True, scratch=scratch)
-        if d_star is None:
-            continue
-        _, factor = _star(grid, source, sign)
-        if factor != 1.0:
-            np.multiply(d_star, factor, out=d_star)
-        pointwise = _pair(
-            pointwise, grid, idx, alpha.comps[idx], d_star, scratch, owns_b=True
-        )
-        del d_star
-    return abs(left - integral(pointwise, grid))
+        terms = _d_terms(beta, source, star=True)
+        if terms:
+            _, factor = _star(grid, source, sign)
+            right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
+    plane = math.prod(grid.sizes[1:])
+    step = min(grid.sizes[0], max(1, _SLAB_BYTES // (8 * plane)))
+    work = tuple(np.empty(step * plane) for _ in range(3))
+    pointwise = np.empty(grid.sizes)
+    values = []
+    for pairs in (left, right):
+        _stream_pairing(grid, pairs, pointwise, step, work)
+        values.append(integral(pointwise, grid))
+    return abs(values[0] - values[1])
 
 
 # ---------------------------------------------------------------------------

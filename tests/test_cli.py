@@ -358,14 +358,16 @@ def test_hodge_memory_estimate_counts_the_resident_process(invoke, tmp_path, mon
 
 @pytest.mark.parametrize("dim, size, arrays", [
     (4, 24, cli.ADJOINTNESS_ARRAYS),
+    (4, 32, 12.0),
     (3, 64, 9.5),
-], ids=["4d-24", "3d-64"])
+], ids=["4d-24", "4d-32", "3d-64"])
 def test_adjointness_report_peak_stays_within_the_memory_estimate(dim, size, arrays):
-    # the 24^4 report peaks at 14.08 grid arrays: a pair's 10 components
-    # plus one component of d(*beta) being formed.  Keeping the previous
-    # degree's pair alive or building d alpha whole goes past the estimate.
-    # At 64^3 the peak is 9.10: a pair's 6 components and 3 grid arrays,
-    # so working arrays kept beyond the ones in use at once go past 9.5.
+    # A report holds one pair's components (10 in 4-d, 6 in 3-d), the
+    # pointwise sum and three working arrays of one slab of axis-0 planes.
+    # 24^4 peaks at 12.21 grid arrays: keeping the previous degree's pair
+    # alive or building d alpha whole goes past the estimate.  32^4 (slabs
+    # of 4 planes) peaks at 11.40 and 64^3 (two slabs) at 8.55, so a
+    # full-grid working array kept by mistake goes past 12.0 and 9.5.
     grid = hodge.PeriodicGrid.cube(dim, size)
     p = {"seed": 7}
     cli._one_hodge_report("adjointness", grid, p)  # the first call allocates once

@@ -1,6 +1,7 @@
 """Periodic-grid exterior calculus: operator laws and the four identity checks."""
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from grflab.hodge import (
     wedge,
 )
 from grflab.hodge import random_trig_form as separable_trig_form
+from grflab import hodge as dec
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,27 @@ def test_stencil_matches_roll_formula_bit_for_bit(sizes):
                     into = grid.deriv(u, axis, out=prefilled)
                 assert into is prefilled
                 assert_same_bits(np.broadcast_to(into, sizes), expected)
+    # slabs of axis-0 planes, as the adjointness check forms its terms: the
+    # axis-0 neighbours are read with wrap, the other axes run on the slab
+    # (the last one as a flat C-contiguous array), unscaled and scaled
+    n = sizes[0]
+    for start, stop in ((0, 1), (0, 3), (5, 12), (n - 3, n), (n - 1, n), (0, n)):
+        # -0.0, inf and nan in the slab's first and last planes and in the
+        # neighbour planes on either side of it
+        edges = rng.standard_normal(sizes)
+        for plane in (start - 2, start - 1, start, stop - 1, stop, stop + 1):
+            for j, value in enumerate((-0.0, np.inf, np.nan)):
+                edges[plane % n, ..., (plane + 2 * j) % 7::7] = value
+        for u in (edges, np.asfortranarray(edges)):
+            for axis in range(dim):
+                for factor in (1.0, -1.0, 1.7):
+                    out = np.full((stop - start,) + sizes[1:], np.nan)
+                    work = np.full(out.size, np.nan)
+                    with np.errstate(invalid="ignore"):
+                        into = dec._slab_deriv(grid, u, axis, factor, start, stop, out, work)
+                        expected = roll_deriv(grid, factor * u, axis)[start:stop]
+                    assert into is out
+                    assert_same_bits(into, expected)
 
 
 @pytest.mark.parametrize("make_out", [
@@ -405,14 +428,22 @@ def adjoint_pairs(grid):
 
 
 @pytest.mark.parametrize("grid_name", ["g16", "gm16", "gm4"])
-def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(grid_name, request):
+def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(
+    grid_name, request, monkeypatch
+):
     grid = request.getfixturevalue(grid_name)
+    n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
     gaps = []
     for alpha, beta in adjoint_pairs(grid):
         inputs = [arr.copy() for arr in (*alpha.comps.values(), *beta.comps.values())]
-        gap = adjointness_gap(alpha, beta)
         expected = abs(l2_inner(d(alpha), beta) - l2_inner(alpha, codiff(beta)))
-        assert gap.hex() == expected.hex()
+        # slabs of 1, 2, 3 and 7 axis-0 planes and the whole grid: partial
+        # last slabs, +-2 neighbours that wrap across the slab ends and
+        # across both ends of the axis
+        for planes in (1, 2, 3, 7, n):
+            monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+            gap = adjointness_gap(alpha, beta)
+            assert gap.hex() == expected.hex(), f"{planes} planes per slab"
         # no product is written into an input component
         for before, after in zip(inputs, (*alpha.comps.values(), *beta.comps.values())):
             assert_same_bits(after, before)
