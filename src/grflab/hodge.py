@@ -81,8 +81,8 @@ __all__ = [
 Index = Tuple[int, ...]
 
 # Rows per block when `PeriodicGrid.deriv` recomputes the wrap columns of
-# its flat path: the four cache lines a row touches, 1 MiB per block, stay
-# in L2 across the block's 20 column operations.
+# its flat path: the cache lines at both ends of a block's rows, 1 MiB of
+# input and output, stay in L2 between copying them out and back.
 _WRAP_ROWS = 4096
 
 # Bytes of axis-0 planes per slab that `adjointness_gap` forms its terms
@@ -216,8 +216,8 @@ class PeriodicGrid:
           than a loop of m-2 elements per row, which made this axis cost
           twice the others.  The offsets reach into the neighbouring row
           in columns 0, 1, m-2 and m-1; those columns are then recomputed
-          from their wrapped neighbours, one column at a time over blocks
-          of `_WRAP_ROWS` rows;
+          over blocks of `_WRAP_ROWS` rows, from a copy of each block's
+          columns m-4..m-1 and 0..3 in which they are contiguous rows;
         * every other axis, and every broadcast-shape or non-contiguous
           u or out, uses contiguous slices along the axis: each operation
           covers the rows its neighbour offset reaches without wrapping
@@ -246,14 +246,17 @@ class PeriodicGrid:
             f, g = u.reshape(-1), out.reshape(-1)
             # right in columns 2..m-3 of every row
             _stencil(g[2:-2], f, 2, len(f) - 2, h)
-            # columns 0, 1, m-2 and m-1 again, one column at a time over
-            # blocks of rows whose cache lines stay resident between ops
-            m = u.shape[-1]
-            rows, cols = u.reshape(-1, m), out.reshape(-1, m)
-            for start in range(0, len(rows), _WRAP_ROWS):
-                a, b = rows[start:start + _WRAP_ROWS].T, cols[start:start + _WRAP_ROWS].T
-                for i in (0, 1, m - 2, m - 1):
-                    _stencil(b[i:i + 1], a, i, i + 1, h)
+            # columns m-2, m-1, 0 and 1 again, block by block, from a copy
+            # of columns m-4..m-1 and 0..3 laid out as eight rows
+            rows, cols = u.reshape(-1, u.shape[-1]), out.reshape(-1, u.shape[-1])
+            block = min(len(rows), _WRAP_ROWS)
+            ends, wrapped = np.empty((8, block)), np.empty((4, block))
+            for start in range(0, len(rows), block):
+                a, b = rows[start:start + block], cols[start:start + block]
+                e, w = ends[:, :len(a)], wrapped[:, :len(a)]
+                e[:4], e[4:] = a[:, -4:].T, a[:, :4].T
+                _stencil(w, e, 2, 6, h)
+                b[:, -2:], b[:, :2] = w[:2].T, w[2:].T
         else:
             v, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
             _stencil(o, v, 0, len(v), h)
