@@ -108,21 +108,20 @@ def conjugate_heat_homogeneous(
         lam, h = traj.state_at(t)[:2]
         return (1.0 / lam - 1.5 * h * h) * y
 
-    res = solve_ivp(
+    run = solve_ivp(
         rhs,
         (traj.times[0], traj.t_end),
         np.array([u0]),
         rtol=1e-13,
         atol=u0 * 1e-14,
-        t_eval=traj.times,
     )
-    if not res.success:
-        raise RuntimeError("conjugate-heat integration failed: " + res.message)
+    if run.termination != "reached_tmax":
+        raise RuntimeError("conjugate-heat integration ended by " + run.termination)
     return HeatWeightPath(
         times=traj.times,
-        u=res.y[0],
+        u=run.sol(traj.times)[0],
         T_ref=T_ref,
-        _dense=lambda t: res.sol(t)[0],
+        _dense=lambda t: run.sol(t)[0],
     )
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "VectorField",
     "HodgeReport",
     "d",
-    "d_component",
     "hodge",
     "codiff",
     "interior",
@@ -426,26 +425,12 @@ def _d_terms(f: FormField, target: Index, star: bool = False):
     return terms
 
 
-def d_component(f: FormField, target: Index) -> Optional[np.ndarray]:
-    """Component `target` of d f; None when no term reaches it.
-
-    Sums the terms (-1)^{pos(a)} D_a f_I over I + (a,) = target in the
-    order of f's components, the order `d` visits them.
-    """
-    out = None
-    for arr, a, _, negate in _d_terms(f, target):
-        term = f.grid.deriv(arr, a)
-        if negate:
-            np.negative(term, out=term)
-        out = term if out is None else _add(out, term)
-        del term  # the loop variable would hold it while the next is formed
-    return out
-
-
 def d(f: FormField) -> FormField:
     """Exterior derivative by the 4th-order stencil.
 
-    Components appear in the order f's components first reach them.
+    Component T sums the terms (-1)^{pos(a)} D_a f_I over I + (a,) = T in
+    the order of f's components.  Components appear in the order f's
+    components first reach them.
     """
     grid, k = f.grid, f.degree
     if k >= grid.dim:
@@ -453,7 +438,15 @@ def d(f: FormField) -> FormField:
     targets = dict.fromkeys(
         tuple(sorted(idx + (a,))) for idx in f.comps for a in range(grid.dim) if a not in idx
     )
-    return FormField(grid, k + 1, {t: d_component(f, t) for t in targets})
+    out = {}
+    for target in targets:
+        for arr, a, _, negate in _d_terms(f, target):
+            term = grid.deriv(arr, a)
+            if negate:
+                np.negative(term, out=term)
+            _accumulate(out, target, term)
+            del term  # the loop variable would hold it while the next is formed
+    return FormField(grid, k + 1, out)
 
 
 def hodge(f: FormField, sign: float = 1.0) -> FormField:

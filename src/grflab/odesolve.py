@@ -7,8 +7,11 @@ of scipy 1.17.1 operation for operation: the same initial step, step
 control, stage and error sums, interpolant, segment choice and event
 location, so every step, event and dense value equals scipy's bit for
 bit.  brentq is a port of scipy's C Brent root finder.
-Every run ends with an explicit termination label; step-size underflow
-and state blowup are reported, never swallowed.
+
+solve_ivp and integrate both return a Trajectory.  solve_ivp is the bare
+solver; integrate adds the blowup ceiling.  Every run ends with an
+explicit termination label; step-size underflow and state blowup are
+reported, never swallowed.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ __all__ = [
     "EventSpec",
     "Trajectory",
     "OdeSolution",
-    "OdeResult",
     "integrate",
     "solve_ivp",
     "brentq",
@@ -77,13 +79,6 @@ _ERROR_EXPONENT = -1 / 5
 # brentq's relative tolerance and iteration cap, scipy's defaults
 _BRENT_RTOL = 4 * EPS
 _BRENT_MAXITER = 100
-
-_MESSAGES = {
-    0: "The solver successfully reached the end of the integration interval.",
-    1: "A termination event occurred.",
-    -1: "Required step size is less than spacing between numbers.",
-}
-
 
 @dataclass(frozen=True)
 class OdeProblem:
@@ -140,10 +135,10 @@ class Trajectory:
     """Result of one integration.
 
     times/states hold the accepted steps (times strictly increasing,
-    starting at t0).  events is the ordered list of located crossings as
-    (time, state, event_index) with indices into the events argument of
-    integrate().  sol is the dense-output interpolant, callable on
-    [times[0], times[-1]].
+    starting at t0).  events lists the located crossings as (time, state,
+    event_index), sorted by time with ties in index order; the indices
+    point into the events argument of the run.  sol is the dense-output
+    interpolant, callable on [times[0], times[-1]].
     """
 
     times: np.ndarray
@@ -224,28 +219,6 @@ class OdeSolution:
         return np.hstack(ys)[:, reverse]
 
 
-@dataclass(frozen=True)
-class OdeResult:
-    """What solve_ivp returns, field for field scipy's OdeResult subset.
-
-    status is 0 at t_bound, 1 at a terminal event and -1 when the step
-    underflows; t_events/y_events hold each event's crossings in order.
-    """
-
-    t: np.ndarray
-    y: np.ndarray
-    t_events: list
-    y_events: list
-    status: int
-    message: str
-    sol: OdeSolution
-    nfev: int
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
-
-
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -284,18 +257,18 @@ def solve_ivp(
     t_span,
     y0,
     *,
-    t_eval=None,
     events: Sequence[EventSpec] = (),
     rtol: float = 1e-3,
     atol: float = 1e-6,
-) -> OdeResult:
+) -> Trajectory:
     """Dormand-Prince 5(4) solve of y' = fun(t, y) over t_span = (t0, tf).
 
     The subset of scipy's solve_ivp(method="RK45", dense_output=True)
-    that grflab uses, with the same steps, events and dense output bit for
-    bit.  Events are EventSpec instances; a terminal one stops the run at
-    its first crossing.  t_eval, if given, must be increasing within
-    t_span: t and y then hold the dense output there instead of the steps.
+    that grflab uses, bit for bit: times and states are scipy's t and y.T,
+    the events of index i are its t_events[i] and y_events[i], and its
+    status 0, 1 and -1 is the termination reached_tmax, event and
+    step_underflow.  Events are EventSpec instances; a terminal one stops
+    the run at its first crossing.
     """
     t0, tf = map(float, t_span)
     if not tf > t0:
@@ -307,9 +280,6 @@ def solve_ivp(
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or not np.all(np.isfinite(y0)):
         raise ValueError("y0 must be a finite 1-d vector")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        t_eval_i = 0
 
     def rhs(t, y):
         out = np.asarray(fun(t, y), dtype=float)
@@ -322,26 +292,24 @@ def solve_ivp(
     nfev = 2
     K = np.empty((_B.size + 1, y0.size))
     t, y = t0, y0
-    ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
-    breaks = [t0]
+    ts, ys = [t0], [y0]
     steps = []
 
     directions = np.array([_DIRECTIONS[e.direction] for e in events])
     max_events = np.array([1.0 if e.terminal else np.inf for e in events])
     event_count = np.zeros(len(events))
     g = [event(t0, y0) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
+    found = []
 
-    status = None
-    while status is None:
+    termination = None
+    while termination is None:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
-                status = -1
+                termination = "step_underflow"
                 break
             t_new = t + h_abs
             if t_new > tf:
@@ -371,13 +339,13 @@ def solve_ivp(
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
             rejected = True
-        if status == -1:
+        if termination is not None:
             break
 
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if t >= tf:
-            status = 0
+            termination = "reached_tmax"
         step = _Step(t_old, h, K, y_old)
         steps.append(step)
 
@@ -396,47 +364,33 @@ def solve_ivp(
                     active, roots = active[order], roots[order]
                     last = np.nonzero(stopped[order])[0][0]
                     active, roots = active[: last + 1], roots[: last + 1]
-                    status = 1
+                    termination = "event"
                 for i, t_root in zip(active, roots):
-                    t_events[i].append(t_root)
-                    y_events[i].append(step(t_root))
-                if status == 1:
+                    found.append((float(t_root), step(t_root), int(i)))
+                if termination == "event":
                     t = roots[-1]
                     y = step(t)
             g = g_new
 
-        if t_eval is None:
-            if len(ts) > 1 and ts[-1] == t:
-                # a terminal crossing exactly at the step start ends the run
-                # there: drop the step, as scipy does.  At t0 the step stays
-                # and t repeats t0, also as in scipy.
-                steps.pop()
-            else:
-                ts.append(t)
-                ys.append(y)
+        if len(ts) > 1 and ts[-1] == t:
+            # a terminal crossing exactly at the step start ends the run
+            # there: drop the step, as scipy does.  At t0 the step stays
+            # and t repeats t0, also as in scipy.
+            steps.pop()
         else:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
-            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-            if t_eval_step.size > 0:
-                ts.append(t_eval_step)
-                ys.append(step(t_eval_step))
-                t_eval_i = t_eval_i_new
-            breaks.append(t)
+            ts.append(t)
+            ys.append(y)
 
-    if t_eval is None:
-        t_out, y_out = np.array(ts), np.vstack(ys).T
-    elif ts:
-        t_out, y_out = np.hstack(ts), np.hstack(ys)
-    else:
-        t_out, y_out = np.empty(0), np.empty((y0.size, 0))
-    return OdeResult(
-        t=t_out,
-        y=y_out,
-        t_events=[np.asarray(te) for te in t_events],
-        y_events=[np.asarray(ye) for ye in y_events],
-        status=status,
-        message=_MESSAGES[status],
-        sol=OdeSolution(ts if t_eval is None else breaks, steps),
+    # a step appends its crossings in index order, or in root order when
+    # a terminal one fires: sort by time, ties in index order (stably, so
+    # one event's repeats at one time keep their order)
+    found.sort(key=lambda rec: (rec[0], rec[2]))
+    return Trajectory(
+        times=np.array(ts),
+        states=np.vstack(ys),
+        events=found,
+        termination=termination,
+        sol=OdeSolution(ts, steps),
         nfev=nfev,
     )
 
@@ -528,12 +482,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate problem with embedded-pair adaptive stepping.
 
-    Local error per step is controlled by rtol*|state| + atol, with rtol
-    at least RTOL_FLOOR.  The run terminates at tmax, at the first
-    terminal event, when max|state| exceeds blowup_ceiling, or when the
-    adaptive step underflows; the outcome is recorded in
-    Trajectory.termination.  Stepping is deterministic: identical inputs
-    give identical output.
+    solve_ivp with a quiet rhs and a terminal blowup-ceiling event.  Local
+    error per step is controlled by rtol*|state| + atol, with rtol at
+    least RTOL_FLOOR.  The run terminates at tmax, at the first terminal
+    event, when max|state| exceeds blowup_ceiling, or when the adaptive
+    step underflows; the outcome is recorded in Trajectory.termination.
+    The ceiling's own crossings are left out of Trajectory.events.
+    Stepping is deterministic: identical inputs give identical output.
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
@@ -544,7 +499,7 @@ def integrate(
     ceiling = EventSpec(
         lambda t, y: blowup_ceiling - float(np.max(np.abs(y))), "falling", True
     )
-    res = solve_ivp(
+    traj = solve_ivp(
         _quiet(problem.rhs),
         (problem.t0, problem.tmax),
         problem.state0,
@@ -553,32 +508,13 @@ def integrate(
         atol=atol,
     )
 
-    occurrences = []
-    for idx in range(len(events)):
-        for t_ev, y_ev in zip(res.t_events[idx], res.y_events[idx]):
-            occurrences.append((float(t_ev), np.asarray(y_ev, dtype=float), idx))
-    occurrences.sort(key=lambda rec: rec[0])
-
-    blowup_hit = res.t_events[len(events)].size > 0
-    if res.status == -1:
-        termination = "step_underflow"
-    elif res.status == 1:
-        # a terminal event stopped the run; the ceiling sentinel wins the
-        # label only if it is the one that fired at the end time
-        if blowup_hit and np.isclose(
-            res.t_events[len(events)][-1], res.t[-1], rtol=0, atol=1e-13 * max(1.0, abs(res.t[-1]))
-        ):
-            termination = "blowup"
-        else:
-            termination = "event"
-    else:
-        termination = "reached_tmax"
-
-    return Trajectory(
-        times=np.asarray(res.t, dtype=float),
-        states=np.asarray(res.y.T, dtype=float),
-        events=occurrences,
-        termination=termination,
-        sol=res.sol,
-        nfev=int(res.nfev),
-    )
+    # a terminal event stopped the run; the ceiling sentinel wins the
+    # label only if it is the one that fired at the end time
+    sentinel = len(events)
+    crossings = [t for t, _, idx in traj.events if idx == sentinel]
+    if traj.termination == "event" and crossings and np.isclose(
+        crossings[-1], traj.t_end, rtol=0, atol=1e-13 * max(1.0, abs(traj.t_end))
+    ):
+        traj.termination = "blowup"
+    traj.events = [rec for rec in traj.events if rec[2] != sentinel]
+    return traj

@@ -356,6 +356,18 @@ def test_hodge_memory_estimate_counts_the_resident_process(invoke, tmp_path, mon
     assert not out_dir.exists()
 
 
+def report_peak(identity, grid):
+    """tracemalloc peak of one hodge-check report, after a warm-up call."""
+    p = {"seed": 7, "f_amp": 1.0, "h_amp": 1.0, "data": "example"}
+    cli._one_hodge_report(identity, grid, p)  # the first call allocates once
+    tracemalloc.start()
+    try:
+        cli._one_hodge_report(identity, grid, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("dim, size, arrays", [
     (4, 24, cli.ADJOINTNESS_ARRAYS),
     (4, 32, 12.0),
@@ -368,16 +380,15 @@ def test_adjointness_report_peak_stays_within_the_memory_estimate(dim, size, arr
     # alive or building d alpha whole goes past the estimate.  32^4 (slabs
     # of 4 planes) peaks at 11.40 and 64^3 (two slabs) at 8.55, so a
     # full-grid working array kept by mistake goes past 12.0 and 9.5.
-    grid = hodge.PeriodicGrid.cube(dim, size)
-    p = {"seed": 7}
-    cli._one_hodge_report("adjointness", grid, p)  # the first call allocates once
-    tracemalloc.start()
-    try:
-        cli._one_hodge_report("adjointness", grid, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = report_peak("adjointness", hodge.PeriodicGrid.cube(dim, size))
     assert peak <= arrays * 8 * size**dim
+
+
+def test_example_report_peak_stays_within_the_memory_estimate():
+    # the integral check is the largest example check, and 16^3 the grid
+    # where its fixed-size allocations weigh most: about 1.665 arrays
+    peak = report_peak("integral", hodge.PeriodicGrid.cube(3, 16))
+    assert peak <= cli.EXAMPLE_ARRAYS * 8 * 16**3
 
 
 def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):

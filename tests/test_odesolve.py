@@ -74,6 +74,7 @@ def test_blowup_ceiling_terminates_run():
     problem = OdeProblem(rhs=lambda t, y: y * y, t0=0.0, tmax=2.0, state0=np.array([1.0]))
     traj = integrate(problem, blowup_ceiling=1e6)
     assert traj.termination == "blowup"
+    assert traj.events == []  # the sentinel's own crossing is not reported
     # ceiling crossing located where 1/(1-t) = 1e6
     assert abs(traj.t_end - (1.0 - 1e-6)) < 1e-9
     assert traj.state_end[0] >= 0.99e6
@@ -164,14 +165,29 @@ def test_linear_ode_matches_exponential(a, y0):
 # bit for bit against scipy.integrate.solve_ivp(method="RK45") and brentq
 
 
+# scipy's status codes as Trajectory termination labels
+STATUS = {0: "reached_tmax", 1: "event", -1: "step_underflow"}
+
+
+def events_by_index(traj, n):
+    """traj.events split per event index, as scipy's t_events and y_events."""
+    assert all(0 <= idx < n for _, _, idx in traj.events)
+    per_index = [[rec for rec in traj.events if rec[2] == i] for i in range(n)]
+    return ([np.array([t for t, _, _ in recs]) for recs in per_index],
+            [np.array([y for _, y, _ in recs]) for recs in per_index])
+
+
 def assert_same_run(ours, ref):
-    for name in ("t", "y", "status", "nfev"):
-        assert np.array_equal(getattr(ours, name), getattr(ref, name)), f"{name} differs from {SCIPY}"
+    for mine, theirs, name in ((ours.times, ref.t, "t"), (ours.states, ref.y.T, "y"),
+                               (ours.termination, STATUS[ref.status], "status"),
+                               (ours.nfev, ref.nfev, "nfev")):
+        assert np.array_equal(mine, theirs), f"{name} differs from {SCIPY}"
     ref_events = ([], []) if ref.t_events is None else (ref.t_events, ref.y_events)
-    assert len(ours.t_events) == len(ref_events[0]), SCIPY
-    for mine, theirs in zip((ours.t_events, ours.y_events), ref_events):
+    for mine, theirs in zip(events_by_index(ours, len(ref_events[0])), ref_events):
         for i, (a, b) in enumerate(zip(mine, theirs)):
             assert np.array_equal(a, b), f"event {i} differs from {SCIPY}"
+    times = [t for t, _, _ in ours.events]
+    assert times == sorted(times)
     # 1,000 points across the run plus every step point, where the
     # earlier step's interpolant must be the one used
     ts = ours.sol.ts
@@ -193,7 +209,8 @@ def test_cylinder_flow_matches_scipy(recorded_solves, scipy_twin, h0sq):
 def test_shooting_matches_scipy(recorded_solves, scipy_twin):
     (call,) = recorded_solves(odesolve, shooting.shoot_r3_branch)
     ours, ref = scipy_twin(*call)
-    assert [e.size for e in ours.t_events] == [1, 1, 1, 1, 0]
+    # four milestones, no ceiling crossing
+    assert [t.size for t in events_by_index(ours, 5)[0]] == [1, 1, 1, 1, 0]
     assert_same_run(ours, ref)
 
 
@@ -205,12 +222,18 @@ def test_gaussian_pair_matches_scipy(recorded_solves, scipy_twin):
 
 
 def test_conjugate_heat_solve_matches_scipy(recorded_solves, scipy_twin):
+    from scipy.integrate import solve_ivp
+
     traj = cylinder.run_flow(cylinder.CylinderState(1.0, np.sqrt(0.5), 1.0))
+    weights = []
     (call,) = recorded_solves(
-        entropy, lambda: entropy.conjugate_heat_homogeneous(traj, u0=1.0)
+        entropy, lambda: weights.append(entropy.conjugate_heat_homogeneous(traj, u0=1.0))
     )
-    assert call[1]["t_eval"] is traj.times
+    assert "t_eval" not in call[1]
     assert_same_run(*scipy_twin(*call))
+    # u at the flow's steps is the dense output there, as scipy's t_eval gives it
+    ref = solve_ivp(*call[0], method="RK45", t_eval=traj.times, **call[1])
+    assert np.array_equal(weights[0].u, ref.y[0]), f"u differs from {SCIPY}"
 
 
 def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
@@ -223,6 +246,22 @@ def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
     )
     (call,) = recorded_solves(odesolve, lambda: integrate(problem))
     assert_same_run(*scipy_twin(*call))
+
+
+def test_crossings_within_one_step_sort_by_time_then_index(recorded_solves, scipy_twin):
+    # y = t: the last step spans [0.111, 1] and holds every crossing; index 0
+    # crosses last, and indices 1 and 2 tie
+    problem = OdeProblem(rhs=lambda t, y: np.ones(1), t0=0.0, tmax=1.0, state0=np.array([0.0]))
+    late = EventSpec(lambda t, y: y[0] - 0.6)
+    early = EventSpec(lambda t, y: y[0] - 0.3)
+    runs = []
+    (call,) = recorded_solves(
+        odesolve, lambda: runs.append(integrate(problem, events=(late, early, early)))
+    )
+    assert_same_run(*scipy_twin(*call))
+    traj = runs[0]
+    assert traj.times[-2] < 0.3
+    assert [idx for _, _, idx in traj.events] == [1, 2, 0]
 
 
 @pytest.mark.parametrize("k", [0, 7])

@@ -1,17 +1,21 @@
 """Package-level checks: imports stay light, each command loads only what
-it runs, and every demo runs."""
+it runs, every exported name exists, and every demo runs."""
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import grflab
 from grflab import cli
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+MODULES = sorted(m.name for m in pkgutil.iter_modules(grflab.__path__))
 
 # Runs `grflab <argv>` as `python -m grflab.cli` would, then prints the exit
 # status and every loaded scipy module.
@@ -67,6 +71,14 @@ def test_command_loads_only_the_scipy_it_runs(argv, expected, absent, tmp_path):
         assert not [m for m in loaded if m == name or m.startswith(name + ".")], loaded
     if argv[0] == "hodge-check":
         assert "scipy.special" in loaded  # the integral check's closed form ran
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a deletion that leaves its name in __all__ breaks `from ... import *`
+    module = importlib.import_module(f"grflab.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
 
 
 def test_cold_sweep_matches_runs_done_alone(tmp_path):
