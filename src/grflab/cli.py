@@ -43,8 +43,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 # The compute modules are imported by the runners that use them, so a
-# command loads only what it runs and none loads scipy before it needs it.
-# hodge is light and stays here: _random_trig_form below binds one of its
+# command loads only what it runs: importing cylinder with odesolve takes
+# about 19 ms, entropy with warped 18 ms and shooting 6 ms, which would
+# add to the cold start of every command that needs none of them.  hodge
+# is light and stays here: _random_trig_form below binds one of its
 # functions at module level.
 from . import hodge
 from .ioutil import atomic_write_text, to_json_text
@@ -323,6 +325,10 @@ def _run_cylinder_flow(cfg: dict) -> str:
     if traj.termination == "blowup":
         raise NumericalError("flow terminated with blowup")
     dt_out = p["dt_out"] if p["dt_out"] > 0 else None
+    if dt_out is not None and cfg["output"]["csv"]:
+        rows = (traj.t_end - traj.times[0]) / dt_out + 2
+        _require_memory(rows * CSV_ROW_BYTES,
+                        f"cylinder-flow: a CSV of {rows:.3g} rows at dt_out={dt_out:g}")
     dest = _written(cfg, ("csv", "cylinder_flow.csv",
                           lambda path: traj.to_csv(path, dt_out=dt_out)))
     drift = float(np.max(np.abs(traj.lambda_h_beta - traj.lambda_h_beta[0])))
@@ -528,9 +534,11 @@ _random_trig_form = hodge.random_trig_form
 # 1.005 at 48^4.
 ADJOINTNESS_ARRAYS = 14.5
 EXAMPLE_ARRAYS = 1.7
-# Resident size that loading scipy.special adds (measured 24.7 MiB); the
-# integral check loads it after the memory check has run.
-SCIPY_SPECIAL_BYTES = 25 * 2**20
+# Peak bytes per row of a resampled cylinder-flow CSV: the row's text in
+# the line list, in the joined table and encoded for the write.  Measured
+# about 590 B by tracemalloc and 630 B of resident size from 4e4 to 3e5
+# rows.
+CSV_ROW_BYTES = 700
 
 
 def _available_memory() -> Optional[int]:
@@ -557,28 +565,37 @@ def _resident_memory() -> int:
         return 0
 
 
+def _require_memory(need: float, what: str) -> None:
+    """ConfigError when what needs more than the available memory: need
+    bytes on top of what this process holds resident now."""
+    need += _resident_memory()
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"{what} needs about {need / 2**20:.0f} MiB, "
+            f"only {available / 2**20:.0f} MiB available"
+        )
+
+
 def _require_hodge_memory(p: dict) -> None:
     """Reject a grid whose estimated peak exceeds the available memory.
 
-    The estimate is the process's peak resident size: what it holds now,
-    plus scipy.special, plus the grid arrays of the largest check.  The
-    checks run one after another, so that is the larger of the adjointness
-    check on the base grid and the example checks on the grid they run on,
-    the doubled one with --refine.
+    The estimate is the process's peak resident size: what it holds now
+    plus the grid arrays of the largest check.  The checks run one after
+    another, so that is the larger of the adjointness check on the base
+    grid and the example checks on the grid they run on, the doubled one
+    with --refine.  The adjointness check draws its fields with
+    numpy.random (about 5.4 MiB resident), so that is loaded first and
+    counted in what the process holds.
     """
     terms = []
     if p["identity"] in ("all", "adjointness"):
+        import numpy.random  # noqa: F401
         terms.append((ADJOINTNESS_ARRAYS, p["size"]))
     if p["identity"] != "adjointness":
         terms.append((EXAMPLE_ARRAYS, p["size"] * (2 if p["refine"] else 1)))
     need, size = max((arrays * 8 * n ** p["dim"], n) for arrays, n in terms)
-    need += _resident_memory() + SCIPY_SPECIAL_BYTES
-    available = _available_memory()
-    if available is not None and need > available:
-        raise ConfigError(
-            f"hodge-check: a {p['dim']}-d grid of {size} points per axis needs "
-            f"about {need / 2**20:.0f} MiB, only {available / 2**20:.0f} MiB available"
-        )
+    _require_memory(need, f"hodge-check: a {p['dim']}-d grid of {size} points per axis")
 
 
 def _run_hodge_check(cfg: dict) -> str:
@@ -604,6 +621,10 @@ def _run_hodge_check(cfg: dict) -> str:
                 **report.residuals,
                 **{f"refined_{k}": v for k, v in fine.residuals.items()},
             }
+        bad = [k for part in (report.residuals, report.values)
+               for k, v in part.items() if not math.isfinite(v)]
+        if bad:
+            raise NumericalError(f"hodge-check: {identity} {', '.join(bad)} not finite")
         artifacts.append(("json", f"hodge_{identity}.json", report.to_json))
         rate = f" rate={report.rate:.2f}" if report.rate is not None else ""
         bits.append(f"{identity}={report.sup:.3e}{rate}")

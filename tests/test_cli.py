@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grflab import cli, hodge
+from grflab import cli, cylinder, hodge
 
 
 @pytest.fixture()
@@ -334,7 +334,6 @@ def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypat
     # the integral check needs 0.4 MiB of grid arrays at 32^3 by the
     # estimate, 3.3 MiB on its refinement 64^3; the other terms are zeroed
     monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
-    monkeypatch.setattr(cli, "SCIPY_SPECIAL_BYTES", 0)
     monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 2**20)
     argv = ("hodge-check", "--identity", "integral", "--size", "32",
             "--out", str(tmp_path))
@@ -345,15 +344,46 @@ def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypat
 
 
 def test_hodge_memory_estimate_counts_the_resident_process(invoke, tmp_path, monkeypatch):
-    # 1 MiB above scipy.special covers the 0.4 MiB of grid arrays at 32^3,
-    # not the process that holds them
-    monkeypatch.setattr(cli, "_available_memory", lambda: cli.SCIPY_SPECIAL_BYTES + 2**20)
+    # 1 MiB covers the 0.4 MiB of grid arrays at 32^3, not the process
+    # that holds them
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2**20)
     out_dir = tmp_path / "never"
     code, out, err = invoke("hodge-check", "--identity", "integral", "--size", "32",
                             "--out", str(out_dir))
     assert code == 2 and out == ""
     assert "MiB available" in err
     assert not out_dir.exists()
+
+
+def test_cylinder_csv_beyond_available_memory_is_a_config_error(invoke, tmp_path, monkeypatch):
+    # h0sq 0.1 collapses at t = 1.32: 1 MiB holds the 1.3e3 rows of
+    # dt_out 1e-3 by the estimate, not the 1.3e4 rows of 1e-4, which pass
+    # when no CSV is written
+    monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 2**20)
+    assert invoke("cylinder-flow", "--dt-out", "1e-3", "--out", str(tmp_path / "a"))[0] == 0
+    no_csv = write_config(tmp_path, {"output": {"csv": False}})
+    assert invoke("cylinder-flow", "--dt-out", "1e-4", "--config", no_csv,
+                  "--out", str(tmp_path / "b"))[0] == 0
+    out_dir = tmp_path / "never"
+    code, out, err = invoke("cylinder-flow", "--dt-out", "1e-4", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert "MiB available" in err
+    assert not out_dir.exists()
+
+
+def test_resampled_csv_peak_stays_within_the_memory_estimate(tmp_path):
+    traj = cylinder.run_flow(cylinder.CylinderState(lam=1.0, h=math.sqrt(0.1), beta=1.0))
+    dt_out = 1e-4
+    traj.to_csv(dt_out=dt_out)  # the first call allocates once
+    tracemalloc.start()
+    try:
+        traj.to_csv(str(tmp_path / "flow.csv"), dt_out=dt_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 590 B per row
+    assert peak <= ((traj.t_end - traj.times[0]) / dt_out + 2) * cli.CSV_ROW_BYTES
 
 
 def report_peak(identity, grid):
@@ -395,7 +425,6 @@ def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):
     # memory for 1.5 runs of the 16^4 adjointness check: each run's guard
     # passes on its own, so the runs must not hold their arrays at once
     monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
-    monkeypatch.setattr(cli, "SCIPY_SPECIAL_BYTES", 0)
     monkeypatch.setattr(cli, "_available_memory",
                         lambda: int(1.5 * cli.ADJOINTNESS_ARRAYS * 8 * 16**4))
     run, lock = cli.RUNNERS["hodge-check"], threading.Lock()
@@ -461,6 +490,13 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     (("cylinder-flow", "--rtol", "1e-20"), 2),
     # r_max at or below r_switch is rejected by name
     (("shoot", "--r-max", "0.01"), 2),
+    # a report that overflows (1e200 squared; e^{-f} at f = -700 in the
+    # weighted sum) is a numerical failure, not an artifact holding NaN
+    *[pytest.param(("hodge-check", "--dim", "3", "--size", "16", *argv), 3,
+                   marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+      for argv in (("--identity", "integral", "--h-amp", "1e200"),
+                   ("--identity", "integral", "--f-amp", "700"),
+                   ("--identity", "divh2", "--h-amp", "1e200"))],
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
