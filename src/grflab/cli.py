@@ -43,10 +43,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 # The compute modules are imported by the runners that use them, so a
-# command loads only what it runs: importing cylinder with odesolve takes
-# about 19 ms, entropy with warped 18 ms and shooting 6 ms, which would
-# add to the cold start of every command that needs none of them.  hodge
-# is light and stays here: _random_trig_form below binds one of its
+# command loads only what it runs: after numpy, importing cylinder with
+# odesolve takes 12-17 ms, entropy with warped 12-16 ms and shooting 4-5 ms
+# (five fresh processes, no bytecode cache), which would add to the cold
+# start of every command that needs none of them.  hodge, 15-19 ms the
+# same way, stays here: _random_trig_form below binds one of its
 # functions at module level.
 from . import hodge
 from .ioutil import atomic_write_text, to_json_text
@@ -519,21 +520,35 @@ def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
 _random_trig_form = hodge.random_trig_form
 
 
-# Peak tracemalloc allocation of hodge-check in grid-sized float64 arrays,
-# the worst case over 3-d grids of 16..96 and 4-d grids of 16..48 points
-# per axis, measured after one warm-up call per process.  The adjointness
-# check works on full random forms: 14.42 arrays at 16^4, 12.21 at 24^4,
-# 11.40 at 32^4, 11.07 at 48^4, 12.94 at 16^3, 8.55 at 64^3 and 7.45 at
-# 96^3.  It holds a pair's components (10 for a 4-d degree-1 or degree-2
-# pair, 6 in 3-d), the full-grid pointwise sum and three working arrays
-# of one slab of axis-0 planes each (at most 1 MiB of planes, or the
-# whole grid when it fits: three more grid arrays at 16^4 and 16^3).  The
-# example checks keep their fields at broadcast shape and hold little more
-# than the contiguous copy that `integral` sums: 1.665 arrays at 16^3
-# (1.663-1.668 across runs and checkout paths), 1.1 at 64^3,
-# 1.005 at 48^4.
-ADJOINTNESS_ARRAYS = 14.5
+# Peak tracemalloc allocation of hodge-check, measured after one warm-up
+# call per process.  The adjointness check holds the full-grid pointwise
+# sum it integrates, each random component's partial sum over axes
+# 0..dim-2 (one axis-0 plane each, 10 for a 4-d degree-1 or degree-2
+# pair, 6 in 3-d), and what the slab of axis-0 planes it streams over
+# bounds (at most 1 MiB of planes, one plane when a plane is larger): three
+# working arrays of one slab, and one ring per component that its rows
+# are generated into, the slab plus two halo planes on each side for a
+# component differentiated along axis 0.  On a grid of two slabs or
+# fewer (3-d up to 64, 4-d up to 22 points per axis) it builds the
+# components whole instead, at most 10 grids of 2 MiB.  So it is
+# ADJOINTNESS_ARRAYS grid-sized float64 arrays plus ADJOINTNESS_SLAB_BYTES.
+# Over 3-d grids of 16..256 and 4-d grids of 16..64 points per axis it
+# peaks at 1.735 arrays at 48^4, 1.55 at 64^4 and 1.13 at 256^3; at 1.75
+# arrays the rest is at most 20.0 MiB, at 22^4 (23.2 MiB in all), then
+# 14.9 at 24^4, 14.7 at 20^4, 13.7 at 64^3 and 13.0 at 32^4.  The example
+# checks keep their fields at broadcast shape and hold little more than
+# the contiguous copy that `integral` sums: 1.665 arrays at 16^3
+# (1.663-1.668 across runs and checkout paths), 1.1 at 64^3, 1.005 at
+# 48^4.
+ADJOINTNESS_ARRAYS = 1.75
+ADJOINTNESS_SLAB_BYTES = 24 << 20
 EXAMPLE_ARRAYS = 1.7
+# Resident bytes a hodge-check run adds beyond its arrays, whatever the
+# grid: reports, artifact text and writes, allocator slack.  Without it
+# the estimate fell below a fresh process's peak resident size by up to
+# 0.63 MiB, at --dim 3 --size 16 --identity integral (0.1-0.6 MiB for every
+# example check at 16^3, 32^3 and 16^4, two runs each).
+HODGE_FIXED_BYTES = 1 << 20
 # Peak bytes per row of a resampled cylinder-flow CSV: the row's text in
 # the line list, in the joined table and encoded for the write.  Measured
 # about 590 B by tracemalloc and 630 B of resident size from 4e4 to 3e5
@@ -580,22 +595,23 @@ def _require_memory(need: float, what: str) -> None:
 def _require_hodge_memory(p: dict) -> None:
     """Reject a grid whose estimated peak exceeds the available memory.
 
-    The estimate is the process's peak resident size: what it holds now
-    plus the grid arrays of the largest check.  The checks run one after
-    another, so that is the larger of the adjointness check on the base
-    grid and the example checks on the grid they run on, the doubled one
-    with --refine.  The adjointness check draws its fields with
-    numpy.random (about 5.4 MiB resident), so that is loaded first and
-    counted in what the process holds.
+    The estimate is the process's peak resident size: what it holds now,
+    the arrays of the largest check and `HODGE_FIXED_BYTES`.  The checks
+    run one after another, so that is the larger of the adjointness check
+    on the base grid and the example checks on the grid they run on, the
+    doubled one with --refine.  The adjointness check draws its fields
+    with numpy.random (about 5.4 MiB resident), so that is loaded first
+    and counted in what the process holds.
     """
     terms = []
     if p["identity"] in ("all", "adjointness"):
         import numpy.random  # noqa: F401
-        terms.append((ADJOINTNESS_ARRAYS, p["size"]))
+        terms.append((ADJOINTNESS_ARRAYS, ADJOINTNESS_SLAB_BYTES, p["size"]))
     if p["identity"] != "adjointness":
-        terms.append((EXAMPLE_ARRAYS, p["size"] * (2 if p["refine"] else 1)))
-    need, size = max((arrays * 8 * n ** p["dim"], n) for arrays, n in terms)
-    _require_memory(need, f"hodge-check: a {p['dim']}-d grid of {size} points per axis")
+        terms.append((EXAMPLE_ARRAYS, 0, p["size"] * (2 if p["refine"] else 1)))
+    need, size = max((arrays * 8 * n ** p["dim"] + extra, n) for arrays, extra, n in terms)
+    _require_memory(need + HODGE_FIXED_BYTES,
+                    f"hodge-check: a {p['dim']}-d grid of {size} points per axis")
 
 
 def _run_hodge_check(cfg: dict) -> str:

@@ -34,10 +34,17 @@ A result is written into an array the operator allocated itself, never
 into a component it was given.  `adjointness_gap` builds neither d alpha
 nor d* beta.  It walks slabs of axis-0 planes, each at most `_SLAB_BYTES`
 (a grid whose whole array fits is one slab), and on each slab forms every
-component of both pairings from the slab's rows only.  Beyond the two
-input fields it so holds one full-grid array, the pointwise sum it
-integrates, plus three working arrays of one slab each, which stay in
-cache while a component is formed, scaled, multiplied and added.
+component of both pairings from the slab's rows only.  Beyond its
+inputs it so holds one full-grid array, the pointwise sum it integrates,
+plus three working arrays of one slab each, which stay in cache while a
+component is formed, scaled, multiplied and added.  The components
+`random_trig_form` makes (`TrigComponent`) are never built whole there:
+each pass generates their rows once into one ring of planes per
+component, the slab, plus two halo planes on each side for a component
+differentiated along axis 0.  At 48^4 a pair of 10 components so costs
+their partial sums, one plane each, and rings of 1 or 5 planes, instead
+of 10 full grids.  Only on grids of two slabs or fewer, where a ring
+would hold a whole component, is each built whole, once for both passes.
 """
 from __future__ import annotations
 
@@ -74,6 +81,7 @@ __all__ = [
     "example_fields",
     "closed_three_form",
     "random_trig_form",
+    "TrigComponent",
     "integral_closed_form",
 ]
 
@@ -225,8 +233,10 @@ class PeriodicGrid:
 
         u is constant along an axis of length 1, where the stencil gives
         u - u: +0.0 where u is finite and nan where it is not, exactly
-        what the formula gives on the expanded array.
+        what the formula gives on the expanded array.  A `TrigComponent`
+        u is differentiated as the full array it stands for.
         """
+        u = np.asarray(u)
         if out is None:
             out = np.empty_like(u)
         elif out.shape != u.shape or out.dtype != np.float64 or not out.flags.writeable:
@@ -274,6 +284,55 @@ def _perm_sign(seq) -> int:
     return sign
 
 
+class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
+    """One `random_trig_form` component, held as the lines it sums.
+
+    The component is (prefix + cos_line) + sin_line: prefix, the partial
+    sum over axes 0..dim-2, has length 1 along the last axis, 1/n of a
+    grid, and the last axis's two lines have length 1 along every other
+    axis.  `rows` writes any run of axis-0 rows into an array the caller
+    owns.  Everywhere else the component is the full array it stands for:
+    `__array__` builds that array, the one place it is built, and every
+    ufunc, operator and index goes through it.
+    """
+
+    def __init__(self, prefix: np.ndarray, cos_line: np.ndarray, sin_line: np.ndarray):
+        self._prefix, self._cos, self._sin = prefix, cos_line, sin_line
+        self.shape = prefix.shape[:-1] + cos_line.shape[-1:]
+        self.ndim = len(self.shape)
+
+    def rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows start..stop-1 along axis 0, indices taken modulo the axis
+        length, written into out: the additions the full-size sum makes,
+        in its order, so every element has the full array's bits."""
+        n = self.shape[0]
+        x = start
+        while x < stop:
+            row = x % n
+            count = min(stop - x, n - row)
+            part = out[x - start:x - start + count]
+            np.add(self._prefix[row:row + count], self._cos, out=part)
+            part += self._sin
+            x += count
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        full = self.rows(0, self.shape[0], np.empty(self.shape))
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(isinstance(x, TrigComponent) for x in kwargs.get("out", ())):
+            return NotImplemented  # nothing is written into a component
+        inputs = tuple(np.asarray(x) if isinstance(x, TrigComponent) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+    def copy(self) -> np.ndarray:
+        return np.asarray(self)
+
+
 @dataclass
 class FormField:
     """k-form with one array per strictly increasing multi-index.
@@ -281,7 +340,7 @@ class FormField:
     A component is stored at its broadcast shape: grid.dim axes, each of
     length 1 or the full grid size.  An array with fewer axes is
     reshaped, never expanded; a shape that does not broadcast to the
-    grid's is rejected.
+    grid's is rejected.  A `TrigComponent` is kept as it is.
     """
 
     # keep ndarray * FormField out of numpy broadcasting; use __rmul__
@@ -297,7 +356,9 @@ class FormField:
             raise ValueError("degree out of range")
         shape = self.grid.sizes
         for idx in list(self.comps):
-            arr = np.asarray(self.comps[idx], dtype=float)
+            arr = self.comps[idx]
+            if not isinstance(arr, TrigComponent):
+                arr = np.asarray(arr, dtype=float)
             if tuple(sorted(idx)) != idx or len(set(idx)) != len(idx):
                 raise ValueError("component indices must be strictly increasing")
             if len(idx) != self.degree:
@@ -588,25 +649,77 @@ def _view(buf: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
+def _ring_planes(n: int, step: int) -> int:
+    """Planes in the ring of a component read with two halo planes on
+    each side of slabs of `step` planes: a multiple of step, so no slab
+    wraps in it, that holds a slab and its halos, or n, the whole axis,
+    when that is fewer."""
+    return min(n, step * -(-(step + 4) // step))
+
+
+def _rings(pairs, n: int, step: int):
+    """{id(component): (component, ring, halo)} for every `TrigComponent`
+    a pairing reads: a working array of planes its rows are generated
+    into, with halo for the components differentiated along axis 0."""
+    comps, halo = {}, set()
+    for terms, _, other, _ in pairs:
+        for arr, axis, _, _ in terms:
+            comps[id(arr)] = arr
+            if axis == 0:
+                halo.add(id(arr))
+        comps[id(other)] = other
+    rings = {}
+    for key, arr in comps.items():
+        if isinstance(arr, TrigComponent):
+            planes = _ring_planes(n, step) if key in halo else step
+            rings[key] = (arr, np.empty((planes,) + arr.shape[1:]), key in halo)
+    return rings
+
+
+def _generate(rings, start: int, stop: int) -> None:
+    """Generate the rows the slab start..stop-1 reads and no earlier slab
+    generated: rows start..stop-1, or start-2..stop+1 with halo, and of
+    those only the rows past the previous slab's.  Row x goes to slot
+    x mod len(ring), so each ring plane is generated once per pass
+    except the four halo planes that wrap around axis 0."""
+    for comp, ring, halo in rings.values():
+        lo, hi = (start + 2 if start else -2, stop + 2) if halo else (start, stop)
+        planes = len(ring)
+        while lo < hi:
+            slot = lo % planes
+            count = min(hi - lo, planes - slot)
+            comp.rows(lo, lo + count, ring[slot:slot + count])
+            lo += count
+
+
+def _source(arr, rings, start: int):
+    """(v, lo): the array that holds component arr's rows around the slab
+    starting at row start, and that row's index in it.  Row x sits at
+    v[x mod len(v)] for every row the slab reads: in arr itself, or in
+    the ring a generated component's rows were written into."""
+    v = rings[id(arr)][1] if id(arr) in rings else arr
+    return v, start % len(v)
+
+
 def _slab_deriv(
-    grid: PeriodicGrid, arr: np.ndarray, axis: int, factor: float,
-    start: int, stop: int, out: np.ndarray, scaled: np.ndarray,
+    grid: PeriodicGrid, v: np.ndarray, axis: int, factor: float,
+    lo: int, hi: int, out: np.ndarray, scaled: np.ndarray,
 ) -> np.ndarray:
-    """Rows start..stop-1 of D_axis (factor arr), written into out.
+    """Rows lo..hi-1 of D_axis (factor v), written into out.
 
     Along axes >= 1, and along an axis 0 of length 1, this is `deriv` of
-    the slab's rows of arr, scaled into the working array `scaled` first
+    the slab's rows of v, scaled into the working array `scaled` first
     when the factor is not 1.0.  Along axis 0 the stencil reads the
-    neighbour rows start-2..stop+1 of arr with periodic wrap and scales
-    each as it reads it.  Every element sees the operations `deriv`
-    gives it on the scaled full array.
+    neighbour rows lo-2..hi+1 of v with wrap in len(v) and scales each
+    as it reads it.  Every element sees the operations `deriv` gives it
+    on the scaled full array.
     """
-    if axis > 0 or arr.shape[0] == 1:
-        src = _rows(arr, start, stop)
+    if axis > 0 or v.shape[0] == 1:
+        src = _rows(v, lo, hi)
         if factor != 1.0:
             src = np.multiply(factor, src, out=_view(scaled, src.shape))
         return grid.deriv(src, axis, out=out)
-    return _stencil(out, arr, start, stop, grid.spacing[0], factor, _view(scaled, out.shape))
+    return _stencil(out, v, lo, hi, grid.spacing[0], factor, _view(scaled, out.shape))
 
 
 def _stream_pairing(
@@ -619,19 +732,25 @@ def _stream_pairing(
     by other_factor, added in list order into a slab of pointwise zeroed
     first.  `work` holds three flat working arrays of one slab each: the
     component, one term or the scaled other, and scaled source values.
+    A generated component's rows are written into its ring before each
+    slab, and every read, stencil and product goes through `_source`.
     """
     comp_buf, term_buf, scaled = work
     n = grid.sizes[0]
+    rings = _rings(pairs, n, step)
     for start in range(0, n, step):
         stop = min(start + step, n)
+        _generate(rings, start, stop)
         total = pointwise[start:stop]
         total.fill(0.0)
         comp = _view(comp_buf, total.shape)
         for terms, factor, other, other_factor in pairs:
             for i, (arr, axis, scale, negate) in enumerate(terms):
-                shape = _rows(arr, start, stop).shape
+                v, lo = _source(arr, rings, start)
+                hi = lo + stop - start
+                shape = _rows(v, lo, hi).shape
                 into = comp if i == 0 and shape == comp.shape else _view(term_buf, shape)
-                term = _slab_deriv(grid, arr, axis, scale, start, stop, into, scaled)
+                term = _slab_deriv(grid, v, axis, scale, lo, hi, into, scaled)
                 if negate:
                     np.negative(term, out=term)
                 if i == 0:
@@ -641,7 +760,8 @@ def _stream_pairing(
                     comp += term
             if factor != 1.0:
                 comp *= factor
-            mate = _rows(other, start, stop)
+            v, lo = _source(other, rings, start)
+            mate = _rows(v, lo, lo + stop - start)
             if other_factor != 1.0:
                 mate = np.multiply(mate, other_factor, out=_view(term_buf, mate.shape))
             comp *= mate
@@ -660,14 +780,25 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     array, in the order `inner_pointwise` takes.  The component of d* beta
     on J is the outer star of d(*beta) on the complement of J.  The left
     pointwise sum is integrated whole; the same array is then zeroed and
-    refilled for the right one.  Every element sees the operations it
-    sees in l2_inner(d(alpha), beta) and l2_inner(alpha, codiff(beta)),
-    in the same order, and `integral` sums the same contiguous array, so
-    the gap is bit-identical to theirs.
+    refilled for the right one.  A `TrigComponent` is read from the ring
+    its rows are generated into, once per pass (`_generate`); where that
+    ring would be the whole component (slabs of half the grid or more),
+    each is built whole once for both passes instead.  Every
+    element sees the operations it sees in l2_inner(d(alpha), beta) and
+    l2_inner(alpha, codiff(beta)), in the same order, and `integral` sums
+    the same contiguous array, so the gap is bit-identical to theirs.
     """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
     grid = alpha.grid
+    n, plane = grid.sizes[0], math.prod(grid.sizes[1:])
+    step = min(n, max(1, _SLAB_BYTES // (8 * plane)))
+    if _ring_planes(n, step) == n:
+        # a ring would hold the whole component: build it once, not per pass
+        alpha, beta = (
+            FormField(grid, f.degree, {idx: np.asarray(arr) for idx, arr in f.comps.items()})
+            for f in (alpha, beta)
+        )
     left = []
     for idx in beta.indices():
         terms = _d_terms(alpha, idx)
@@ -681,8 +812,6 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
         if terms:
             _, factor = _star(grid, source, sign)
             right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
-    plane = math.prod(grid.sizes[1:])
-    step = min(grid.sizes[0], max(1, _SLAB_BYTES // (8 * plane)))
     work = tuple(np.empty(step * plane) for _ in range(3))
     pointwise = np.empty(grid.sizes)
     values = []
@@ -771,29 +900,26 @@ def random_trig_form(
     """Random trigonometric k-form: sum over axes of c cos(x + ph) + s sin 2x.
 
     Draws (c, s, ph) = rng.normal(size=3) per component and axis in
-    lexicographic order.  Each component is separable, so it is
-    accumulated from 1-D factors: the broadcast shape grows one axis at a
-    time and only the last axis step is full grid size.  That step's
-    second addition goes into the full-size array its first one made, so
-    a component costs one full-size array.  The smaller steps keep two
-    fresh results: adding in place there frees their buffers in another
-    order, after which glibc keeps about 1 MB of freed heap resident at
-    48^4.
+    lexicographic order.  Each component is a `TrigComponent`: the sum
+    over axes 0..dim-2, accumulated from 1-D factors as the broadcast
+    shape grows one axis at a time, and the last axis's two lines, which
+    it adds to rows only when they are asked for.  A component so costs
+    1/n of a grid until something builds its full array.
     """
     if degree > grid.dim:
         return FormField.zero(grid, degree)
     x = grid.coords()
+    last = grid.dim - 1
     comps = {}
     for idx in itertools.combinations(range(grid.dim), degree):
-        field = np.zeros((1,) * grid.dim)
-        for axis in range(grid.dim):
+        prefix = np.zeros((1,) * grid.dim)
+        for axis in range(last):
             c, s, ph = rng.normal(size=3)
-            if axis < grid.dim - 1:
-                field = field + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
-            else:
-                field = field + c * np.cos(x[axis] + ph)
-                field += s * np.sin(2.0 * x[axis])
-        comps[idx] = field
+            prefix = prefix + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
+        c, s, ph = rng.normal(size=3)
+        comps[idx] = TrigComponent(
+            prefix, c * np.cos(x[last] + ph), s * np.sin(2.0 * x[last])
+        )
     return FormField(grid, degree, comps)
 
 

@@ -332,7 +332,8 @@ def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path):
 
 def test_hodge_memory_estimate_uses_the_refined_grid(invoke, tmp_path, monkeypatch):
     # the integral check needs 0.4 MiB of grid arrays at 32^3 by the
-    # estimate, 3.3 MiB on its refinement 64^3; the other terms are zeroed
+    # estimate, 3.3 MiB on its refinement 64^3, each plus the 1 MiB fixed
+    # term; the resident process is zeroed
     monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
     monkeypatch.setattr(cli, "_available_memory", lambda: 2 * 2**20)
     argv = ("hodge-check", "--identity", "integral", "--size", "32",
@@ -399,19 +400,21 @@ def report_peak(identity, grid):
 
 
 @pytest.mark.parametrize("dim, size, arrays", [
-    (4, 24, cli.ADJOINTNESS_ARRAYS),
-    (4, 32, 12.0),
-    (3, 64, 9.5),
+    (4, 24, 8.0),
+    (4, 32, 3.75),
+    (3, 64, 9.0),
 ], ids=["4d-24", "4d-32", "3d-64"])
 def test_adjointness_report_peak_stays_within_the_memory_estimate(dim, size, arrays):
-    # A report holds one pair's components (10 in 4-d, 6 in 3-d), the
-    # pointwise sum and three working arrays of one slab of axis-0 planes.
-    # 24^4 peaks at 12.21 grid arrays: keeping the previous degree's pair
-    # alive or building d alpha whole goes past the estimate.  32^4 (slabs
-    # of 4 planes) peaks at 11.40 and 64^3 (two slabs) at 8.55, so a
-    # full-grid working array kept by mistake goes past 12.0 and 9.5.
+    # A report holds the pointwise sum, each component's partial sum (one
+    # axis-0 plane), three slab working arrays and one ring of generated
+    # rows per component: 7.62 grid arrays at 24^4 (slabs of 9 planes,
+    # rings of 9 or 18) and 3.37 at 32^4 (slabs of 4).  64^3 is two slabs,
+    # so a pair's 6 components are built whole: 8.60.  Each bound adds
+    # 0.4 arrays, so one full-size component kept by mistake, or the
+    # previous degree's pair, goes past it.
     peak = report_peak("adjointness", hodge.PeriodicGrid.cube(dim, size))
     assert peak <= arrays * 8 * size**dim
+    assert peak <= cli.ADJOINTNESS_ARRAYS * 8 * size**dim + cli.ADJOINTNESS_SLAB_BYTES
 
 
 def test_example_report_peak_stays_within_the_memory_estimate():
@@ -424,9 +427,10 @@ def test_example_report_peak_stays_within_the_memory_estimate():
 def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):
     # memory for 1.5 runs of the 16^4 adjointness check: each run's guard
     # passes on its own, so the runs must not hold their arrays at once
+    one_run = (cli.ADJOINTNESS_ARRAYS * 8 * 16**4 + cli.ADJOINTNESS_SLAB_BYTES
+               + cli.HODGE_FIXED_BYTES)
     monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
-    monkeypatch.setattr(cli, "_available_memory",
-                        lambda: int(1.5 * cli.ADJOINTNESS_ARRAYS * 8 * 16**4))
+    monkeypatch.setattr(cli, "_available_memory", lambda: int(1.5 * one_run))
     run, lock = cli.RUNNERS["hodge-check"], threading.Lock()
     active = most = 0
 

@@ -61,6 +61,11 @@ def g4():
 
 
 @pytest.fixture(scope="module")
+def g3_odd():
+    return PeriodicGrid(dim=3, sizes=(17, 16, 19), periods=(1.0, 2.0, 3.0))
+
+
+@pytest.fixture(scope="module")
 def gm4():
     return PeriodicGrid(dim=4, sizes=(16, 18, 17, 20), metric=(1.3, 0.7, 2.1, 0.9))
 
@@ -229,6 +234,53 @@ def test_separable_trig_form_matches_full_grid_accumulation(sizes):
             assert fast.comps[idx].shape == grid.sizes
             assert np.array_equal(fast.comps[idx], slow[idx])
     assert separable_trig_form(grid, grid.dim + 1, fast_rng).sup() == 0.0
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])
+def test_generated_rows_equal_the_full_component_bit_for_bit(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    n = grid.sizes[0]
+    fast_rng, slow_rng = np.random.default_rng(13), np.random.default_rng(13)
+    for degree in range(grid.dim + 1):
+        fast = separable_trig_form(grid, degree, fast_rng)
+        slow = full_grid_trig_form(grid, degree, slow_rng)
+        for idx in fast.indices():
+            comp, full = fast.comps[idx], slow[idx]
+            assert isinstance(comp, dec.TrigComponent)
+            assert_same_bits(np.asarray(comp), full)
+            # every run of rows, from two halo rows before axis 0 starts to
+            # two after it ends: runs that wrap at either end or at both
+            bits = full.view(np.uint64)
+            for start in range(-2, n):
+                for stop in range(start + 1, n + 3):
+                    out = np.full((stop - start,) + grid.sizes[1:], np.nan)
+                    comp.rows(start, stop, out)
+                    assert np.array_equal(out.view(np.uint64), bits[np.arange(start, stop) % n])
+    # the same draws in the same order
+    assert fast_rng.normal() == slow_rng.normal()
+
+
+def test_adjointness_gap_generates_each_row_once_per_pairing(g4, monkeypatch):
+    rows = {}
+    generate = dec.TrigComponent.rows
+
+    def counted(self, start, stop, out):
+        rows[id(self)] = rows.get(id(self), 0) + stop - start
+        return generate(self, start, stop, out)
+
+    monkeypatch.setattr(dec.TrigComponent, "rows", counted)
+    n, plane = g4.sizes[0], 8 * math.prod(g4.sizes[1:])
+    rng = np.random.default_rng(4)
+    for planes in (1, 3, n):
+        monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+        for k in range(g4.dim):
+            rows.clear()
+            adjointness_gap(separable_trig_form(g4, k, rng), separable_trig_form(g4, k + 1, rng))
+            # one pass per pairing over the n rows, plus the two halo rows
+            # on each side for a component differentiated along axis 0;
+            # generating per read would take up to 5 rows per slab row
+            assert len(rows) == math.comb(4, k) + math.comb(4, k + 1)
+            assert max(rows.values()) <= 2 * (n + 4), f"{planes} planes per slab"
 
 
 # ----------------------------------------------------------- operator algebra

@@ -91,16 +91,22 @@ print(json.dumps([code, needs, peak]))
 
 
 def test_hodge_memory_estimate_covers_the_cold_peak(tmp_path):
-    # at 48^3 the adjointness check sets both: about 48.7 MiB estimated,
-    # 45.2 MiB peak; the estimate falls below the peak if numpy.random,
-    # 5.4 MiB, is not loaded when the resident size is read
-    run = subprocess.run(
-        [sys.executable, "-c", COLD_PEAK, "hodge-check", "--dim", "3", "--size", "48",
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
-    code, needs, peak = json.loads(run.stdout.strip().splitlines()[-1])
-    assert code == 0, run.stderr
-    assert needs[0] >= peak
+    # At 22^4, the largest 4-d grid whose components the adjointness check
+    # builds whole, the estimate has the least margin: about 64.8 MiB
+    # estimated, 59.6 MiB peak.  On the small grids the run's fixed
+    # allocations decide: the integral check alone at 32^3 peaked
+    # 0.17-0.24 MiB above the estimate without cli.HODGE_FIXED_BYTES.
+    for i, argv in enumerate((["--dim", "4", "--size", "22"],
+                              ["--dim", "3", "--size", "16"],
+                              ["--dim", "4", "--size", "16"],
+                              ["--dim", "3", "--size", "32", "--identity", "integral"])):
+        run = subprocess.run(
+            [sys.executable, "-c", COLD_PEAK, "hodge-check", *argv,
+             "--out", str(tmp_path / f"out{i}")],
+            capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
+        code, needs, peak = json.loads(run.stdout.strip().splitlines()[-1])
+        assert code == 0, run.stderr
+        assert needs[0] >= peak, argv
 
 
 @pytest.mark.parametrize("name", MODULES)
