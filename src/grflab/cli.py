@@ -526,22 +526,21 @@ _random_trig_form = hodge.random_trig_form
 # 0..dim-2 (one axis-0 plane each, 10 for a 4-d degree-1 or degree-2
 # pair, 6 in 3-d), and what the slab of axis-0 planes it streams over
 # bounds (at most 1 MiB of planes, one plane when a plane is larger): three
-# working arrays of one slab, and one ring per component that its rows
-# are generated into, the slab plus two halo planes on each side for a
-# component differentiated along axis 0.  On a grid of two slabs or
-# fewer (3-d up to 64, 4-d up to 22 points per axis) it builds the
-# components whole instead, at most 10 grids of 2 MiB.  So it is
-# ADJOINTNESS_ARRAYS grid-sized float64 arrays plus ADJOINTNESS_SLAB_BYTES.
-# Over 3-d grids of 16..256 and 4-d grids of 16..64 points per axis it
-# peaks at 1.735 arrays at 48^4, 1.55 at 64^4 and 1.13 at 256^3; at 1.75
-# arrays the rest is at most 20.0 MiB, at 22^4 (23.2 MiB in all), then
-# 14.9 at 24^4, 14.7 at 20^4, 13.7 at 64^3 and 13.0 at 32^4.  The example
-# checks keep their fields at broadcast shape and hold little more than
-# the contiguous copy that `integral` sums: 1.665 arrays at 16^3
-# (1.663-1.668 across runs and checkout paths), 1.1 at 64^3, 1.005 at
-# 48^4.
+# working arrays of one slab, and one ring per component that both
+# passes generate its rows into, the slab plus two halo planes on each
+# side for a component either pass differentiates along axis 0, or the
+# whole axis when that is fewer planes.  So it is ADJOINTNESS_ARRAYS
+# grid-sized float64 arrays plus ADJOINTNESS_SLAB_BYTES.  Over 3-d grids
+# of 16..256 and 4-d grids of 16..64 points per axis it peaks at 1.985
+# arrays at 48^4, 1.74 at 64^4 and 1.16 at 256^3; at 1.75 arrays the rest
+# is at most 17.72 MiB, at 24^4 (22.2 MiB in all), then 17.6 at 22^4 and
+# 25^4, 17.5 at 23^4, 16.0 at 32^4, 11.9 at 64^3 and 9.5 at 48^4.  The
+# example checks keep their fields at broadcast shape and hold little
+# more than the contiguous copy that `integral` sums: 1.665 arrays at
+# 16^3 (1.663-1.668 across runs and checkout paths), 1.1 at 64^3, 1.005
+# at 48^4.
 ADJOINTNESS_ARRAYS = 1.75
-ADJOINTNESS_SLAB_BYTES = 24 << 20
+ADJOINTNESS_SLAB_BYTES = 18 << 20
 EXAMPLE_ARRAYS = 1.7
 # Resident bytes a hodge-check run adds beyond its arrays, whatever the
 # grid: reports, artifact text and writes, allocator slack.  Without it

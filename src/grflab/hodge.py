@@ -41,10 +41,10 @@ component is formed, scaled, multiplied and added.  The components
 `random_trig_form` makes (`TrigComponent`) are never built whole there:
 each pass generates their rows once into one ring of planes per
 component, the slab, plus two halo planes on each side for a component
-differentiated along axis 0.  At 48^4 a pair of 10 components so costs
-their partial sums, one plane each, and rings of 1 or 5 planes, instead
-of 10 full grids.  Only on grids of two slabs or fewer, where a ring
-would hold a whole component, is each built whole, once for both passes.
+either pass differentiates along axis 0, or the whole axis when that is
+fewer planes; such a ring is generated once for both passes.  At 48^4
+a pair of 10 components so costs their partial sums, one plane each,
+and rings of 1 or 5 planes, instead of 10 full grids.
 """
 from __future__ import annotations
 
@@ -658,9 +658,10 @@ def _ring_planes(n: int, step: int) -> int:
 
 
 def _rings(pairs, n: int, step: int):
-    """{id(component): (component, ring, halo)} for every `TrigComponent`
-    a pairing reads: a working array of planes its rows are generated
-    into, with halo for the components differentiated along axis 0."""
+    """{id(component): [component, ring, halo, held]} for every
+    `TrigComponent` the pairs read: a working array of planes its rows
+    are generated into, with halo for the components differentiated
+    along axis 0, and whether the ring already holds every row."""
     comps, halo = {}, set()
     for terms, _, other, _ in pairs:
         for arr, axis, _, _ in terms:
@@ -672,7 +673,7 @@ def _rings(pairs, n: int, step: int):
     for key, arr in comps.items():
         if isinstance(arr, TrigComponent):
             planes = _ring_planes(n, step) if key in halo else step
-            rings[key] = (arr, np.empty((planes,) + arr.shape[1:]), key in halo)
+            rings[key] = [arr, np.empty((planes,) + arr.shape[1:]), key in halo, False]
     return rings
 
 
@@ -681,8 +682,13 @@ def _generate(rings, start: int, stop: int) -> None:
     generated: rows start..stop-1, or start-2..stop+1 with halo, and of
     those only the rows past the previous slab's.  Row x goes to slot
     x mod len(ring), so each ring plane is generated once per pass
-    except the four halo planes that wrap around axis 0."""
-    for comp, ring, halo in rings.values():
+    except the four halo planes that wrap around axis 0.  A ring of the
+    whole axis holds every row after its first pass and is not
+    generated again."""
+    for entry in rings.values():
+        comp, ring, halo, held = entry
+        if held:
+            continue
         lo, hi = (start + 2 if start else -2, stop + 2) if halo else (start, stop)
         planes = len(ring)
         while lo < hi:
@@ -690,6 +696,7 @@ def _generate(rings, start: int, stop: int) -> None:
             count = min(hi - lo, planes - slot)
             comp.rows(lo, lo + count, ring[slot:slot + count])
             lo += count
+        entry[3] = stop == planes == comp.shape[0]
 
 
 def _source(arr, rings, start: int):
@@ -723,7 +730,7 @@ def _slab_deriv(
 
 
 def _stream_pairing(
-    grid: PeriodicGrid, pairs, pointwise: np.ndarray, step: int, work
+    grid: PeriodicGrid, pairs, pointwise: np.ndarray, step: int, work, rings
 ) -> None:
     """Fill `pointwise` with one pairing, `step` axis-0 planes at a time.
 
@@ -732,12 +739,12 @@ def _stream_pairing(
     by other_factor, added in list order into a slab of pointwise zeroed
     first.  `work` holds three flat working arrays of one slab each: the
     component, one term or the scaled other, and scaled source values.
-    A generated component's rows are written into its ring before each
-    slab, and every read, stencil and product goes through `_source`.
+    A generated component's rows are written into its ring in `rings`
+    before each slab, and every read, stencil and product goes through
+    `_source`.
     """
     comp_buf, term_buf, scaled = work
     n = grid.sizes[0]
-    rings = _rings(pairs, n, step)
     for start in range(0, n, step):
         stop = min(start + step, n)
         _generate(rings, start, stop)
@@ -780,10 +787,9 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     array, in the order `inner_pointwise` takes.  The component of d* beta
     on J is the outer star of d(*beta) on the complement of J.  The left
     pointwise sum is integrated whole; the same array is then zeroed and
-    refilled for the right one.  A `TrigComponent` is read from the ring
-    its rows are generated into, once per pass (`_generate`); where that
-    ring would be the whole component (slabs of half the grid or more),
-    each is built whole once for both passes instead.  Every
+    refilled for the right one.  A `TrigComponent` is read from the one
+    ring both passes generate its rows into, once per pass, or once per
+    call where the ring holds the whole axis (`_generate`).  Every
     element sees the operations it sees in l2_inner(d(alpha), beta) and
     l2_inner(alpha, codiff(beta)), in the same order, and `integral` sums
     the same contiguous array, so the gap is bit-identical to theirs.
@@ -793,12 +799,6 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     grid = alpha.grid
     n, plane = grid.sizes[0], math.prod(grid.sizes[1:])
     step = min(n, max(1, _SLAB_BYTES // (8 * plane)))
-    if _ring_planes(n, step) == n:
-        # a ring would hold the whole component: build it once, not per pass
-        alpha, beta = (
-            FormField(grid, f.degree, {idx: np.asarray(arr) for idx, arr in f.comps.items()})
-            for f in (alpha, beta)
-        )
     left = []
     for idx in beta.indices():
         terms = _d_terms(alpha, idx)
@@ -814,9 +814,10 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
             right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
     work = tuple(np.empty(step * plane) for _ in range(3))
     pointwise = np.empty(grid.sizes)
+    rings = _rings(left + right, n, step)
     values = []
     for pairs in (left, right):
-        _stream_pairing(grid, pairs, pointwise, step, work)
+        _stream_pairing(grid, pairs, pointwise, step, work, rings)
         values.append(integral(pointwise, grid))
     return abs(values[0] - values[1])
 

@@ -91,12 +91,13 @@ print(json.dumps([code, needs, peak]))
 
 
 def test_hodge_memory_estimate_covers_the_cold_peak(tmp_path):
-    # At 22^4, the largest 4-d grid whose components the adjointness check
-    # builds whole, the estimate has the least margin: about 64.8 MiB
-    # estimated, 59.6 MiB peak.  On the small grids the run's fixed
-    # allocations decide: the integral check alone at 32^3 peaked
-    # 0.17-0.24 MiB above the estimate without cli.HODGE_FIXED_BYTES.
-    for i, argv in enumerate((["--dim", "4", "--size", "22"],
+    # At 24^4 the adjointness check's estimate has the least margin: about
+    # 59.6 MiB estimated, 58.1 MiB peak, so it falls below the peak if
+    # numpy.random, 5.4 MiB, is not loaded when the resident size is read.
+    # On the small grids the run's fixed allocations decide: the integral
+    # check alone at 32^3 peaked 0.17-0.24 MiB above the estimate without
+    # cli.HODGE_FIXED_BYTES.
+    for i, argv in enumerate((["--dim", "4", "--size", "24"],
                               ["--dim", "3", "--size", "16"],
                               ["--dim", "4", "--size", "16"],
                               ["--dim", "3", "--size", "32", "--identity", "integral"])):
@@ -107,6 +108,35 @@ def test_hodge_memory_estimate_covers_the_cold_peak(tmp_path):
         code, needs, peak = json.loads(run.stdout.strip().splitlines()[-1])
         assert code == 0, run.stderr
         assert needs[0] >= peak, argv
+
+
+# Calls the hodge memory guard in a fresh process and prints whether
+# numpy.random was loaded before the call and each time the guard read
+# the resident size.
+RESIDENT_READ = """
+import json, sys
+from grflab import cli
+loaded = "numpy.random" in sys.modules
+seen = []
+def resident():
+    seen.append("numpy.random" in sys.modules)
+    return 0
+cli._resident_memory = resident
+cli._require_hodge_memory({"identity": sys.argv[1], "dim": 3, "size": 16, "refine": False})
+print(json.dumps([loaded, seen]))
+"""
+
+
+@pytest.mark.parametrize("identity", ["all", "adjointness"])
+def test_hodge_memory_guard_loads_numpy_random_before_reading_the_resident_size(
+        identity, tmp_path):
+    # the adjointness check draws its fields with numpy.random, about
+    # 5.4 MiB resident, which the estimate counts in the resident size
+    run = subprocess.run([sys.executable, "-c", RESIDENT_READ, identity],
+                         capture_output=True, text=True, env=_env(), cwd=tmp_path,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == [False, [True]]
 
 
 @pytest.mark.parametrize("name", MODULES)
