@@ -44,12 +44,9 @@ import numpy as np
 
 # The compute modules are imported by the runners that use them, so a
 # command loads only what it runs: after numpy, importing cylinder with
-# odesolve takes 12-17 ms, entropy with warped 12-16 ms and shooting 4-5 ms
-# (five fresh processes, no bytecode cache), which would add to the cold
-# start of every command that needs none of them.  hodge, 15-19 ms the
-# same way, stays here: _random_trig_form below binds one of its
-# functions at module level.
-from . import hodge
+# odesolve takes 12-17 ms, entropy with warped 12-16 ms, hodge 15-19 ms and
+# shooting 4-5 ms (five fresh processes, no bytecode cache), which would
+# add to the cold start of every command that needs none of them.
 from .ioutil import atomic_write_text, to_json_text
 
 ENV_OUTPUT_DIR = "GRFLAB_OUTPUT_DIR"
@@ -478,7 +475,9 @@ def _run_heat_check(cfg: dict) -> str:
     )
 
 
-def _hodge_data(grid: hodge.PeriodicGrid, p: dict):
+def _hodge_data(grid, p: dict):
+    from . import hodge
+
     f, H, ref = hodge.example_fields(grid, p["f_amp"], p["h_amp"])
     if p["data"] == "closed":
         H = hodge.closed_three_form(grid, (p["h_amp"], 0.8 * p["h_amp"]))
@@ -486,7 +485,9 @@ def _hodge_data(grid: hodge.PeriodicGrid, p: dict):
     return f, H, ref
 
 
-def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
+def _one_hodge_report(identity: str, grid, p: dict):
+    from . import hodge
+
     if identity == "adjointness":
         rng = np.random.default_rng(p["seed"])
         gaps = {}
@@ -517,7 +518,10 @@ def _one_hodge_report(identity: str, grid: hodge.PeriodicGrid, p: dict):
 
 
 # module global so that callers (and the benchmark tracer) look it up by name
-_random_trig_form = hodge.random_trig_form
+def _random_trig_form(grid, degree, rng):
+    from . import hodge
+
+    return hodge.random_trig_form(grid, degree, rng)
 
 
 # Peak tracemalloc allocation of hodge-check, measured after one warm-up
@@ -614,6 +618,8 @@ def _require_hodge_memory(p: dict) -> None:
 
 
 def _run_hodge_check(cfg: dict) -> str:
+    from . import hodge
+
     p = cfg["parameters"]
     _require_hodge_memory(p)
     identities = (

@@ -144,9 +144,7 @@ def run_flow(
         raise ValueError("lam_floor must be positive")
     y0 = np.array([initial.lam, initial.h, initial.beta, 0.0])
     problem = OdeProblem(rhs=_rhs, t0=0.0, tmax=tmax, state0=y0)
-    floor_event = EventSpec(
-        lambda t, y: y[0] - lam_floor, direction="falling", terminal=True, name="lam_floor"
-    )
+    floor_event = EventSpec(lambda t, y: y[0] - lam_floor, direction="falling", terminal=True)
     traj = integrate(problem, events=(floor_event,), rtol=rtol, atol=atol)
 
     T_sing = None

@@ -293,7 +293,8 @@ class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
     axis.  `rows` writes any run of axis-0 rows into an array the caller
     owns.  Everywhere else the component is the full array it stands for:
     `__array__` builds that array, the one place it is built, and every
-    ufunc, operator and index goes through it.
+    ufunc and operator goes through it.  Anything else, indexing
+    included, takes np.asarray of the component first.
     """
 
     def __init__(self, prefix: np.ndarray, cos_line: np.ndarray, sin_line: np.ndarray):
@@ -325,12 +326,6 @@ class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
             return NotImplemented  # nothing is written into a component
         inputs = tuple(np.asarray(x) if isinstance(x, TrigComponent) else x for x in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
-
-    def copy(self) -> np.ndarray:
-        return np.asarray(self)
 
 
 @dataclass
@@ -956,12 +951,23 @@ def _require_scalar_and_three_form(f: FormField, H: FormField):
         raise ValueError("fields live on different grids")
 
 
-def _require_closed(H: FormField, tol: float = 1e-8):
-    gap = d(H).sup()
-    scale = max(1.0, H.sup())
-    if gap > tol * scale:
+def _twisted_operator(f: FormField, H: FormField) -> Tuple[FormField, FormField]:
+    """(sigma, operator) for a scalar f and a closed 3-form H: sigma =
+    d*H + i_{grad f} H and operator = dd*H + d*dH + L_{grad f} H.
+
+    H with sup|dH| above 1e-8 max(1, sup|H|) is rejected.  d*H and dH
+    are each computed once and shared by both.
+    """
+    _require_scalar_and_three_form(f, H)
+    dH = d(H)
+    gap = dH.sup()
+    if gap > 1e-8 * max(1.0, H.sup()):
         raise ValueError("H is not closed: sup|dH| = %.3e" % gap)
-    return gap
+    X = gradient(f)
+    dstar = codiff(H)
+    sigma = dstar + interior(X, H)
+    operator = d(dstar) + codiff(dH) + lie(X, H)
+    return sigma, operator
 
 
 def check_suobing(
@@ -994,20 +1000,14 @@ def check_twisted_codiff(f: FormField, H: FormField) -> HodgeReport:
     requiring dH = 0 (rejected otherwise), under which the left side is
     the Hodge Laplacian plus the Lie derivative.
     """
-    _require_scalar_and_three_form(f, H)
-    _require_closed(H)
+    sigma, operator = _twisted_operator(f, H)
     grid = f.grid
     fv = f.comp(())
     ef, emf = np.exp(fv), np.exp(-fv)
 
-    X = gradient(f)
-    sigma = codiff(H) + interior(X, H)
     twisted = ef * codiff(emf * H)
     res_pointwise = (sigma - twisted).sup()
-
-    lhs2 = d(codiff(H)) + codiff(d(H)) + lie(X, H)
-    rhs2 = d(twisted)
-    res_diff = (lhs2 - rhs2).sup()
+    res_diff = (operator - d(twisted)).sup()
 
     return HodgeReport(
         identity="twisted_codifferential",
@@ -1024,16 +1024,11 @@ def check_integral_identity(f: FormField, H: FormField) -> HodgeReport:
     with degree-normalized L^2 pairings on both sides (the raw pairing
     fails by 3!/2!).  Returns both values and their relative gap.
     """
-    _require_scalar_and_three_form(f, H)
-    _require_closed(H)
+    sigma, operator = _twisted_operator(f, H)
     grid = f.grid
     emf = np.exp(-f.comp(()))
 
-    X = gradient(f)
-    sigma = codiff(H) + interior(X, H)
     left = integral(inner_pointwise(sigma, sigma) * emf, grid)
-
-    operator = d(codiff(H)) + codiff(d(H)) + lie(X, H)
     right = integral(inner_pointwise(operator, H) * emf, grid)
 
     scale = max(abs(left), abs(right), 1e-300)

@@ -117,7 +117,6 @@ class EventSpec:
     indicator: Callable[[float, np.ndarray], float]
     direction: str = "any"
     terminal: bool = False
-    name: str = ""
 
     def __post_init__(self):
         if self.direction not in _DIRECTIONS:
@@ -155,10 +154,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def state_end(self) -> np.ndarray:
-        return self.states[-1]
 
 
 class _Step:
@@ -296,8 +291,7 @@ def solve_ivp(
     steps = []
 
     directions = np.array([_DIRECTIONS[e.direction] for e in events])
-    max_events = np.array([1.0 if e.terminal else np.inf for e in events])
-    event_count = np.zeros(len(events))
+    terminal = np.array([e.terminal for e in events], dtype=bool)
     g = [event(t0, y0) for event in events]
     found = []
 
@@ -353,12 +347,11 @@ def solve_ivp(
             g_new = [event(t, y) for event in events]
             active = _active_events(g, g_new, directions)
             if active.size > 0:
-                event_count[active] += 1
                 roots = np.asarray([
                     brentq(lambda s, e=events[i]: e(s, step(s)), t_old, t, xtol=4 * EPS)
                     for i in active
                 ])
-                stopped = event_count[active] >= max_events[active]
+                stopped = terminal[active]
                 if np.any(stopped):
                     order = np.argsort(roots)
                     active, roots = active[order], roots[order]

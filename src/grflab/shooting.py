@@ -156,15 +156,10 @@ def shoot_r3_branch(
         raise ValueError(f"r_max ({r_max:g}) must exceed r_switch ({r_switch:g})")
     start = series_start(r_switch)
     events = (
-        EventSpec(lambda r, y: y[0] - 1.0, direction="rising", name="u_one_up"),
-        EventSpec(lambda r, y: y[1], direction="falling", name="p_zero"),
-        EventSpec(lambda r, y: y[0] - 1.0, direction="falling", name="u_one_down"),
-        EventSpec(
-            lambda r, y: y[0] - delta_floor,
-            direction="falling",
-            terminal=True,
-            name="u_floor",
-        ),
+        EventSpec(lambda r, y: y[0] - 1.0, direction="rising"),
+        EventSpec(lambda r, y: y[1], direction="falling"),
+        EventSpec(lambda r, y: y[0] - 1.0, direction="falling"),
+        EventSpec(lambda r, y: y[0] - delta_floor, direction="falling", terminal=True),
     )
     problem = OdeProblem(
         rhs=_rhs, t0=start.r, tmax=r_max, state0=np.array([start.u, start.p])

@@ -22,7 +22,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .ioutil import Report, atomic_write_text, to_csv_text
+from .ioutil import Report
+from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 
 __all__ = [
     "RadialProfile",
@@ -140,18 +141,6 @@ class ResidualReport(Report):
 
     def _extras(self) -> dict:
         return {"sup": self.sup, "max_abs": self.max_abs}
-
-    def to_csv(self, path: Optional[str] = None) -> str:
-        names = sorted(self.residuals)
-        header = ["r"] + names
-        rows = (
-            [self.grid[i]] + [self.residuals[n][i] for n in names]
-            for i in range(self.grid.size)
-        )
-        text = to_csv_text(header, rows)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
 
 
 def _fields(data: WarpedSolitonData, r: np.ndarray):

@@ -34,7 +34,7 @@ def test_exponential_decay_matches_closed_form():
 
 def test_terminal_event_stops_at_crossing():
     problem = OdeProblem(rhs=lambda t, y: np.ones(1), t0=0.0, tmax=2.0, state0=np.array([0.0]))
-    ev = EventSpec(indicator=lambda t, y: y[0] - 0.5, direction="rising", terminal=True, name="half")
+    ev = EventSpec(indicator=lambda t, y: y[0] - 0.5, direction="rising", terminal=True)
     traj = integrate(problem, events=(ev,))
     assert traj.termination == "event"
     assert abs(traj.t_end - 0.5) < 1e-10
@@ -77,7 +77,7 @@ def test_blowup_ceiling_terminates_run():
     assert traj.events == []  # the sentinel's own crossing is not reported
     # ceiling crossing located where 1/(1-t) = 1e6
     assert abs(traj.t_end - (1.0 - 1e-6)) < 1e-9
-    assert traj.state_end[0] >= 0.99e6
+    assert traj.states[-1][0] >= 0.99e6
 
 
 def test_step_underflow_is_reported():
@@ -158,7 +158,7 @@ def test_linear_ode_matches_exponential(a, y0):
     problem = OdeProblem(rhs=lambda t, y: a * y, t0=0.0, tmax=3.0, state0=np.array([y0]))
     traj = integrate(problem)
     expect = y0 * np.exp(a * 3.0)
-    assert abs(traj.state_end[0] - expect) <= 1e-7 * max(1.0, abs(expect))
+    assert abs(traj.states[-1][0] - expect) <= 1e-7 * max(1.0, abs(expect))
 
 
 # --------------------------------------------------------------------------

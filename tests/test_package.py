@@ -46,6 +46,16 @@ def test_package_root_does_not_import_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_compute_module():
+    # every runner imports the compute modules it uses when it runs
+    code = ("import sys, grflab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('grflab.')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_env(), timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['grflab.cli', 'grflab.ioutil']"
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--help"], 0),  # imports grflab and grflab.cli
     (["soliton-residual"], 0),
