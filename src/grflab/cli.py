@@ -25,7 +25,8 @@ Config layout (all sections optional):
     }
 
 The output directory defaults to $GRFLAB_OUTPUT_DIR, then "grflab_out".
-A sweep file fans out independent runs, each into its own subdirectory:
+A sweep file lists independent runs, done one after another, each into
+its own subdirectory:
 
     {"runs": [{"name": "a", "parameters": {"h0sq": 0.1}}, ...]}
 """
@@ -36,7 +37,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="strict JSON config file")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--dump-config", action="store_true",
-                        help="print the resolved config and exit")
+                        help="print the resolved config (a list with --sweep) and exit")
         sp.add_argument("--sweep", help="JSON sweep file: independent runs")
         if command == "run":
             continue
@@ -719,8 +719,11 @@ def _sweep_runs(command: str, file_cfg, cli_params, out_flag, sweep_path) -> lis
         if unknown:
             raise ConfigError(f"sweep run {i}: unknown key(s) {sorted(unknown)}")
         name = run.get("name", f"run{i:03d}")
-        if not isinstance(name, str) or not name or os.sep in name:
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or os.sep in name):
             raise ConfigError(f"sweep run {i}: bad name")
+        if any(name == used for used, _ in configs):
+            raise ConfigError(f"sweep run {i}: name '{name}' already used")
         cfg = resolve_config(command, file_cfg, cli_params, out_flag)
         overrides = run.get("parameters", {})
         if not isinstance(overrides, dict):
@@ -768,19 +771,17 @@ def _execute(run, *args) -> Tuple[int, object]:
 
 
 def _run_sweep(command: str, runs: list) -> int:
-    """Run the sweep on a small thread pool, print one line per run and
-    return the worst exit status.
+    """Do the runs one after another in sweep order, print one line per
+    run and return the worst exit status.
 
-    hodge-check runs one at a time: each run's memory guard counts all
-    available memory as its own, and the stencils are bandwidth-bound.
+    One run allocates at a time, so each run's memory guard, which counts
+    all available memory as its own, holds for the whole sweep.
     """
-    workers = 1 if command == "hodge-check" else min(4, len(runs))
     worst = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda run: _execute(RUNNERS[command], run[1]), runs)
-        for (name, _), (code, line) in zip(runs, results):
-            print(f"[{name}] {line}")
-            worst = max(worst, code)
+    for name, cfg in runs:
+        code, line = _execute(RUNNERS[command], cfg)
+        print(f"[{name}] {line}")
+        worst = max(worst, code)
     return worst
 
 
@@ -795,13 +796,13 @@ def main(argv=None) -> int:
         print(resolved, file=sys.stderr)
         return code
     command, runs = resolved
+    if args.dump_config:
+        configs = [cfg for _, cfg in runs]
+        sys.stdout.write(to_json_text(configs if args.sweep else configs[0]))
+        return 0
     if args.sweep:
         return _run_sweep(command, runs)
-    cfg = runs[0][1]
-    if args.dump_config:
-        sys.stdout.write(to_json_text(cfg))
-        return 0
-    code, line = _execute(RUNNERS[command], cfg)
+    code, line = _execute(RUNNERS[command], runs[0][1])
     print(line, file=sys.stderr if code else sys.stdout)
     return code
 

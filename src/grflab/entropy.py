@@ -51,7 +51,6 @@ __all__ = [
     "HeatWeightPath",
     "EntropyTrace",
     "conjugate_heat_homogeneous",
-    "mass",
     "entropy_eval",
     "entropy_derivative_check",
     "gaussian_entropy_check",
@@ -125,20 +124,6 @@ def conjugate_heat_homogeneous(
     )
 
 
-def mass(
-    traj: CylinderTrajectory,
-    weights: HeatWeightPath,
-    times=None,
-) -> np.ndarray:
-    """Total weight u(t) V(t), V = 8 pi lam L beta with circle length
-    L = CIRCLE_LENGTH.  Constant in exact arithmetic."""
-    if times is None:
-        times = weights.times
-    times = np.asarray(times, dtype=float)
-    lam, _, beta, _ = traj.state_at(times)
-    return weights.u_at(times) * SPHERE_AREA * lam * CIRCLE_LENGTH * beta
-
-
 @dataclass
 class EntropyTrace:
     """Entropy samples with the two derivative routes and their gap."""
@@ -174,11 +159,13 @@ def _w_values(traj, weights, times):
     times = np.asarray(times, dtype=float)
     tau = weights.T_ref - times
     _check_tau(tau)
-    lam, h = traj.state_at(times)[:2]
+    lam, h, beta, _ = traj.state_at(times)
     u = weights.u_at(times)
     if np.any(u <= 0):
         raise ValueError("entropy needs a positive weight")
-    m = mass(traj, weights, times=times)
+    # total weight u V, V = 8 pi lam L beta with circle length L =
+    # CIRCLE_LENGTH; constant in exact arithmetic
+    m = u * SPHERE_AREA * lam * CIRCLE_LENGTH * beta
     f = -np.log(u) - 1.5 * np.log(4.0 * np.pi * tau)
     W = (tau * (1.0 / lam - 0.5 * h * h) + f - 3.0) * m
     return times, tau, lam, h, m, W

@@ -200,6 +200,21 @@ def test_dump_config_resolves_flags_over_file(invoke, tmp_path):
     assert not (tmp_path / "scratch").exists()  # dump never runs anything
 
 
+def test_dump_config_prints_every_sweep_run_and_runs_none(invoke, tmp_path):
+    sweep = write_config(tmp_path, {
+        "runs": [{"name": "a", "parameters": {"h0sq": 0.1}}, {"name": "b"}],
+    }, name="sweep.json")
+    code, out, err = invoke("blowup", "--h0sq", "0.5", "--dump-config",
+                            "--sweep", sweep, "--out", str(tmp_path / "scratch"))
+    assert code == 0 and err == ""
+    resolved = json.loads(out)
+    assert [cfg["parameters"]["h0sq"] for cfg in resolved] == [0.1, 0.5]
+    assert [cfg["output"]["directory"] for cfg in resolved] == [
+        str(tmp_path / "scratch" / name) for name in ("a", "b")
+    ]
+    assert not (tmp_path / "scratch").exists()
+
+
 def test_grid_tolerance_feeds_the_resolution_parameter(invoke, tmp_path):
     cfg = write_config(tmp_path, {"tolerances": {"grid": 24}})
     code, out, _ = invoke("hodge-check", "--config", cfg, "--dump-config")
@@ -424,14 +439,19 @@ def test_example_report_peak_stays_within_the_memory_estimate():
     assert peak <= cli.EXAMPLE_ARRAYS * 8 * 16**3
 
 
-def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, argv, runs", [
+    ("hodge-check", ("--dim", "4", "--size", "16", "--identity", "adjointness"),
+     [{"seed": seed} for seed in range(4)]),
+    ("cylinder-flow", (), [{"h0sq": h0sq} for h0sq in (0.0, 0.1, 0.3, 0.5)]),
+], ids=["hodge-check", "cylinder-flow"])
+def test_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch, command, argv, runs):
     # memory for 1.5 runs of the 16^4 adjointness check: each run's guard
-    # passes on its own, so the runs must not hold their arrays at once
+    # passes on its own, so no two runs of any sweep may overlap
     one_run = (cli.ADJOINTNESS_ARRAYS * 8 * 16**4 + cli.ADJOINTNESS_SLAB_BYTES
                + cli.HODGE_FIXED_BYTES)
     monkeypatch.setattr(cli, "_resident_memory", lambda: 0)
     monkeypatch.setattr(cli, "_available_memory", lambda: int(1.5 * one_run))
-    run, lock = cli.RUNNERS["hodge-check"], threading.Lock()
+    run, lock = cli.RUNNERS[command], threading.Lock()
     active = most = 0
 
     def counted(cfg):
@@ -440,21 +460,20 @@ def test_hodge_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch):
             active += 1
             most = max(most, active)
         try:
-            time.sleep(0.05)  # long enough for a pooled run to start beside it
+            time.sleep(0.05)  # long enough for a concurrent run to start beside it
             return run(cfg)
         finally:
             with lock:
                 active -= 1
 
-    monkeypatch.setitem(cli.RUNNERS, "hodge-check", counted)
+    monkeypatch.setitem(cli.RUNNERS, command, counted)
     sweep = write_config(tmp_path, {
-        "runs": [{"name": f"s{seed}", "parameters": {"seed": seed}} for seed in range(4)]
+        "runs": [{"name": f"s{i}", "parameters": p} for i, p in enumerate(runs)]
     }, name="sweep.json")
-    code, out, _ = invoke("hodge-check", "--dim", "4", "--size", "16",
-                          "--identity", "adjointness", "--sweep", sweep,
+    code, out, _ = invoke(command, *argv, "--sweep", sweep,
                           "--out", str(tmp_path / "sweep_out"))
     assert code == 0
-    assert out.count("adjointness=") == 4
+    assert [line.split()[0] for line in out.splitlines()] == ["[s0]", "[s1]", "[s2]", "[s3]"]
     assert most == 1
 
 
@@ -556,6 +575,19 @@ def test_sweep_exit_code_is_the_worst_run(invoke, tmp_path):
     }
     assert not (out_dir / "bad").exists()
     assert not (out_dir / "input").exists()
+
+
+@pytest.mark.parametrize("names", [["a", ".."], ["a", "."], ["a", "b", "a"],
+                                   ["run001", None]],
+                         ids=["parent", "self", "repeated", "repeated-default"])
+def test_sweep_rejects_escaping_and_repeated_names(invoke, tmp_path, names):
+    runs = [{} if name is None else {"name": name} for name in names]
+    sweep = write_config(tmp_path, {"runs": runs}, name="sweep.json")
+    out_dir = tmp_path / "deep" / "sweep_out"
+    code, out, err = invoke("blowup", "--sweep", sweep, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: sweep run")
+    assert not (tmp_path / "deep").exists()
 
 
 def test_sweep_rejects_unknown_run_keys(invoke, tmp_path):

@@ -592,6 +592,20 @@ def test_twisted_codiff_rejects_nonclosed_torsion(g4):
         check_twisted_codiff(f, H_bad)
 
 
+def test_twisted_codiff_sees_the_codiff_of_dH(g4):
+    # H closed only to within the 1e-8 bound: with f = 0 the differentiated
+    # residual is exactly the d*dH term, which a closed H leaves at zero
+    f, _, _ = example_fields(g4, 0.0, 0.45)
+    y = g4.coords()[2]
+    H = closed_three_form(g4) + FormField(g4, 3, {(0, 1, 3): 1e-10 * np.sin(2 * y)})
+    assert 0 < d(H).sup() < 1e-8
+    rep = check_twisted_codiff(f, H)
+    assert rep.residuals["pointwise"] == 0.0
+    expected = codiff(d(H)).sup()
+    assert expected > 0
+    assert rep.residuals["differentiated"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_integral_identity_gap_and_bessel_value(g32, g64):
     # independent routes agree to rounding; the value itself converges
     # at 4th order to 4 pi^3 (I0(1) + I1(1))

@@ -47,9 +47,11 @@ def test_package_root_does_not_import_scipy():
 
 
 def test_cli_import_loads_no_compute_module():
-    # every runner imports the compute modules it uses when it runs
+    # every runner imports the compute modules it uses when it runs, and a
+    # sweep runs its runs in the calling thread, with no pool or its logging
     code = ("import sys, grflab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('grflab.')))")
+            "print(sorted(m for m in sys.modules if m.startswith('grflab.')"
+            " or m in ('concurrent.futures', 'logging')))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_env(), timeout=60)
     assert run.returncode == 0, run.stderr
@@ -158,8 +160,6 @@ def test_every_exported_name_resolves(name):
 
 
 def test_cold_sweep_matches_runs_done_alone(tmp_path):
-    # in a fresh process the sweep's pool threads import cylinder for the
-    # first time concurrently
     sweep = tmp_path / "sweep.json"
     runs = {"a": 0.1, "b": 0.5}
     sweep.write_text(json.dumps(
