@@ -17,13 +17,11 @@ from grflab.entropy import (
     entropy_derivative_check,
 )
 
-UNIT_MASS_U0 = 1.0 / (16.0 * math.pi ** 2)
-
 
 def main():
     for h0sq in (0.0, 0.5):
         traj = run_flow(CylinderState(lam=1.0, h=math.sqrt(h0sq), beta=1.0))
-        weights = conjugate_heat_homogeneous(traj, u0=UNIT_MASS_U0)
+        weights = conjugate_heat_homogeneous(traj)
         times = np.linspace(0.05, traj.T_sing - 0.6, 8)
         trace = entropy_derivative_check(traj, weights, dt=1e-4, times=times)
         print(f"== h0^2 = {h0sq}: T_sing = {traj.T_sing:.6f} ==")
@@ -39,7 +37,7 @@ def main():
     # why no torsion run on this family can push dW below zero: per unit
     # mass the formula rearranges into three nonnegative pieces
     traj = run_flow(CylinderState(lam=1.0, h=math.sqrt(0.5), beta=1.0))
-    weights = conjugate_heat_homogeneous(traj, u0=UNIT_MASS_U0)
+    weights = conjugate_heat_homogeneous(traj)
     t = 1.2
     lam, h, _, _ = traj.state_at(t)
     tau = traj.T_sing - t

@@ -78,7 +78,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "h0sq": Param("float", 0.1, "initial torsion h0^2", at_least=0.0),
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
-        "tmax": Param("float", 10.0, "latest flow time"),
+        "tmax": Param("float", 10.0, "latest flow time", above=0.0),
         "lam_floor": Param("float", 1e-8, "collapse detection floor"),
         "dt_out": Param("float", 0.01, "uniform CSV sample step"),
         **_TOL,
@@ -88,7 +88,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "lam0": Param("float", 1.0, "initial sphere scale"),
         "beta0": Param("float", 1.0, "initial circle scale"),
         "samples": Param("int", 18, "geometric sample count", at_least=3),
-        "tmax": Param("float", 10.0, "latest flow time"),
+        "tmax": Param("float", 10.0, "latest flow time", above=0.0),
         **_TOL,
     },
     "torsion": {
@@ -97,7 +97,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "beta0": Param("float", 1.0, "initial circle scale"),
         "psi0": Param("float", None, "crossing threshold"),
         "fit_points": Param("int", 200, "points for the log fit", at_least=2),
-        "tmax": Param("float", 10.0, "latest flow time"),
+        "tmax": Param("float", 10.0, "latest flow time", above=0.0),
         **_TOL,
     },
     "shoot": {
@@ -428,11 +428,7 @@ def _run_entropy(cfg: dict) -> str:
 
     p = cfg["parameters"]
     traj = _flow(p)
-    u0 = p["u0"]
-    if u0 is None:
-        # normalize the conserved total weight to 1
-        u0 = 1.0 / (entropy.SPHERE_AREA * entropy.CIRCLE_LENGTH * p["lam0"] * p["beta0"])
-    weights = entropy.conjugate_heat_homogeneous(traj, u0=u0, T_ref=p["T_ref"])
+    weights = entropy.conjugate_heat_homogeneous(traj, u0=p["u0"], T_ref=p["T_ref"])
     times = None
     if p["t_max"] is not None:
         times = traj.times[traj.times <= p["t_max"]]

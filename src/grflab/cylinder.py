@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ioutil import Report, atomic_write_text, to_csv_text
-from .odesolve import EventSpec, OdeProblem, OdeSolution, brentq, integrate
+from .odesolve import EventSpec, OdeSolution, brentq, integrate
 
 __all__ = [
     "CylinderState",
@@ -143,9 +143,8 @@ def run_flow(
     if not lam_floor > 0:
         raise ValueError("lam_floor must be positive")
     y0 = np.array([initial.lam, initial.h, initial.beta, 0.0])
-    problem = OdeProblem(rhs=_rhs, t0=0.0, tmax=tmax, state0=y0)
     floor_event = EventSpec(lambda t, y: y[0] - lam_floor, direction="falling", terminal=True)
-    traj = integrate(problem, events=(floor_event,), rtol=rtol, atol=atol)
+    traj = integrate(_rhs, (0.0, tmax), y0, events=(floor_event,), rtol=rtol, atol=atol)
 
     T_sing = None
     termination = traj.termination

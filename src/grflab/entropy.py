@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .cylinder import CylinderTrajectory
-from .odesolve import OdeProblem, integrate, solve_ivp
+from .odesolve import integrate, solve_ivp
 from .ioutil import atomic_write_text, to_csv_text
 from .warped import (
     ResidualReport,
@@ -79,7 +79,7 @@ class HeatWeightPath:
 
 def conjugate_heat_homogeneous(
     traj: CylinderTrajectory,
-    u0: float,
+    u0: Optional[float] = None,
     T_ref: Optional[float] = None,
 ) -> HeatWeightPath:
     """Solve u' = (1/lam - (3/2) h^2) u along the trajectory.
@@ -89,9 +89,12 @@ def conjugate_heat_homogeneous(
     flow identity (ln u)' = -(ln lam beta)', so mass conservation stays a
     genuine two-route check downstream.
 
-    T_ref defaults to the detected singular time.  u0 must be positive:
-    the entropy takes log u.
+    u0 defaults to the weight of unit total mass on the initial state,
+    1 / (SPHERE_AREA CIRCLE_LENGTH lam0 beta0).  T_ref defaults to the
+    detected singular time.  u0 must be positive: the entropy takes log u.
     """
+    if u0 is None:
+        u0 = 1.0 / (SPHERE_AREA * CIRCLE_LENGTH * traj.initial.lam * traj.initial.beta)
     u0 = float(u0)
     if not u0 > 0:
         raise ValueError("u0 must be positive")
@@ -198,7 +201,8 @@ def entropy_eval(
 
 
 def _gap_tolerance(dt, tau, W, dW_formula, m, gap) -> float:
-    """Bound on |dW_fd - dW_formula|; raises when the worst gap exceeds it."""
+    """Bound on |dW_fd - dW_formula|; raises when the worst gap exceeds it,
+    is NaN, or the bound itself is not finite."""
     # truncation of the central difference is W''' dt^2 / 6 and the
     # potential contributes mass / tau^3 to W''', hence the tau_min term
     tau_min = float(np.min(tau))
@@ -210,7 +214,8 @@ def _gap_tolerance(dt, tau, W, dW_formula, m, gap) -> float:
     )
     tol = max(1e-6, 10.0 * dt * dt * scale)
     worst = float(np.max(gap))
-    if worst > tol:
+    # a NaN gap or an infinite bound fails too: neither is an agreement
+    if not (math.isfinite(tol) and worst <= tol):
         raise RuntimeError(
             "derivative routes disagree: gap %.3e exceeds tolerance %.3e" % (worst, tol)
         )
@@ -347,7 +352,7 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
     if not a_lo > 0:
         raise ValueError("the weight concentrates before the first sample")
     b_lo = -math.log(2.0 * (1.0 - t_lo) * math.sqrt(a_lo))  # unit mass
-    run = integrate(OdeProblem(rhs, t_lo, t_hi, [a_lo, b_lo]), rtol=1e-12, atol=1e-14)
+    run = integrate(rhs, (t_lo, t_hi), [a_lo, b_lo], rtol=1e-12, atol=1e-14)
     if run.termination != "reached_tmax":
         raise ValueError("Gaussian weight integration ended by " + run.termination)
     a, b = run.sol(stencil)

@@ -8,10 +8,12 @@ control, stage and error sums, interpolant, segment choice and event
 location, so every step, event and dense value equals scipy's bit for
 bit.  brentq is a port of scipy's C Brent root finder.
 
-solve_ivp and integrate both return a Trajectory.  solve_ivp is the bare
-solver; integrate adds the blowup ceiling.  Every run ends with an
-explicit termination label; step-size underflow and state blowup are
-reported, never swallowed.
+solve_ivp and integrate take the same arguments, a right-hand side,
+t_span and y0 and the keywords events, rtol and atol, and both return a
+Trajectory.  solve_ivp is the bare solver and the one place that checks
+its inputs; integrate adds a blowup ceiling and runs with floating-point
+warnings silenced.  Every run ends with an explicit termination label;
+step-size underflow and state blowup are reported, never swallowed.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "OdeProblem",
     "EventSpec",
     "Trajectory",
     "OdeSolution",
@@ -32,6 +33,7 @@ __all__ = [
     "solve_ivp",
     "brentq",
     "RTOL_FLOOR",
+    "BLOWUP_CEILING",
     "TERMINATIONS",
 ]
 
@@ -43,6 +45,8 @@ _DIRECTIONS = {"rising": 1.0, "falling": -1.0, "any": 0.0}
 EPS = np.finfo(float).eps
 # Below 100 eps the local error test asks for more than float64 can give.
 RTOL_FLOOR = 100 * EPS
+# integrate ends a run as a blowup once max|state| passes this
+BLOWUP_CEILING = 1e12
 
 # Dormand-Prince 5(4): nodes C, stage matrix A, fifth-order weights B and
 # the error weights E (fifth minus fourth order, over the six stages and
@@ -81,32 +85,6 @@ _BRENT_RTOL = 4 * EPS
 _BRENT_MAXITER = 100
 
 @dataclass(frozen=True)
-class OdeProblem:
-    """First-order system state' = rhs(t, state) on [t0, tmax].
-
-    rhs must accept (t, state) with state a 1-d float array and return
-    an array of the same shape.
-    """
-
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    t0: float
-    tmax: float
-    state0: np.ndarray
-
-    def __post_init__(self):
-        state0 = np.atleast_1d(np.asarray(self.state0, dtype=float))
-        if state0.ndim != 1 or state0.size < 1:
-            raise ValueError("state0 must be a 1-d vector of dimension >= 1")
-        if not np.all(np.isfinite(state0)):
-            raise ValueError("state0 must be finite")
-        if not (np.isfinite(self.t0) and np.isfinite(self.tmax)):
-            raise ValueError("t0 and tmax must be finite")
-        if not self.tmax > self.t0:
-            raise ValueError("tmax must exceed t0")
-        object.__setattr__(self, "state0", state0)
-
-
-@dataclass(frozen=True)
 class EventSpec:
     """Zero crossing of indicator(t, state) to be located during a run.
 
@@ -123,10 +101,7 @@ class EventSpec:
             raise ValueError(f"direction must be one of {sorted(_DIRECTIONS)}")
 
     def __call__(self, t, y) -> float:
-        # silence overflow chatter near blowups; the ceiling event and the
-        # underflow label carry the diagnosis
-        with np.errstate(all="ignore"):
-            return float(self.indicator(t, y))
+        return float(self.indicator(t, y))
 
 
 @dataclass
@@ -266,15 +241,19 @@ def solve_ivp(
     the run at its first crossing.
     """
     t0, tf = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(tf)):
+        raise ValueError(f"t_span must be finite, got ({t0:g}, {tf:g})")
     if not tf > t0:
-        raise ValueError("t_span must be increasing")
+        raise ValueError(f"t_span must be increasing, got ({t0:g}, {tf:g})")
     if not rtol >= RTOL_FLOOR:
         raise ValueError(f"rtol must be at least 100 eps = {RTOL_FLOOR:.4g}, got {rtol:.4g}")
-    if not atol >= 0:
-        raise ValueError("atol must be nonnegative")
+    if not atol > 0:
+        raise ValueError(f"atol must be positive, got {atol:.4g}")
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim != 1 or not np.all(np.isfinite(y0)):
-        raise ValueError("y0 must be a finite 1-d vector")
+    if y0.ndim != 1 or y0.size == 0:
+        raise ValueError(f"y0 must be a nonempty 1-d vector, got shape {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError(f"y0 must be finite, got {y0}")
 
     def rhs(t, y):
         out = np.asarray(fun(t, y), dtype=float)
@@ -456,50 +435,31 @@ def brentq(f, a, b, xtol: float = 2e-12) -> float:
     raise RuntimeError(f"brentq did not converge in {_BRENT_MAXITER} iterations; last x = {xcur!r}")
 
 
-def _quiet(rhs):
-    def wrapped(t, y):
-        # silence transient overflow chatter near blowups; the ceiling
-        # event / underflow label carry the actual diagnosis
-        with np.errstate(all="ignore"):
-            return rhs(t, y)
-
-    return wrapped
-
-
 def integrate(
-    problem: OdeProblem,
+    rhs,
+    t_span,
+    y0,
+    *,
     events: Sequence[EventSpec] = (),
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    blowup_ceiling: float = 1e12,
 ) -> Trajectory:
-    """Integrate problem with embedded-pair adaptive stepping.
+    """solve_ivp with a terminal blowup-ceiling event, run quietly.
 
-    solve_ivp with a quiet rhs and a terminal blowup-ceiling event.  Local
-    error per step is controlled by rtol*|state| + atol, with rtol at
-    least RTOL_FLOOR.  The run terminates at tmax, at the first terminal
-    event, when max|state| exceeds blowup_ceiling, or when the adaptive
-    step underflows; the outcome is recorded in Trajectory.termination.
-    The ceiling's own crossings are left out of Trajectory.events.
-    Stepping is deterministic: identical inputs give identical output.
+    Takes solve_ivp's arguments with tighter default tolerances.  The run
+    terminates at tf, at the first terminal event, when max|state|
+    exceeds BLOWUP_CEILING (termination "blowup"), or when the adaptive
+    step underflows.  The ceiling's own crossings are left out of
+    Trajectory.events.  Floating-point warnings are silenced for the
+    whole run: near a blowup the arithmetic overflows on the way, and the
+    termination label carries the diagnosis.
     """
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("rtol and atol must be positive")
-    if not blowup_ceiling > 0:
-        raise ValueError("blowup_ceiling must be positive")
-
     # sentinel: |state|_inf crossing the ceiling from below, terminal
     ceiling = EventSpec(
-        lambda t, y: blowup_ceiling - float(np.max(np.abs(y))), "falling", True
+        lambda t, y: BLOWUP_CEILING - float(np.max(np.abs(y))), "falling", True
     )
-    traj = solve_ivp(
-        _quiet(problem.rhs),
-        (problem.t0, problem.tmax),
-        problem.state0,
-        events=(*events, ceiling),
-        rtol=rtol,
-        atol=atol,
-    )
+    with np.errstate(all="ignore"):
+        traj = solve_ivp(rhs, t_span, y0, events=(*events, ceiling), rtol=rtol, atol=atol)
 
     # a terminal event stopped the run; the ceiling sentinel wins the
     # label only if it is the one that fired at the end time

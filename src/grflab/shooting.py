@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ioutil import Report, atomic_write_text, to_csv_text
-from .odesolve import EventSpec, OdeProblem, Trajectory, integrate
+from .odesolve import EventSpec, Trajectory, integrate
 
 __all__ = [
     "PhaseState",
@@ -161,10 +161,8 @@ def shoot_r3_branch(
         EventSpec(lambda r, y: y[0] - 1.0, direction="falling"),
         EventSpec(lambda r, y: y[0] - delta_floor, direction="falling", terminal=True),
     )
-    problem = OdeProblem(
-        rhs=_rhs, t0=start.r, tmax=r_max, state0=np.array([start.u, start.p])
-    )
-    traj = integrate(problem, events=events, rtol=rtol, atol=atol)
+    traj = integrate(_rhs, (start.r, r_max), [start.u, start.p],
+                     events=events, rtol=rtol, atol=atol)
 
     firsts: list = [None, None, None, None]
     u_top = None

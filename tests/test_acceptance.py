@@ -199,11 +199,10 @@ def test_criterion_6_shooting_certificate():
 
 def test_criterion_7_entropy_machinery():
     start = time.perf_counter()
-    unit_mass = 1.0 / (16.0 * math.pi ** 2)
 
     # torsion-free run: conservation, derivative gap, monotone formula
     ricci = run_flow(CylinderState(1.0, 0.0, 1.0))
-    weights = conjugate_heat_homogeneous(ricci, u0=unit_mass)
+    weights = conjugate_heat_homogeneous(ricci)
     trace = entropy_derivative_check(
         ricci, weights, dt=1e-4, times=np.linspace(0.05, 0.85, 17)
     )
@@ -234,7 +233,7 @@ def test_criterion_7_entropy_machinery():
     hom_argmin = None
     for h0sq in (0.1, 0.3, 0.5, 0.7, 1.0, 1.5):
         traj = run_flow(CylinderState(1.0, math.sqrt(h0sq), 1.0))
-        w_sing = conjugate_heat_homogeneous(traj, u0=unit_mass, T_ref=traj.T_sing)
+        w_sing = conjugate_heat_homogeneous(traj, T_ref=traj.T_sing)
         for stretch in (1.0, 2.0):
             T_ref = traj.T_sing * stretch
             w = dataclasses.replace(w_sing, T_ref=T_ref)

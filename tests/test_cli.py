@@ -11,6 +11,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -477,12 +478,27 @@ def test_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch, command, argv, 
     assert most == 1
 
 
+def test_underflowing_flow_prints_only_its_failure(invoke, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke("cylinder-flow", "--lam0", "1e-300", "--out", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == "numerical failure: flow terminated with step_underflow\n"
+
+
 def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     code, out, err = invoke("blowup", "--tmax", "0.05", "--out", str(tmp_path))
     assert code == 3
     assert err.startswith("numerical failure:")
     assert "collapse" in err
     assert not (tmp_path / "blowup.json").exists()
+
+
+# the config error that names the rejected parameter
+REJECTED_BY_NAME = {
+    (command, "--tmax", value): f"{command}: parameter 'tmax' must be greater than 0"
+    for command, value in (("cylinder-flow", "-1"), ("blowup", "0"), ("torsion", "-1"))
+}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -520,11 +536,18 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
       for argv in (("--identity", "integral", "--h-amp", "1e200"),
                    ("--identity", "integral", "--f-amp", "700"),
                    ("--identity", "divh2", "--h-amp", "1e200"))],
+    # tau near 1e308 overflows W: every derivative gap is NaN, which is no
+    # agreement
+    pytest.param(("entropy", "--h0sq", "0.5", "--T-ref", "1e308"), 3,
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (("blowup", "--tmax", "0"), 2),
+    (("torsion", "--tmax", "-1"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
     code, out, err = invoke(*argv, "--out", str(out_dir))
     assert code == expected and out == ""
+    assert REJECTED_BY_NAME.get(argv, "") in err
     assert not out_dir.exists()
 
 

@@ -1,5 +1,7 @@
 """Homogeneous cylinder flow: closed forms, invariants, blowup, torsion."""
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +106,15 @@ def test_no_collapse_within_short_horizon():
     traj = run_flow(CylinderState(1.0, 0.3, 1.0), tmax=0.1)
     assert traj.termination == "reached_tmax"
     assert traj.T_sing is None
+
+
+def test_underflowing_run_is_quiet():
+    # lambda0 = 1e-300 overflows the rhs on the first stages; the run ends
+    # on its underflow label without a floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_flow(CylinderState(1e-300, math.sqrt(0.1), 1.0))
+    assert traj.termination == "step_underflow"
 
 
 @pytest.mark.parametrize("h0sq", [0.1, 0.3, 0.7])

@@ -16,9 +16,6 @@ from grflab.entropy import (
 )
 from grflab.warped import RadialProfile, WarpedSolitonData, cylinder_soliton, gaussian_shrinker
 
-MASS1_U0 = 1.0 / (16.0 * np.pi**2)  # unit initial mass at lambda0 = beta0 = 1
-
-
 @pytest.fixture(scope="module")
 def flow_ricci():
     return run_flow(CylinderState(1.0, 0.0, 1.0))
@@ -31,26 +28,29 @@ def flow_half():
 
 @pytest.fixture(scope="module")
 def weights_ricci(flow_ricci):
-    return conjugate_heat_homogeneous(flow_ricci, u0=MASS1_U0, T_ref=1.0)
+    return conjugate_heat_homogeneous(flow_ricci, T_ref=1.0)
 
 
 @pytest.fixture(scope="module")
 def weights_half(flow_half):
-    return conjugate_heat_homogeneous(flow_half, u0=MASS1_U0, T_ref=2.0)
+    return conjugate_heat_homogeneous(flow_half, T_ref=2.0)
 
 
 def test_conjugate_heat_closed_forms(flow_ricci, flow_half, weights_ricci, weights_half):
+    # the default u0 gives unit initial mass: 1/(16 pi^2) at lambda0 = beta0 = 1
+    u0 = 1.0 / (16.0 * np.pi**2)
+    assert weights_ricci.u[0] == weights_half.u[0] == u0
     # h0 = 0: u = u0/(1-t); h0^2 = 1/2: u = u0 (1 - t/2)^{-1/2}
     ts = np.linspace(0.0, 0.9, 91)
-    assert np.abs(weights_ricci.u_at(ts) - MASS1_U0 / (1.0 - ts)).max() / MASS1_U0 < 1e-9
+    assert np.abs(weights_ricci.u_at(ts) - u0 / (1.0 - ts)).max() / u0 < 1e-9
     ts = np.linspace(0.0, 1.9, 96)
-    assert np.abs(weights_half.u_at(ts) - MASS1_U0 * (1.0 - ts / 2.0) ** -0.5).max() / MASS1_U0 < 1e-9
+    assert np.abs(weights_half.u_at(ts) - u0 * (1.0 - ts / 2.0) ** -0.5).max() / u0 < 1e-9
 
 
 @pytest.mark.parametrize("h0sq", [0.0, 0.1, 0.5])
 def test_mass_is_conserved(h0sq):
     traj = run_flow(CylinderState(1.0, np.sqrt(h0sq), 1.0))
-    weights = conjugate_heat_homogeneous(traj, u0=MASS1_U0)
+    weights = conjugate_heat_homogeneous(traj)
     times = np.linspace(0.0, traj.T_sing - 0.3, 25)
     trace = entropy_eval(traj, weights, times=times)
     assert np.abs(trace.mass - trace.mass[0]).max() / trace.mass[0] < 1e-9
@@ -90,9 +90,17 @@ def test_derivative_check_gap_small(flow_ricci, weights_ricci):
 def test_gap_above_its_bound_is_a_runtime_error(flow_ricci, weights_ricci):
     # a constant weight does not solve the conjugate heat equation, so the
     # finite difference of W leaves the curvature formula by O(1)
-    frozen = dataclasses.replace(weights_ricci, _dense=lambda t: np.full_like(t, MASS1_U0))
+    frozen = dataclasses.replace(weights_ricci, _dense=lambda t: np.full_like(t, weights_ricci.u[0]))
     with pytest.raises(RuntimeError, match="derivative routes disagree"):
         entropy_derivative_check(flow_ricci, frozen, times=np.linspace(0.1, 0.8, 15))
+
+
+def test_nan_gap_is_a_runtime_error(flow_half, weights_half):
+    # tau near 1e308 overflows W to -inf: every gap is NaN and the bound
+    # inf, and neither may pass as an agreement
+    far = dataclasses.replace(weights_half, T_ref=1e308)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="derivative routes disagree"):
+        entropy_derivative_check(flow_half, far, times=np.linspace(0.1, 1.5, 15))
 
 
 def test_derivative_check_fd_order(flow_ricci):
@@ -125,7 +133,7 @@ def test_formula_derivative_positivity_identity(flow_half, weights_half):
 @pytest.mark.parametrize("h0sq", [0.0, 0.1, 0.5, 1.5])
 def test_formula_derivative_never_negative(h0sq):
     traj = run_flow(CylinderState(1.0, np.sqrt(h0sq), 1.0))
-    weights = conjugate_heat_homogeneous(traj, u0=MASS1_U0)
+    weights = conjugate_heat_homogeneous(traj)
     times = np.linspace(0.05, traj.T_sing - 0.3, 20)
     trace = entropy_derivative_check(traj, weights, dt=1e-4, times=times)
     assert trace.dW_formula.min() > 0.0

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from grflab import cylinder, entropy, odesolve, shooting
 from grflab.odesolve import (
+    BLOWUP_CEILING,
     RTOL_FLOOR,
     TERMINATIONS,
     EventSpec,
-    OdeProblem,
     Trajectory,
     brentq,
     integrate,
@@ -20,8 +20,7 @@ SCIPY = f"scipy {scipy.__version__}"
 
 
 def test_exponential_decay_matches_closed_form():
-    problem = OdeProblem(rhs=lambda t, y: -y, t0=0.0, tmax=5.0, state0=np.array([1.0]))
-    traj = integrate(problem)
+    traj = integrate(lambda t, y: -y, (0.0, 5.0), [1.0])
     assert traj.termination == "reached_tmax"
     assert traj.t_end == 5.0
     # accepted steps and the dense interpolant both track e^{-t}
@@ -33,9 +32,8 @@ def test_exponential_decay_matches_closed_form():
 
 
 def test_terminal_event_stops_at_crossing():
-    problem = OdeProblem(rhs=lambda t, y: np.ones(1), t0=0.0, tmax=2.0, state0=np.array([0.0]))
     ev = EventSpec(indicator=lambda t, y: y[0] - 0.5, direction="rising", terminal=True)
-    traj = integrate(problem, events=(ev,))
+    traj = integrate(lambda t, y: np.ones(1), (0.0, 2.0), [0.0], events=(ev,))
     assert traj.termination == "event"
     assert abs(traj.t_end - 0.5) < 1e-10
     t_ev, y_ev, idx = traj.events[0]
@@ -47,18 +45,12 @@ def test_terminal_event_stops_at_crossing():
 def test_event_directions_on_oscillator():
     # state (y, y'), y = sin t: falling zeros at odd multiples of pi,
     # rising at even ones (t0 sits on a rising zero and counts)
-    problem = OdeProblem(
-        rhs=lambda t, y: np.array([y[1], -y[0]]),
-        t0=0.0,
-        tmax=14.0,
-        state0=np.array([0.0, 1.0]),
-    )
-    def zero(t, y):
-        return y[0]
+    def oscillator(direction):
+        event = EventSpec(indicator=lambda t, y: y[0], direction=direction)
+        return integrate(lambda t, y: np.array([y[1], -y[0]]), (0.0, 14.0), [0.0, 1.0],
+                         events=(event,))
 
-    rising = integrate(problem, events=(EventSpec(indicator=zero, direction="rising"),))
-    falling = integrate(problem, events=(EventSpec(indicator=zero, direction="falling"),))
-    both = integrate(problem, events=(EventSpec(indicator=zero, direction="any"),))
+    rising, falling, both = map(oscillator, ("rising", "falling", "any"))
 
     t_rise = [t for t, _, _ in rising.events]
     t_fall = [t for t, _, _ in falling.events]
@@ -71,66 +63,65 @@ def test_event_directions_on_oscillator():
 
 def test_blowup_ceiling_terminates_run():
     # y' = y^2 from 1 blows up at t = 1; y = 1/(1-t)
-    problem = OdeProblem(rhs=lambda t, y: y * y, t0=0.0, tmax=2.0, state0=np.array([1.0]))
-    traj = integrate(problem, blowup_ceiling=1e6)
+    traj = integrate(lambda t, y: y * y, (0.0, 2.0), [1.0])
     assert traj.termination == "blowup"
     assert traj.events == []  # the sentinel's own crossing is not reported
-    # ceiling crossing located where 1/(1-t) = 1e6
-    assert abs(traj.t_end - (1.0 - 1e-6)) < 1e-9
-    assert traj.states[-1][0] >= 0.99e6
+    # ceiling crossing located where 1/(1-t) = 1e12
+    assert abs(traj.t_end - (1.0 - 1.0 / BLOWUP_CEILING)) < 1e-10
+    assert traj.states[-1][0] >= 0.99 * BLOWUP_CEILING
 
 
 def test_step_underflow_is_reported():
     # integrable blowup of the rhs itself; the adaptive step collapses
     # approaching t = 1/2 and the failure must be labeled, not raised
-    problem = OdeProblem(
-        rhs=lambda t, y: np.array([1.0 / (0.5 - t)]), t0=0.0, tmax=1.0, state0=np.array([0.0])
-    )
-    traj = integrate(problem)
+    traj = integrate(lambda t, y: np.array([1.0 / (0.5 - t)]), (0.0, 1.0), [0.0])
     assert traj.termination == "step_underflow"
     assert abs(traj.t_end - 0.5) < 1e-6
 
 
 def test_determinism_bitwise():
-    problem = OdeProblem(
-        rhs=lambda t, y: np.array([y[1], -np.sin(y[0])]),
-        t0=0.0,
-        tmax=10.0,
-        state0=np.array([1.0, 0.0]),
-    )
-    a = integrate(problem)
-    b = integrate(problem)
+    problem = (lambda t, y: np.array([y[1], -np.sin(y[0])]), (0.0, 10.0), [1.0, 0.0])
+    a = integrate(*problem)
+    b = integrate(*problem)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert a.nfev == b.nfev
 
 
+def decay(t, y):
+    return -y
+
+
 def test_problem_validation():
-    ok = dict(rhs=lambda t, y: -y, t0=0.0, tmax=1.0, state0=np.array([1.0]))
-    with pytest.raises(ValueError):
-        OdeProblem(**{**ok, "tmax": 0.0})
-    with pytest.raises(ValueError):
-        OdeProblem(**{**ok, "state0": np.array([np.nan])})
-    with pytest.raises(ValueError):
-        OdeProblem(**{**ok, "state0": np.ones((2, 2))})
-    with pytest.raises(ValueError):
-        OdeProblem(**{**ok, "t0": np.inf, "tmax": np.inf})
+    # solve_ivp checks the inputs of both; each message names the value
+    for solve in (integrate, odesolve.solve_ivp):
+        with pytest.raises(ValueError, match=r"increasing, got \(0, 0\)"):
+            solve(decay, (0.0, 0.0), [1.0])
+        with pytest.raises(ValueError, match="finite, got .*nan"):
+            solve(decay, (0.0, 1.0), [np.nan])
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            solve(decay, (0.0, 1.0), np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"finite, got \(inf, inf\)"):
+            solve(decay, (np.inf, np.inf), [1.0])
+        with pytest.raises(ValueError, match=r"finite, got \(0, inf\)"):
+            solve(decay, (0.0, np.inf), [1.0])
+        with pytest.raises(ValueError, match=r"got shape \(0,\)"):
+            solve(decay, (0.0, 1.0), [])
 
 
 def test_integrate_validation():
-    problem = OdeProblem(rhs=lambda t, y: -y, t0=0.0, tmax=1.0, state0=np.array([1.0]))
-    with pytest.raises(ValueError):
-        integrate(problem, rtol=0.0)
-    with pytest.raises(ValueError):
-        integrate(problem, atol=-1.0)
-    with pytest.raises(ValueError):
-        integrate(problem, blowup_ceiling=0.0)
+    with pytest.raises(ValueError, match="got 0"):
+        integrate(decay, (0.0, 1.0), [1.0], rtol=0.0)
+    with pytest.raises(ValueError, match="atol must be positive, got -1"):
+        integrate(decay, (0.0, 1.0), [1.0], atol=-1.0)
+    with pytest.raises(ValueError, match="atol must be positive, got 0"):
+        odesolve.solve_ivp(decay, (0.0, 1.0), [1.0], atol=0.0)
     # a tolerance below the floor is refused, not clamped to it
     with pytest.raises(ValueError, match="100 eps"):
-        integrate(problem, rtol=0.5 * RTOL_FLOOR)
+        integrate(decay, (0.0, 1.0), [1.0], rtol=0.5 * RTOL_FLOOR)
     with pytest.raises(ValueError, match="100 eps"):
-        odesolve.solve_ivp(problem.rhs, (0.0, 1.0), [1.0], rtol=1e-20)
-    integrate(problem, rtol=RTOL_FLOOR)
+        odesolve.solve_ivp(decay, (0.0, 1.0), [1.0], rtol=1e-20)
+    integrate(decay, (0.0, 1.0), [1.0], rtol=RTOL_FLOOR)
     with pytest.raises(ValueError):
         EventSpec(indicator=lambda t, y: y[0], direction="up")
     with pytest.raises(ValueError):
@@ -140,9 +131,8 @@ def test_integrate_validation():
             events=[],
             termination="exploded",
         )
-    bad_shape = OdeProblem(rhs=lambda t, y: np.zeros(3), t0=0.0, tmax=1.0, state0=np.array([1.0]))
-    with pytest.raises(ValueError):
-        integrate(bad_shape)
+    with pytest.raises(ValueError, match="rhs returned shape"):
+        integrate(lambda t, y: np.zeros(3), (0.0, 1.0), [1.0])
 
 
 def test_termination_labels_are_closed_set():
@@ -155,8 +145,7 @@ def test_termination_labels_are_closed_set():
     y0=st.floats(min_value=0.5, max_value=2.0),
 )
 def test_linear_ode_matches_exponential(a, y0):
-    problem = OdeProblem(rhs=lambda t, y: a * y, t0=0.0, tmax=3.0, state0=np.array([y0]))
-    traj = integrate(problem)
+    traj = integrate(lambda t, y: a * y, (0.0, 3.0), [y0])
     expect = y0 * np.exp(a * 3.0)
     assert abs(traj.states[-1][0] - expect) <= 1e-7 * max(1.0, abs(expect))
 
@@ -240,24 +229,22 @@ def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
     # a source switched on at t = 1: the step that straddles the switch
     # misses the tolerance by far more than 5x, so the step shrinks by
     # MIN_FACTOR; none of the lab's own runs rejects a step that hard
-    problem = OdeProblem(
-        rhs=lambda t, y: np.array([1e6 if t > 1.0 else 0.0]), t0=0.0, tmax=2.0,
-        state0=np.array([0.0]),
-    )
-    (call,) = recorded_solves(odesolve, lambda: integrate(problem))
+    def jump(t, y):
+        return np.array([1e6 if t > 1.0 else 0.0])
+
+    (call,) = recorded_solves(odesolve, lambda: integrate(jump, (0.0, 2.0), [0.0]))
     assert_same_run(*scipy_twin(*call))
 
 
 def test_crossings_within_one_step_sort_by_time_then_index(recorded_solves, scipy_twin):
     # y = t: the last step spans [0.111, 1] and holds every crossing; index 0
     # crosses last, and indices 1 and 2 tie
-    problem = OdeProblem(rhs=lambda t, y: np.ones(1), t0=0.0, tmax=1.0, state0=np.array([0.0]))
     late = EventSpec(lambda t, y: y[0] - 0.6)
     early = EventSpec(lambda t, y: y[0] - 0.3)
     runs = []
-    (call,) = recorded_solves(
-        odesolve, lambda: runs.append(integrate(problem, events=(late, early, early)))
-    )
+    (call,) = recorded_solves(odesolve, lambda: runs.append(
+        integrate(lambda t, y: np.ones(1), (0.0, 1.0), [0.0], events=(late, early, early))
+    ))
     assert_same_run(*scipy_twin(*call))
     traj = runs[0]
     assert traj.times[-2] < 0.3
@@ -270,12 +257,13 @@ def test_terminal_crossing_at_a_step_start_matches_scipy(recorded_solves, scipy_
     # out of it: the rising terminal event's root is the next step's start,
     # so the run ends at t_k without that step.  At t0 (k = 0) the step is
     # kept and t0 appears twice, as in scipy.
-    problem = OdeProblem(rhs=lambda t, y: -y, t0=0.0, tmax=5.0, state0=np.array([1.0]))
-    free = integrate(problem)
+    free = integrate(decay, (0.0, 5.0), [1.0])
     t_k = free.times[k]
     touch = EventSpec(lambda t, y: abs(t - t_k), direction="rising", terminal=True)
     runs = []
-    (call,) = recorded_solves(odesolve, lambda: runs.append(integrate(problem, events=(touch,))))
+    (call,) = recorded_solves(
+        odesolve, lambda: runs.append(integrate(decay, (0.0, 5.0), [1.0], events=(touch,)))
+    )
     ours, ref = scipy_twin(*call)
     assert_same_run(ours, ref)
     traj = runs[0]
