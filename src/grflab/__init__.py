@@ -9,8 +9,8 @@ The package root exports nothing; import from the modules:
 * warped: explicit warped-product solitons and their residuals
 * entropy: shrinking entropy, conjugate-heat weights, pointwise checks
 * hodge: discrete exterior calculus oracle for the form identities
-* cli: configuration-driven command-line front end
-* ioutil: atomic writes, deterministic JSON/CSV formatting
+* cli: configuration-driven command-line front end, the one file writer
+* ioutil: deterministic JSON/CSV text and the atomic write the cli calls
 """
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ioutil import Report, atomic_write_text, to_csv_text
+from .ioutil import Report, to_csv_text
+from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 from .odesolve import EventSpec, OdeSolution, brentq, integrate
 
 __all__ = [
@@ -110,7 +111,7 @@ class CylinderTrajectory:
         """Dense-output states, shape (4,) or (4, len(t))."""
         return self.sol(t)
 
-    def to_csv(self, path: Optional[str] = None, dt_out: Optional[float] = None) -> str:
+    def to_csv(self, dt_out: Optional[float] = None) -> str:
         """Trajectory table; dt_out switches to a uniform sample grid."""
         if dt_out is None:
             ts = self.times
@@ -122,14 +123,10 @@ class CylinderTrajectory:
             ys = self.state_at(ts)
         lam, h, beta, torsion = ys
         lh2 = lam * h**2
-        rows = zip(ts, lam, h, beta, lh2, 0.5 - lh2, lam * h * beta, torsion)
-        text = to_csv_text(
-            ["t", "lambda", "h", "beta", "lambda_h2", "u", "lambda_h_beta", "torsion_integral"],
-            rows,
-        )
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+        return to_csv_text({
+            "t": ts, "lambda": lam, "h": h, "beta": beta, "lambda_h2": lh2,
+            "u": 0.5 - lh2, "lambda_h_beta": lam * h * beta, "torsion_integral": torsion,
+        })
 
 
 def run_flow(

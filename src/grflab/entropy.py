@@ -35,7 +35,8 @@ import numpy as np
 
 from .cylinder import CylinderTrajectory
 from .odesolve import integrate, solve_ivp
-from .ioutil import atomic_write_text, to_csv_text
+from .ioutil import to_csv_text
+from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 from .warped import (
     ResidualReport,
     WarpedSolitonData,
@@ -91,13 +92,16 @@ def conjugate_heat_homogeneous(
 
     u0 defaults to the weight of unit total mass on the initial state,
     1 / (SPHERE_AREA CIRCLE_LENGTH lam0 beta0).  T_ref defaults to the
-    detected singular time.  u0 must be positive: the entropy takes log u.
+    detected singular time.  u0 must be positive, as the entropy takes log u,
+    and above about 2.5e-310, where the solve's atol u0 * 1e-14 underflows.
     """
     if u0 is None:
         u0 = 1.0 / (SPHERE_AREA * CIRCLE_LENGTH * traj.initial.lam * traj.initial.beta)
     u0 = float(u0)
     if not u0 > 0:
         raise ValueError("u0 must be positive")
+    if not u0 * 1e-14 > 0:
+        raise ValueError("u0 is too small: its solver tolerance u0 * 1e-14 underflows to 0")
     if T_ref is None:
         if traj.T_sing is None:
             raise RuntimeError("flow did not collapse; pass an explicit T_ref")
@@ -140,17 +144,11 @@ class EntropyTrace:
     mass: np.ndarray
     tolerance: Optional[float] = None
 
-    def to_csv(self, path: Optional[str] = None) -> str:
-        header = ["t", "tau", "W", "dW_fd", "dW_formula", "gap"]
-        rows = (
-            [self.times[i], self.tau[i], self.W[i], self.dW_fd[i],
-             self.dW_formula[i], self.gap[i]]
-            for i in range(self.times.size)
-        )
-        text = to_csv_text(header, rows)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+    def to_csv(self) -> str:
+        return to_csv_text({
+            "t": self.times, "tau": self.tau, "W": self.W, "dW_fd": self.dW_fd,
+            "dW_formula": self.dW_formula, "gap": self.gap,
+        })
 
 
 def _check_tau(tau: np.ndarray):
@@ -178,16 +176,24 @@ def entropy_eval(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
     times=None,
+    t_max: Optional[float] = None,
 ) -> EntropyTrace:
     """Shrinking entropy along the flow, tau = weights.T_ref - t.
 
     Homogeneous reduction: W = [tau (1/lam - h^2/2) + f - 3] mass with
     f = -ln u - (3/2) ln(4 pi tau).  Only W is filled; the derivative
-    columns are NaN until entropy_derivative_check runs.
+    columns are NaN until entropy_derivative_check runs.  The default
+    samples are the weight's, up to t_max.  Raises RuntimeError when W or
+    the mass is not finite.
     """
     if times is None:
-        times = weights.times
-    times, tau, _, _, m, W = _w_values(traj, weights, times)
+        times = weights.times if t_max is None else weights.times[weights.times <= t_max]
+    if np.size(times) == 0:
+        raise ValueError("no sample times")
+    with np.errstate(all="ignore"):  # a W that is not finite fails below
+        times, tau, _, _, m, W = _w_values(traj, weights, times)
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(m))):
+        raise RuntimeError("entropy or mass is not finite on the samples")
     nan = np.full_like(W, np.nan)
     return EntropyTrace(
         times=times,
@@ -227,6 +233,7 @@ def entropy_derivative_check(
     weights: HeatWeightPath,
     dt: float = 1e-4,
     times=None,
+    t_max: Optional[float] = None,
 ) -> EntropyTrace:
     """Central finite difference of W against the curvature formula,
     tau = weights.T_ref - t.
@@ -235,19 +242,21 @@ def entropy_derivative_check(
     A_s = 1/(2 lam) - h^2/2 - 1/(2 tau) on the two sphere directions and
     A_r = -h^2/2 - 1/(2 tau) on the circle direction; the -h^2 term is
     -|H|^2/6, and the homogeneous reduction kills the twisted-flux term.
-    Raises RuntimeError if the worst gap exceeds max(1e-6, 10 dt^2 scale).
+    Raises RuntimeError if the worst gap exceeds max(1e-6, 10 dt^2 scale)
+    or is NaN.  t_max caps the default window; explicit times override it.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     t0, t1 = float(weights.times[0]), float(traj.t_end)
     if times is None:
-        # default window keeps tau well clear of the step so the central
-        # difference stays meaningful; explicit times override
+        # tau well clear of the step keeps the central difference meaningful
         keep = (
             (weights.times - dt >= t0)
             & (weights.times + dt <= t1)
             & (weights.T_ref - weights.times >= 50.0 * dt)
         )
+        if t_max is not None:
+            keep &= weights.times <= t_max
         times = weights.times[keep]
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -255,17 +264,18 @@ def entropy_derivative_check(
     if np.any(times - dt < t0) or np.any(times + dt > t1):
         raise ValueError("finite-difference stencil leaves the trajectory")
 
-    times, tau, lam, h, m, W = _w_values(traj, weights, times)
-    Wp = _w_values(traj, weights, times + dt)[5]
-    Wm = _w_values(traj, weights, times - dt)[5]
-    dW_fd = (Wp - Wm) / (2.0 * dt)
+    with np.errstate(all="ignore"):  # an overflow fails as a NaN gap
+        times, tau, lam, h, m, W = _w_values(traj, weights, times)
+        Wp = _w_values(traj, weights, times + dt)[5]
+        Wm = _w_values(traj, weights, times - dt)[5]
+        dW_fd = (Wp - Wm) / (2.0 * dt)
 
-    h2 = h * h
-    A_s = 0.5 / lam - 0.5 * h2 - 0.5 / tau
-    A_r = -0.5 * h2 - 0.5 / tau
-    dW_formula = (2.0 * tau * (2.0 * A_s**2 + A_r**2) - h2) * m
+        h2 = h * h
+        A_s = 0.5 / lam - 0.5 * h2 - 0.5 / tau
+        A_r = -0.5 * h2 - 0.5 / tau
+        dW_formula = (2.0 * tau * (2.0 * A_s**2 + A_r**2) - h2) * m
 
-    gap = np.abs(dW_fd - dW_formula)
+        gap = np.abs(dW_fd - dW_formula)
     tol = _gap_tolerance(dt, tau, W, dW_formula, m, gap)
     return EntropyTrace(
         times=times,

@@ -1,8 +1,9 @@
 """Serialization helpers shared by the report types and the CLI.
 
-All file writes are atomic (temp file in the target directory, then
-rename) and all floats are emitted with 17 significant digits so that
-runs are byte-reproducible.
+The library only formats: a report's to_json and a table's to_csv return
+their text, and the CLI is the one caller of atomic_write_text (temp file
+in the target directory, then rename).  Floats are emitted with 17
+significant digits so that runs are byte-reproducible.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import dataclasses
 import json
 import os
 import tempfile
-from typing import Iterable, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,10 +38,12 @@ def to_json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def to_csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV with '.' decimal separator and '\\n' line endings."""
-    lines = [",".join(header)]
-    for row in rows:
+def to_csv_text(columns: Mapping[str, Sequence]) -> str:
+    """CSV of named 1-d columns, header in key order, with '.' decimal
+    separator and '\\n' line endings; columns of unequal length raise
+    ValueError."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values(), strict=True):
         lines.append(",".join(fmt_float(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -62,8 +65,8 @@ def atomic_write_text(path: str, text: str) -> None:
 class Report:
     """Base of the report dataclasses.
 
-    to_json serializes every dataclass field not named in _skip, plus the
-    entries of _extras(), and writes the text atomically when given a path.
+    to_json returns every dataclass field not named in _skip, plus the
+    entries of _extras(), as JSON text.
     """
 
     _skip = ()
@@ -71,13 +74,10 @@ class Report:
     def _extras(self) -> dict:
         return {}
 
-    def to_json(self, path: Optional[str] = None) -> str:
+    def to_json(self) -> str:
         payload = {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)
             if f.name not in self._skip
         }
-        text = to_json_text({**payload, **self._extras()})
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+        return to_json_text({**payload, **self._extras()})

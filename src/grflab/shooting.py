@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ioutil import Report, atomic_write_text, to_csv_text
+from .ioutil import Report, to_csv_text
+from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 from .odesolve import EventSpec, Trajectory, integrate
 
 __all__ = [
@@ -121,19 +122,12 @@ class ShootingReport(Report):
     def _extras(self) -> dict:
         return {"milestones": dict(zip(("r1", "r2", "r3", "r4"), self.milestones))}
 
-    def trajectory_csv(self, path: Optional[str] = None) -> str:
+    def trajectory_csv(self) -> str:
         traj = self.trajectory
         if traj is None:
             raise ValueError("report carries no trajectory")
-        energies = orbit_invariant(traj.states[:, 0], traj.states[:, 1])
-        rows = (
-            (traj.times[i], traj.states[i, 0], traj.states[i, 1], energies[i])
-            for i in range(traj.times.size)
-        )
-        text = to_csv_text(["r", "u", "p", "E"], rows)
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+        u, p = traj.states.T
+        return to_csv_text({"r": traj.times, "u": u, "p": p, "E": orbit_invariant(u, p)})
 
 
 def shoot_r3_branch(

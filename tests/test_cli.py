@@ -392,10 +392,10 @@ def test_cylinder_csv_beyond_available_memory_is_a_config_error(invoke, tmp_path
 def test_resampled_csv_peak_stays_within_the_memory_estimate(tmp_path):
     traj = cylinder.run_flow(cylinder.CylinderState(lam=1.0, h=math.sqrt(0.1), beta=1.0))
     dt_out = 1e-4
-    traj.to_csv(dt_out=dt_out)  # the first call allocates once
+    traj.to_csv(dt_out)  # the first call allocates once
     tracemalloc.start()
     try:
-        traj.to_csv(str(tmp_path / "flow.csv"), dt_out=dt_out)
+        cli.atomic_write_text(str(tmp_path / "flow.csv"), traj.to_csv(dt_out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,8 +496,11 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
 
 # the config error that names the rejected parameter
 REJECTED_BY_NAME = {
-    (command, "--tmax", value): f"{command}: parameter 'tmax' must be greater than 0"
-    for command, value in (("cylinder-flow", "-1"), ("blowup", "0"), ("torsion", "-1"))
+    **{(command, "--tmax", value): f"{command}: parameter 'tmax' must be greater than 0"
+       for command, value in (("cylinder-flow", "-1"), ("blowup", "0"), ("torsion", "-1"))},
+    # u0 * 1e-14, the solve's absolute tolerance, underflows to 0
+    ("entropy", "--u0", "1e-320"): "u0 is too small",
+    ("entropy", "--dt", "0", "--t-max", "-1"): "no sample times",
 }
 
 
@@ -537,11 +540,13 @@ REJECTED_BY_NAME = {
                    ("--identity", "integral", "--f-amp", "700"),
                    ("--identity", "divh2", "--h-amp", "1e200"))],
     # tau near 1e308 overflows W: every derivative gap is NaN, which is no
-    # agreement
-    pytest.param(("entropy", "--h0sq", "0.5", "--T-ref", "1e308"), 3,
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # agreement, and without the check W itself is not finite
+    (("entropy", "--h0sq", "0.5", "--T-ref", "1e308"), 3),
     (("blowup", "--tmax", "0"), 2),
     (("torsion", "--tmax", "-1"), 2),
+    (("entropy", "--h0sq", "0.5", "--T-ref", "1e308", "--dt", "0"), 3),
+    (("entropy", "--u0", "1e-320"), 2),
+    (("entropy", "--dt", "0", "--t-max", "-1"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
@@ -549,6 +554,33 @@ def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected)
     assert code == expected and out == ""
     assert REJECTED_BY_NAME.get(argv, "") in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-4", "0"])
+def test_overflowing_entropy_prints_only_its_failure(invoke, tmp_path, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke("entropy", "--h0sq", "0.5", "--T-ref", "1e308",
+                                "--dt", dt, "--out", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_entropy_t_max_only_caps_the_default_window(invoke, tmp_path):
+    # past T_sing - 50 dt the cap must not bring back the samples whose tau
+    # is too small for the central difference
+    code, _, _ = invoke("entropy", "--h0sq", "0.5", "--out", str(tmp_path / "all"))
+    assert code == 0
+    code, _, _ = invoke("entropy", "--h0sq", "0.5", "--t-max", "10",
+                        "--out", str(tmp_path / "capped"))
+    assert code == 0
+    assert ((tmp_path / "capped" / "entropy.csv").read_bytes()
+            == (tmp_path / "all" / "entropy.csv").read_bytes())
+    code, _, _ = invoke("entropy", "--h0sq", "0.5", "--t-max", "1",
+                        "--out", str(tmp_path / "one"))
+    assert code == 0
+    _, rows = read_csv(tmp_path / "one" / "entropy.csv")
+    assert 0 < len(rows) < 300 and max(row[0] for row in rows) <= 1.0
 
 
 def test_missing_command_prints_usage(invoke):

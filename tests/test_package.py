@@ -1,18 +1,23 @@
 """Package-level checks: importing the package loads no scipy, every
 command runs with scipy unimportable, the memory guard covers a fresh
-process's peak, every exported name exists, and every demo runs."""
+process's peak, every exported name exists, only the CLI writes files,
+the CSV formatter keeps its columns, and every demo runs."""
+import ast
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grflab
 from grflab import cli
+from grflab.ioutil import fmt_float, to_csv_text
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -157,6 +162,61 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"grflab.{name}")
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# calls that write a file whatever their arguments
+FILE_WRITERS = ("write_text", "write_bytes", "tofile", "savetxt", "save", "savez")
+
+
+def _writes_file(call: ast.Call, callee: str) -> bool:
+    """Whether a call writes a file: one of FILE_WRITERS, or open/fdopen
+    with a mode that is not read-only or not a literal."""
+    if callee in FILE_WRITERS:
+        return True
+    if callee not in ("open", "fdopen"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def _calls(node, func=None):
+    """(enclosing function name, callee name, call) for every call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.Call):
+        callee = node.func
+        yield func, getattr(callee, "attr", getattr(callee, "id", None)), node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, func)
+
+
+def test_only_the_cli_writes_files():
+    # the library returns artifact text; cli._written is the one caller of
+    # the atomic write, and that write is the one place a file is opened
+    # for writing
+    writers, opened = set(), set()
+    for name in MODULES:
+        tree = ast.parse((REPO / "src" / "grflab" / f"{name}.py").read_text())
+        for func, callee, call in _calls(tree):
+            if callee == "atomic_write_text":
+                writers.add((name, func))
+            if _writes_file(call, callee):
+                opened.add((name, func))
+    assert writers == {("cli", "_written")}
+    assert opened == {("ioutil", "atomic_write_text")}
+
+
+def test_csv_columns_keep_their_order_length_and_format():
+    text = to_csv_text({"b": [1.5, np.int64(3)], "a": [float("nan"), -0.0],
+                        "c": np.array([math.inf, -math.inf])})
+    assert text == "b,a,c\n1.5,nan,inf\n3,-0,-inf\n"
+    assert text.splitlines()[2] == ",".join(map(fmt_float, (np.int64(3), -0.0, -math.inf)))
+    with pytest.raises(ValueError):
+        to_csv_text({"t": [0.0, 1.0], "W": [2.0]})
+    assert to_csv_text({"t": []}) == "t\n"
 
 
 def test_cold_sweep_matches_runs_done_alone(tmp_path):
