@@ -516,26 +516,29 @@ def _random_trig_form(grid, degree, rng):
 
 
 # Peak tracemalloc allocation of hodge-check, measured after one warm-up
-# call per process.  The adjointness check holds the full-grid pointwise
-# sum it integrates, each random component's partial sum over axes
-# 0..dim-2 (one axis-0 plane each, 10 for a 4-d degree-1 or degree-2
-# pair, 6 in 3-d), and what the slab of axis-0 planes it streams over
-# bounds (at most 1 MiB of planes, one plane when a plane is larger): three
-# working arrays of one slab, and one ring per component that both
-# passes generate its rows into, the slab plus two halo planes on each
-# side for a component either pass differentiates along axis 0, or the
-# whole axis when that is fewer planes.  So it is ADJOINTNESS_ARRAYS
-# grid-sized float64 arrays plus ADJOINTNESS_SLAB_BYTES.  Over 3-d grids
-# of 16..256 and 4-d grids of 16..64 points per axis it peaks at 1.985
-# arrays at 48^4, 1.74 at 64^4 and 1.16 at 256^3; at 1.75 arrays the rest
-# is at most 17.72 MiB, at 24^4 (22.2 MiB in all), then 17.6 at 22^4 and
-# 25^4, 17.5 at 23^4, 16.0 at 32^4, 11.9 at 64^3 and 9.5 at 48^4.  The
-# example checks keep their fields at broadcast shape and hold little
-# more than the contiguous copy that `integral` sums: 1.665 arrays at
-# 16^3 (1.663-1.668 across runs and checkout paths), 1.1 at 64^3, 1.005
-# at 48^4.
-ADJOINTNESS_ARRAYS = 1.75
-ADJOINTNESS_SLAB_BYTES = 18 << 20
+# call per process.  The adjointness check holds no grid-sized array.  It
+# holds each random component's partial sum over axes 0..dim-2 (one
+# axis-0 plane each, 10 for a 4-d degree-1 or degree-2 pair, 6 in 3-d)
+# and what the slab of axis-0 planes it walks bounds (at most 1 MiB of
+# planes, one plane when a plane is larger): the slab total the two
+# pairings are formed into in turn, three working arrays, and one ring
+# per component that the walk generates its rows into, the slab plus two
+# halo planes on each side for a component either pairing differentiates
+# along axis 0, or the whole axis when that is fewer planes.  So it is
+# ADJOINTNESS_ARRAYS grid-sized float64 arrays plus
+# ADJOINTNESS_SLAB_BYTES.  Over 3-d grids of 16..256 and 4-d grids of
+# 16..64 points per axis it peaks at 1.006 arrays at 48^4, 0.753 at 64^4,
+# 0.93 at 128^3 and 0.165 at 256^3; at 0.75 arrays, one fewer than when
+# it held the full-grid pointwise sum, the rest is at most 20.57 MiB, at
+# 35^4 (29.2 MiB in all), then 19.1 at 34^4, 18.65 at 24^4, 18.6 at 22^4,
+# 18.5 at 25^4, 16.9 at 32^4, 12.9 at 64^3 (the most in 3-d) and 10.4 at
+# 48^4.  That is 2.57 MiB above the former allowance of 18 MiB, which so
+# rises to 21 MiB.  The example checks keep their fields at broadcast
+# shape and hold little more than the contiguous copy that `integral`
+# sums: 1.665 arrays at 16^3 (1.663-1.668 across runs and checkout
+# paths), 1.1 at 64^3, 1.005 at 48^4.
+ADJOINTNESS_ARRAYS = 0.75
+ADJOINTNESS_SLAB_BYTES = 21 << 20
 EXAMPLE_ARRAYS = 1.7
 # Resident bytes a hodge-check run adds beyond its arrays, whatever the
 # grid: reports, artifact text and writes, allocator slack.  Without it

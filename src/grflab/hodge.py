@@ -32,19 +32,21 @@ expands, because pairwise summation depends on the array's shape.
 
 A result is written into an array the operator allocated itself, never
 into a component it was given.  `adjointness_gap` builds neither d alpha
-nor d* beta.  It walks slabs of axis-0 planes, each at most `_SLAB_BYTES`
-(a grid whose whole array fits is one slab), and on each slab forms every
-component of both pairings from the slab's rows only.  Beyond its
-inputs it so holds one full-grid array, the pointwise sum it integrates,
-plus three working arrays of one slab each, which stay in cache while a
-component is formed, scaled, multiplied and added.  The components
+nor d* beta, and holds no full-grid array.  It walks slabs of axis-0
+planes once, each slab at most `_SLAB_BYTES` (a grid whose whole array
+fits is one slab), and on each slab forms every component of both
+pairings from the slab's rows only, one pairing after the other, into a
+slab total that `PairwiseSum` adds up to each pairing's sum as it comes,
+to the bits `np.sum` gives the whole array.  That total and three
+working arrays of one slab each stay in cache while a component is
+formed, scaled, multiplied and added.  The components
 `random_trig_form` makes (`TrigComponent`) are never built whole there:
-each pass generates their rows once into one ring of planes per
+the walk generates their rows once into one ring of planes per
 component, the slab, plus two halo planes on each side for a component
-either pass differentiates along axis 0, or the whole axis when that is
-fewer planes; such a ring is generated once for both passes.  At 48^4
-a pair of 10 components so costs their partial sums, one plane each,
-and rings of 1 or 5 planes, instead of 10 full grids.
+either pairing differentiates along axis 0, or the whole axis when that
+is fewer planes.  At 48^4 a pair of 10 components so costs their partial
+sums, one plane each, and rings of 1 or 5 planes, instead of 10 full
+grids.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import _pairwise
 from .ioutil import Report
 from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 
@@ -653,10 +656,9 @@ def _ring_planes(n: int, step: int) -> int:
 
 
 def _rings(pairs, n: int, step: int):
-    """{id(component): [component, ring, halo, held]} for every
-    `TrigComponent` the pairs read: a working array of planes its rows
-    are generated into, with halo for the components differentiated
-    along axis 0, and whether the ring already holds every row."""
+    """{id(component): (component, ring, halo)} for every `TrigComponent`
+    the pairs read: a working array of planes its rows are generated
+    into, with halo for the components differentiated along axis 0."""
     comps, halo = {}, set()
     for terms, _, other, _ in pairs:
         for arr, axis, _, _ in terms:
@@ -668,7 +670,7 @@ def _rings(pairs, n: int, step: int):
     for key, arr in comps.items():
         if isinstance(arr, TrigComponent):
             planes = _ring_planes(n, step) if key in halo else step
-            rings[key] = [arr, np.empty((planes,) + arr.shape[1:]), key in halo, False]
+            rings[key] = (arr, np.empty((planes,) + arr.shape[1:]), key in halo)
     return rings
 
 
@@ -676,14 +678,9 @@ def _generate(rings, start: int, stop: int) -> None:
     """Generate the rows the slab start..stop-1 reads and no earlier slab
     generated: rows start..stop-1, or start-2..stop+1 with halo, and of
     those only the rows past the previous slab's.  Row x goes to slot
-    x mod len(ring), so each ring plane is generated once per pass
-    except the four halo planes that wrap around axis 0.  A ring of the
-    whole axis holds every row after its first pass and is not
-    generated again."""
-    for entry in rings.values():
-        comp, ring, halo, held = entry
-        if held:
-            continue
+    x mod len(ring), so each ring plane is generated once per walk
+    except the four halo planes that wrap around axis 0."""
+    for comp, ring, halo in rings.values():
         lo, hi = (start + 2 if start else -2, stop + 2) if halo else (start, stop)
         planes = len(ring)
         while lo < hi:
@@ -691,7 +688,6 @@ def _generate(rings, start: int, stop: int) -> None:
             count = min(hi - lo, planes - slot)
             comp.rows(lo, lo + count, ring[slot:slot + count])
             lo += count
-        entry[3] = stop == planes == comp.shape[0]
 
 
 def _source(arr, rings, start: int):
@@ -724,70 +720,63 @@ def _slab_deriv(
     return _stencil(out, v, lo, hi, grid.spacing[0], factor, _view(scaled, out.shape))
 
 
-def _stream_pairing(
-    grid: PeriodicGrid, pairs, pointwise: np.ndarray, step: int, work, rings
-) -> None:
-    """Fill `pointwise` with one pairing, `step` axis-0 planes at a time.
+def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, rings) -> None:
+    """Fill `total`, the slab of axis-0 planes from row start on, with one
+    pairing.
 
     `pairs` lists (terms, factor, other, other_factor), one per component:
     the sum of the `_d_terms` terms, scaled by factor, times other scaled
-    by other_factor, added in list order into a slab of pointwise zeroed
-    first.  `work` holds three flat working arrays of one slab each: the
-    component, one term or the scaled other, and scaled source values.
-    A generated component's rows are written into its ring in `rings`
-    before each slab, and every read, stencil and product goes through
-    `_source`.
+    by other_factor, added in list order into total zeroed first.  `work`
+    holds three flat working arrays of one slab each: the component, one
+    term or the scaled other, and scaled source values.  Every read,
+    stencil and product goes through `_source`, so a generated
+    component's rows come from its ring in `rings`.
     """
     comp_buf, term_buf, scaled = work
-    n = grid.sizes[0]
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        _generate(rings, start, stop)
-        total = pointwise[start:stop]
-        total.fill(0.0)
-        comp = _view(comp_buf, total.shape)
-        for terms, factor, other, other_factor in pairs:
-            for i, (arr, axis, scale, negate) in enumerate(terms):
-                v, lo = _source(arr, rings, start)
-                hi = lo + stop - start
-                shape = _rows(v, lo, hi).shape
-                into = comp if i == 0 and shape == comp.shape else _view(term_buf, shape)
-                term = _slab_deriv(grid, v, axis, scale, lo, hi, into, scaled)
-                if negate:
-                    np.negative(term, out=term)
-                if i == 0:
-                    if term is not comp:
-                        np.copyto(comp, term)
-                else:
-                    comp += term
-            if factor != 1.0:
-                comp *= factor
-            v, lo = _source(other, rings, start)
-            mate = _rows(v, lo, lo + stop - start)
-            if other_factor != 1.0:
-                mate = np.multiply(mate, other_factor, out=_view(term_buf, mate.shape))
-            comp *= mate
-            total += comp
+    planes = len(total)
+    total.fill(0.0)
+    comp = _view(comp_buf, total.shape)
+    for terms, factor, other, other_factor in pairs:
+        for i, (arr, axis, scale, negate) in enumerate(terms):
+            v, lo = _source(arr, rings, start)
+            shape = _rows(v, lo, lo + planes).shape
+            into = comp if i == 0 and shape == comp.shape else _view(term_buf, shape)
+            term = _slab_deriv(grid, v, axis, scale, lo, lo + planes, into, scaled)
+            if negate:
+                np.negative(term, out=term)
+            if i == 0:
+                if term is not comp:
+                    np.copyto(comp, term)
+            else:
+                comp += term
+        if factor != 1.0:
+            comp *= factor
+        v, lo = _source(other, rings, start)
+        mate = _rows(v, lo, lo + planes)
+        if other_factor != 1.0:
+            mate = np.multiply(mate, other_factor, out=_view(term_buf, mate.shape))
+        comp *= mate
+        total += comp
 
 
 def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form.
 
-    Neither d alpha nor d* beta is built.  The check walks slabs of axis-0
-    planes of at most `_SLAB_BYTES` each and forms every component of a
-    pairing on one slab at a time: stencils along axes >= 1 run on the
-    slab, stencils along axis 0 read the two neighbour planes on either
-    side with periodic wrap.  Each component is scaled, multiplied by its
-    partner's slab and added into that slab of one full-grid pointwise
-    array, in the order `inner_pointwise` takes.  The component of d* beta
-    on J is the outer star of d(*beta) on the complement of J.  The left
-    pointwise sum is integrated whole; the same array is then zeroed and
-    refilled for the right one.  A `TrigComponent` is read from the one
-    ring both passes generate its rows into, once per pass, or once per
-    call where the ring holds the whole axis (`_generate`).  Every
-    element sees the operations it sees in l2_inner(d(alpha), beta) and
-    l2_inner(alpha, codiff(beta)), in the same order, and `integral` sums
-    the same contiguous array, so the gap is bit-identical to theirs.
+    Neither d alpha nor d* beta is built, nor any full-grid array.  The
+    check walks slabs of axis-0 planes of at most `_SLAB_BYTES` each, once,
+    and forms every component of both pairings on one slab at a time:
+    stencils along axes >= 1 run on the slab, stencils along axis 0 read
+    the two neighbour planes on either side with periodic wrap.  Each
+    component is scaled, multiplied by its partner's slab and added into
+    the slab total, in the order `inner_pointwise` takes; the left
+    pairing's total is handed to its sum before the right one's is
+    formed.  The component of d* beta on J is the outer star of d(*beta)
+    on the complement of J.  A `TrigComponent` is read from the one ring
+    the walk generates its rows into before each slab (`_generate`).
+    Every element sees the operations it sees in l2_inner(d(alpha), beta)
+    and l2_inner(alpha, codiff(beta)), in the same order, and
+    `PairwiseSum` adds the slab totals up exactly as `integral`'s np.sum
+    adds the whole arrays, so the gap is bit-identical to theirs.
     """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
@@ -808,12 +797,17 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
             _, factor = _star(grid, source, sign)
             right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
     work = tuple(np.empty(step * plane) for _ in range(3))
-    pointwise = np.empty(grid.sizes)
+    slab_total = np.empty(step * plane)
+    sums = [_pairwise.PairwiseSum(n * plane) for _ in range(2)]
     rings = _rings(left + right, n, step)
-    values = []
-    for pairs in (left, right):
-        _stream_pairing(grid, pairs, pointwise, step, work, rings)
-        values.append(integral(pointwise, grid))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        _generate(rings, start, stop)
+        total = _view(slab_total, (stop - start,) + grid.sizes[1:])
+        for pairs, pair_sum in zip((left, right), sums):
+            _pair_slab(grid, pairs, start, total, work, rings)
+            pair_sum.add(total.reshape(-1))
+    values = [pair_sum.total() * grid.cell_volume for pair_sum in sums]
     return abs(values[0] - values[1])
 
 

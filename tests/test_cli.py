@@ -416,18 +416,18 @@ def report_peak(identity, grid):
 
 
 @pytest.mark.parametrize("dim, size, arrays", [
-    (4, 24, 9.15),
-    (4, 32, 4.15),
-    (3, 64, 8.1),
+    (4, 24, 8.52),
+    (4, 32, 3.26),
+    (3, 64, 7.6),
 ], ids=["4d-24", "4d-32", "3d-64"])
 def test_adjointness_report_peak_stays_within_the_memory_estimate(dim, size, arrays):
-    # A report holds the pointwise sum, each component's partial sum (one
-    # axis-0 plane), three slab working arrays and one ring of generated
-    # rows per component, shared by both passes: 8.75 grid arrays at 24^4
-    # (slabs of 9 planes, rings of 9 or 18), 3.75 at 32^4 (slabs of 4)
-    # and 7.70 at 64^3 (two slabs of 32, rings of 32 or the whole axis).
-    # Each bound adds 0.4 arrays, so one full-size component kept by
-    # mistake, or the previous degree's pair, goes past it.
+    # A report holds no grid-sized array: each component's partial sum (one
+    # axis-0 plane), four slab arrays (the slab total and three working
+    # arrays) and one ring of generated rows per component: 8.12 grid
+    # arrays at 24^4 (slabs of 9 planes, rings of 9 or 18), 2.86 at 32^4
+    # (slabs of 4) and 7.20 at 64^3 (two slabs of 32, rings of 32 or the
+    # whole axis).  Each bound adds 0.4 arrays, so one full-size component
+    # kept by mistake, or the previous degree's pair, goes past it.
     peak = report_peak("adjointness", hodge.PeriodicGrid.cube(dim, size))
     assert peak <= arrays * 8 * size**dim
     assert peak <= cli.ADJOINTNESS_ARRAYS * 8 * size**dim + cli.ADJOINTNESS_SLAB_BYTES

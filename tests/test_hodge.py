@@ -33,6 +33,7 @@ from grflab.hodge import (
 )
 from grflab.hodge import random_trig_form as separable_trig_form
 from grflab import hodge as dec
+from grflab._pairwise import PairwiseSum
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +261,7 @@ def test_generated_rows_equal_the_full_component_bit_for_bit(grid_name, request)
     assert fast_rng.normal() == slow_rng.normal()
 
 
-def test_adjointness_gap_generates_each_row_once_per_pairing(g4, monkeypatch):
+def test_adjointness_gap_generates_each_row_once_per_call(g4, monkeypatch):
     rows = {}
     generate = dec.TrigComponent.rows
 
@@ -276,13 +277,47 @@ def test_adjointness_gap_generates_each_row_once_per_pairing(g4, monkeypatch):
         for k in range(g4.dim):
             rows.clear()
             adjointness_gap(separable_trig_form(g4, k, rng), separable_trig_form(g4, k + 1, rng))
-            # one pass per pairing over the n rows, plus the two halo rows
-            # on each side for a component differentiated along axis 0;
-            # generating per read would take up to 5 rows per slab row.
-            # A ring of the whole axis is generated in the first pass only.
+            # one walk for both pairings over the n rows, plus the two halo
+            # rows on each side for a component differentiated along axis
+            # 0; a walk per pairing would take 2n, generating per read up
+            # to 5 rows per slab row
             assert len(rows) == math.comb(4, k) + math.comb(4, k + 1)
-            bound = n + 4 if planes == n else 2 * (n + 4)
-            assert max(rows.values()) <= bound, f"{planes} planes per slab"
+            assert set(rows.values()) == {n, n + 4}, f"{planes} planes per slab"
+
+
+def spread_values(rng, shape):
+    """Magnitudes log-uniform over 1e-3..1e3, with mixed signs."""
+    return 10.0 ** rng.uniform(-3.0, 3.0, shape) * rng.choice((-1.0, 1.0), shape)
+
+
+def assert_streamed_sum_is_np_sum(values):
+    """`PairwiseSum` of values fed as slabs of 1, 2, 3 and 7 axis-0 planes
+    and as one slab of the whole array gives np.sum to the bit."""
+    expected = float(np.sum(values, dtype=np.float64)).hex()
+    for planes in (1, 2, 3, 7, len(values)):
+        streamed = PairwiseSum(values.size)
+        for start in range(0, len(values), planes):
+            streamed.add(values[start:start + planes].reshape(-1))
+        assert streamed.total().hex() == expected, f"{planes} planes"
+
+
+def test_streamed_sum_equals_np_sum_on_random_sizes():
+    # sizes log-uniform over 16..300,000, as 1..24 planes: planes shorter
+    # and longer than a leaf of 128, most not a multiple of 8, so a leaf
+    # can span several slab ends.  A numpy that changes how it splits a
+    # sum fails here first.
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        size = int(np.exp(rng.uniform(np.log(16), np.log(300_000))))
+        n = int(rng.integers(1, 25))
+        assert_streamed_sum_is_np_sum(spread_values(rng, (n, -(-size // n))))
+
+
+@pytest.mark.parametrize("shape", [(32,) * 3, (64,) * 3, (128,) * 3, (48,) * 4],
+                         ids=["32^3", "64^3", "128^3", "48^4"])
+def test_streamed_sum_equals_np_sum_on_the_benchmark_grids(shape):
+    rng = np.random.default_rng(math.prod(shape))
+    assert_streamed_sum_is_np_sum(spread_values(rng, shape))
 
 
 # ----------------------------------------------------------- operator algebra

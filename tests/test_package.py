@@ -1,5 +1,6 @@
 """Package-level checks: importing the package loads no scipy, every
-command runs with scipy unimportable, the memory guard covers a fresh
+command runs with scipy unimportable, a hodge-check run loads neither
+numpy.ma nor scipy, the memory guard covers a fresh
 process's peak, every exported name exists, only the CLI writes files,
 the CSV formatter keeps its columns, and every demo runs."""
 import ast
@@ -63,6 +64,19 @@ def test_cli_import_loads_no_compute_module():
     assert run.stdout.strip() == "['grflab.cli', 'grflab.ioutil']"
 
 
+def test_hodge_check_run_loads_neither_numpy_ma_nor_scipy(tmp_path):
+    # numpy.ma adds to a cold start's resident size, and np.unique, for
+    # one, imports it
+    code = ("import sys; from grflab import cli; "
+            f"code = cli.main(['hodge-check', '--dim', '3', '--size', '16', '--out', {str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']"
+            " or m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--help"], 0),  # imports grflab and grflab.cli
     (["soliton-residual"], 0),
@@ -108,9 +122,9 @@ print(json.dumps([code, needs, peak]))
 
 
 def test_hodge_memory_estimate_covers_the_cold_peak(tmp_path):
-    # At 24^4 the adjointness check's estimate has the least margin: about
-    # 59.6 MiB estimated, 58.1 MiB peak, so it falls below the peak if
-    # numpy.random, 5.4 MiB, is not loaded when the resident size is read.
+    # At 24^4 the adjointness check's estimate is about 60.0 MiB against a
+    # 56.1 MiB peak, a margin smaller than numpy.random, 5.4 MiB, which
+    # must be loaded when the resident size is read.
     # On the small grids the run's fixed allocations decide: the integral
     # check alone at 32^3 peaked 0.17-0.24 MiB above the estimate without
     # cli.HODGE_FIXED_BYTES.
