@@ -13,7 +13,10 @@ library raises ValueError when an argument breaks a stated precondition
 computation ran and missed its goal (a solver failed, the flow did not
 collapse, a cross-check exceeded its bound).  ConfigError is a
 ValueError, NumericalError a RuntimeError, and _execute is the one place
-that turns either kind into an exit status.
+that turns either kind into an exit status.  Each run caps its own data
+size at what it maps plus the memory the kernel reports as available, so
+a run too large for memory fails at its first allocation past that cap
+and exits 2 instead of being killed.
 
 Config layout (all sections optional):
 
@@ -37,6 +40,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -80,7 +84,8 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "beta0": Param("float", 1.0, "initial circle scale"),
         "tmax": Param("float", 10.0, "latest flow time", above=0.0),
         "lam_floor": Param("float", 1e-8, "collapse detection floor"),
-        "dt_out": Param("float", 0.01, "uniform CSV sample step"),
+        "dt_out": Param("float", 0.01, "CSV sample step; 0 writes the solver's steps",
+                        at_least=0.0),
         **_TOL,
     },
     "blowup": {
@@ -144,7 +149,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "data": Param("str", "example", "trigonometric data family",
                       choices=("example", "closed")),
         "refine": Param("flag", False, "also run doubled resolution, report rates"),
-        "seed": Param("int", 7, "seed for the adjointness fields"),
+        "seed": Param("int", 7, "seed for the adjointness fields", at_least=0),
     },
 }
 
@@ -327,11 +332,7 @@ def _run_cylinder_flow(cfg: dict) -> str:
     traj = _flow(p, tmax=p["tmax"], lam_floor=p["lam_floor"])
     if traj.termination == "blowup":
         raise NumericalError("flow terminated with blowup")
-    dt_out = p["dt_out"] if p["dt_out"] > 0 else None
-    if dt_out is not None and cfg["output"]["csv"]:
-        rows = (traj.t_end - traj.times[0]) / dt_out + 2
-        _require_memory(rows * CSV_ROW_BYTES,
-                        f"cylinder-flow: a CSV of {rows:.3g} rows at dt_out={dt_out:g}")
+    dt_out = p["dt_out"] or None
     dest = _written(cfg, ("csv", "cylinder_flow.csv", lambda: traj.to_csv(dt_out)))
     drift = float(np.max(np.abs(traj.lambda_h_beta - traj.lambda_h_beta[0])))
     tsing = "none" if traj.T_sing is None else f"{traj.T_sing:.6f}"
@@ -432,19 +433,17 @@ def _run_entropy(cfg: dict) -> str:
     p = cfg["parameters"]
     traj = _flow(p)
     weights = entropy.conjugate_heat_homogeneous(traj, u0=p["u0"], T_ref=p["T_ref"])
-    checked = p["dt"] > 0
-    if checked:
+    if p["dt"] > 0:
         trace = entropy.entropy_derivative_check(traj, weights, dt=p["dt"], t_max=p["t_max"])
     else:
         trace = entropy.entropy_eval(traj, weights, t_max=p["t_max"])
     dest = _written(cfg, ("csv", "entropy.csv", trace.to_csv))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])
-    # the derivative check passes only finite gaps; without it they are NaN
-    gap = float(np.max(trace.gap)) if checked else math.nan
-    dW_min = float(np.min(trace.dW_formula)) if checked else math.nan
+    # without the derivative check both columns are NaN, and so are these
     return (
         f"entropy h0sq={p['h0sq']:g}: W0={trace.W[0]:.6f} mass_drift={drift:.2e} "
-        f"gap_max={gap:.2e} dW_formula_min={dW_min:.4f}{dest}"
+        f"gap_max={np.max(trace.gap):.2e} "
+        f"dW_formula_min={np.min(trace.dW_formula):.4f}{dest}"
     )
 
 
@@ -515,107 +514,10 @@ def _random_trig_form(grid, degree, rng):
     return hodge.random_trig_form(grid, degree, rng)
 
 
-# Peak tracemalloc allocation of hodge-check, measured after one warm-up
-# call per process.  The adjointness check holds no grid-sized array.  It
-# holds each random component's partial sum over axes 0..dim-2 (one
-# axis-0 plane each, 10 for a 4-d degree-1 or degree-2 pair, 6 in 3-d)
-# and what the slab of axis-0 planes it walks bounds (at most 1 MiB of
-# planes, one plane when a plane is larger): the slab total the two
-# pairings are formed into in turn, three working arrays, and one ring
-# per component that the walk generates its rows into, the slab plus two
-# halo planes on each side for a component either pairing differentiates
-# along axis 0, or the whole axis when that is fewer planes.  So it is
-# ADJOINTNESS_ARRAYS grid-sized float64 arrays plus
-# ADJOINTNESS_SLAB_BYTES.  Over 3-d grids of 16..256 and 4-d grids of
-# 16..64 points per axis it peaks at 1.006 arrays at 48^4, 0.753 at 64^4,
-# 0.93 at 128^3 and 0.165 at 256^3; at 0.75 arrays, one fewer than when
-# it held the full-grid pointwise sum, the rest is at most 20.57 MiB, at
-# 35^4 (29.2 MiB in all), then 19.1 at 34^4, 18.65 at 24^4, 18.6 at 22^4,
-# 18.5 at 25^4, 16.9 at 32^4, 12.9 at 64^3 (the most in 3-d) and 10.4 at
-# 48^4.  That is 2.57 MiB above the former allowance of 18 MiB, which so
-# rises to 21 MiB.  The example checks keep their fields at broadcast
-# shape and hold little more than the contiguous copy that `integral`
-# sums: 1.665 arrays at 16^3 (1.663-1.668 across runs and checkout
-# paths), 1.1 at 64^3, 1.005 at 48^4.
-ADJOINTNESS_ARRAYS = 0.75
-ADJOINTNESS_SLAB_BYTES = 21 << 20
-EXAMPLE_ARRAYS = 1.7
-# Resident bytes a hodge-check run adds beyond its arrays, whatever the
-# grid: reports, artifact text and writes, allocator slack.  Without it
-# the estimate fell below a fresh process's peak resident size by up to
-# 0.63 MiB, at --dim 3 --size 16 --identity integral (0.1-0.6 MiB for every
-# example check at 16^3, 32^3 and 16^4, two runs each).
-HODGE_FIXED_BYTES = 1 << 20
-# Peak bytes per row of a resampled cylinder-flow CSV: the row's text in
-# the line list, in the joined table and encoded for the write.  Measured
-# about 590 B by tracemalloc and 630 B of resident size from 4e4 to 3e5
-# rows.
-CSV_ROW_BYTES = 700
-
-
-def _available_memory() -> Optional[int]:
-    """Bytes the kernel reports as available, None when it cannot be read."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, AttributeError):
-        return None
-
-
-def _resident_memory() -> int:
-    """Bytes this process holds resident now, 0 when that cannot be read."""
-    try:
-        with open("/proc/self/statm") as fh:
-            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        return 0
-
-
-def _require_memory(need: float, what: str) -> None:
-    """ConfigError when what needs more than the available memory: need
-    bytes on top of what this process holds resident now."""
-    need += _resident_memory()
-    available = _available_memory()
-    if available is not None and need > available:
-        raise ConfigError(
-            f"{what} needs about {need / 2**20:.0f} MiB, "
-            f"only {available / 2**20:.0f} MiB available"
-        )
-
-
-def _require_hodge_memory(p: dict) -> None:
-    """Reject a grid whose estimated peak exceeds the available memory.
-
-    The estimate is the process's peak resident size: what it holds now,
-    the arrays of the largest check and `HODGE_FIXED_BYTES`.  The checks
-    run one after another, so that is the larger of the adjointness check
-    on the base grid and the example checks on the grid they run on, the
-    doubled one with --refine.  The adjointness check draws its fields
-    with numpy.random (about 5.4 MiB resident), so that is loaded first
-    and counted in what the process holds.
-    """
-    terms = []
-    if p["identity"] in ("all", "adjointness"):
-        import numpy.random  # noqa: F401
-        terms.append((ADJOINTNESS_ARRAYS, ADJOINTNESS_SLAB_BYTES, p["size"]))
-    if p["identity"] != "adjointness":
-        terms.append((EXAMPLE_ARRAYS, 0, p["size"] * (2 if p["refine"] else 1)))
-    need, size = max((arrays * 8 * n ** p["dim"] + extra, n) for arrays, extra, n in terms)
-    _require_memory(need + HODGE_FIXED_BYTES,
-                    f"hodge-check: a {p['dim']}-d grid of {size} points per axis")
-
-
 def _run_hodge_check(cfg: dict) -> str:
     from . import hodge
 
     p = cfg["parameters"]
-    _require_hodge_memory(p)
     identities = (
         ("suobing", "twisted", "integral", "divh2", "adjointness")
         if p["identity"] == "all"
@@ -749,15 +651,69 @@ def _resolve_runs(args) -> Tuple[str, list]:
     return command, [(None, resolve_config(command, file_cfg, cli_params, args.out))]
 
 
+def _proc_bytes(path: str, key: str) -> Optional[int]:
+    """The kB figure on the `key:` line of a /proc file, in bytes; None
+    when it cannot be read."""
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _available_memory() -> Optional[int]:
+    """Bytes the kernel reports as available, None when it cannot be read."""
+    return _proc_bytes("/proc/meminfo", "MemAvailable")
+
+
+@contextmanager
+def _data_cap():
+    """Lower this process's RLIMIT_DATA soft limit, for the block, to the
+    data it maps now plus the memory the kernel reports as available, and
+    restore the old limits on exit.
+
+    An allocation past the cap raises MemoryError instead of drawing the
+    OOM killer.  Yields the cap in bytes, or None where resource or /proc
+    cannot be read and the block runs uncapped.
+    """
+    try:
+        import resource
+    except ImportError:  # not on every platform
+        resource = None
+    mapped = _proc_bytes("/proc/self/status", "VmData")
+    available = _available_memory()
+    if resource is None or mapped is None or available is None:
+        yield None
+        return
+    limits = resource.getrlimit(resource.RLIMIT_DATA)
+    cap = mapped + available
+    if limits[0] != resource.RLIM_INFINITY:
+        cap = min(cap, limits[0])
+    resource.setrlimit(resource.RLIMIT_DATA, (cap, limits[1]))
+    try:
+        yield cap
+    finally:
+        resource.setrlimit(resource.RLIMIT_DATA, limits)
+
+
 def _execute(run, *args) -> Tuple[int, object]:
     """(0, run(*args)), or the exit status and message of what it raised.
 
     The one place an exception becomes an exit status: a rejected input
-    (ConfigError or a library ValueError) is 2, a computation that ran
+    (ConfigError or a library ValueError) is 2, and so is a run that does
+    not fit in memory, which runs under _data_cap; a computation that ran
     and missed its goal (NumericalError or a library RuntimeError) is 3.
     """
+    cap = None
     try:
-        return 0, run(*args)
+        with _data_cap() as cap:
+            return 0, run(*args)
+    except MemoryError:
+        limit = "is available" if cap is None else f"the {cap >> 20} MiB available"
+        return 2, f"config error: out of memory: the run needs more than {limit}"
     except ValueError as exc:
         return 2, f"config error: {exc}"
     except RuntimeError as exc:
@@ -768,8 +724,8 @@ def _run_sweep(command: str, runs: list) -> int:
     """Do the runs one after another in sweep order, print one line per
     run and return the worst exit status.
 
-    One run allocates at a time, so each run's memory guard, which counts
-    all available memory as its own, holds for the whole sweep.
+    Each run sets its own data cap from the memory available when it
+    starts, and is done, its cap lifted, before the next one starts.
     """
     worst = 0
     for name, cfg in runs:

@@ -1,14 +1,15 @@
 """Package-level checks: importing the package loads no scipy, every
 command runs with scipy unimportable, a hodge-check run loads neither
-numpy.ma nor scipy, the memory guard covers a fresh
-process's peak, every exported name exists, only the CLI writes files,
-the CSV formatter keeps its columns, and every demo runs."""
+numpy.ma nor scipy, a run past its data cap exits 2 and every run gives
+the process's data limit back, every exported name exists, only the CLI
+writes files, the CSV formatter keeps its columns, and every demo runs."""
 import ast
 import importlib
 import json
 import math
 import os
 import pkgutil
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -101,73 +102,88 @@ def test_command_loads_only_the_scipy_it_runs(argv, expected, tmp_path):
     assert json.loads(run.stdout.strip().splitlines()[-1]) == expected, run.stderr
 
 
-# Runs `grflab <argv>` in a fresh process and prints its exit status, the
-# memory guard's estimates and the process's peak resident size in bytes.
-# VmHWM is the peak of this program's own address space; ru_maxrss would
-# also count the forking parent's.
-COLD_PEAK = """
-import json, sys
+# Runs `grflab <argv[2:]>` in a fresh process; unless argv[1] is "-", the
+# kernel is taken to report argv[1] MiB available.
+REPORTED = """
+import sys
 from grflab import cli
-needs = []
-check = cli._require_memory
-def recorded(need, what):
-    needs.append(need + cli._resident_memory())
-    return check(need, what)
-cli._require_memory = recorded
-code = cli.main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    peak = next(int(l.split()[1]) * 1024 for l in fh if l.startswith("VmHWM:"))
-print(json.dumps([code, needs, peak]))
+if sys.argv[1] != "-":
+    cli._available_memory = lambda: int(sys.argv[1]) << 20
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_hodge_memory_estimate_covers_the_cold_peak(tmp_path):
-    # At 24^4 the adjointness check's estimate is about 60.0 MiB against a
-    # 56.1 MiB peak, a margin smaller than numpy.random, 5.4 MiB, which
-    # must be loaded when the resident size is read.
-    # On the small grids the run's fixed allocations decide: the integral
-    # check alone at 32^3 peaked 0.17-0.24 MiB above the estimate without
-    # cli.HODGE_FIXED_BYTES.
-    for i, argv in enumerate((["--dim", "4", "--size", "24"],
-                              ["--dim", "3", "--size", "16"],
-                              ["--dim", "4", "--size", "16"],
-                              ["--dim", "3", "--size", "32", "--identity", "integral"])):
-        run = subprocess.run(
-            [sys.executable, "-c", COLD_PEAK, "hodge-check", *argv,
-             "--out", str(tmp_path / f"out{i}")],
-            capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
-        code, needs, peak = json.loads(run.stdout.strip().splitlines()[-1])
-        assert code == 0, run.stderr
-        assert needs[0] >= peak, argv
+@pytest.mark.parametrize("available, expected", [("64", 2), ("-", 0)],
+                         ids=["64MiB", "as-reported"])
+def test_run_past_its_data_cap_is_a_config_error(available, expected, tmp_path):
+    # a 64^4 array is 128 MiB and the integral check holds about 1.1 of
+    # them: that fits in the memory the kernel reports, but not under a cap
+    # 64 MiB above what the process maps when the run starts
+    out_dir = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-c", REPORTED, available, "hodge-check", "--dim", "4",
+         "--size", "64", "--identity", "integral", "--out", str(out_dir)],
+        capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
+    assert run.returncode == expected, run.stderr
+    if expected:
+        assert run.stdout == ""
+        assert run.stderr.startswith("config error: out of memory")
+        assert not out_dir.exists()
+    else:
+        assert (out_dir / "hodge_integral.json").exists()
 
 
-# Calls the hodge memory guard in a fresh process and prints whether
-# numpy.random was loaded before the call and each time the guard read
-# the resident size.
-RESIDENT_READ = """
-import json, sys
+# Calls cli.main in one fresh process on each argv of the JSON list argv[2],
+# with 64 MiB reported available and, unless argv[1] is "-", a soft
+# RLIMIT_DATA of argv[1] GiB set first.  Prints, as its last line, each
+# call's exit status with RLIMIT_DATA before and after it, and the limit
+# each run saw.
+RESTORED = """
+import json, resource, sys
 from grflab import cli
-loaded = "numpy.random" in sys.modules
+if sys.argv[1] != "-":
+    hard = resource.getrlimit(resource.RLIMIT_DATA)[1]
+    resource.setrlimit(resource.RLIMIT_DATA, (int(sys.argv[1]) << 30, hard))
+cli._available_memory = lambda: 64 << 20
 seen = []
-def resident():
-    seen.append("numpy.random" in sys.modules)
-    return 0
-cli._resident_memory = resident
-cli._require_hodge_memory({"identity": sys.argv[1], "dim": 3, "size": 16, "refine": False})
-print(json.dumps([loaded, seen]))
+for command, run in list(cli.RUNNERS.items()):
+    def watched(cfg, run=run):
+        seen.append(resource.getrlimit(resource.RLIMIT_DATA))
+        return run(cfg)
+    cli.RUNNERS[command] = watched
+calls = []
+for argv in json.loads(sys.argv[2]):
+    before = resource.getrlimit(resource.RLIMIT_DATA)
+    code = cli.main(argv)
+    calls.append([code, before, resource.getrlimit(resource.RLIMIT_DATA)])
+print(json.dumps([calls, seen]))
 """
 
 
-@pytest.mark.parametrize("identity", ["all", "adjointness"])
-def test_hodge_memory_guard_loads_numpy_random_before_reading_the_resident_size(
-        identity, tmp_path):
-    # the adjointness check draws its fields with numpy.random, about
-    # 5.4 MiB resident, which the estimate counts in the resident size
-    run = subprocess.run([sys.executable, "-c", RESIDENT_READ, identity],
+@pytest.mark.parametrize("soft_gib", ["-", "64"], ids=["unlimited", "finite"])
+def test_data_limit_is_restored_after_every_run(soft_gib, tmp_path):
+    # perfbench and the tests call cli.main in-process, so a run must give
+    # back the limit it found, whether it passed, ran out of memory or was
+    # one run of a sweep
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"runs": [{"name": "a"}, {"name": "b"}]}))
+    argvs = [["hodge-check", "--dim", "3", "--size", "16", "--identity", "integral"],
+             ["hodge-check", "--dim", "4", "--size", "64", "--identity", "integral"],
+             ["cylinder-flow", "--sweep", str(sweep)]]
+    argvs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
+    run = subprocess.run([sys.executable, "-c", RESTORED, soft_gib, json.dumps(argvs)],
                          capture_output=True, text=True, env=_env(), cwd=tmp_path,
                          timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.strip().splitlines()[-1]) == [False, [True]]
+    calls, seen = json.loads(run.stdout.strip().splitlines()[-1])
+    assert [code for code, _, _ in calls] == [0, 2, 0]
+    assert all(before == after for _, before, after in calls)
+    limits = calls[0][1]
+    # each of the four runs was capped below the limit it found
+    assert len(seen) == 4
+    assert all(hard == limits[1] and soft != resource.RLIM_INFINITY
+               and (limits[0] == resource.RLIM_INFINITY or soft < limits[0])
+               for soft, hard in seen)
 
 
 @pytest.mark.parametrize("name", MODULES)
