@@ -13,10 +13,11 @@ library raises ValueError when an argument breaks a stated precondition
 computation ran and missed its goal (a solver failed, the flow did not
 collapse, a cross-check exceeded its bound).  ConfigError is a
 ValueError, NumericalError a RuntimeError, and _execute is the one place
-that turns either kind into an exit status.  Each run caps its own data
-size at what it maps plus the memory the kernel reports as available, so
-a run too large for memory fails at its first allocation past that cap
-and exits 2 instead of being killed.
+that turns either kind into an exit status.  It also silences numpy's
+floating-point warnings, so a run prints only its summary or failure
+line.  Each run caps its own data size at what it maps plus the memory
+the kernel reports as available, so a run too large for memory fails at
+its first allocation past that cap and exits 2 instead of being killed.
 
 Config layout (all sections optional):
 
@@ -706,10 +707,12 @@ def _execute(run, *args) -> Tuple[int, object]:
     (ConfigError or a library ValueError) is 2, and so is a run that does
     not fit in memory, which runs under _data_cap; a computation that ran
     and missed its goal (NumericalError or a library RuntimeError) is 3.
+    numpy's floating-point warnings are silenced for the run: a value that
+    overflows fails by its own check, and prints only that failure.
     """
     cap = None
     try:
-        with _data_cap() as cap:
+        with _data_cap() as cap, np.errstate(all="ignore"):
             return 0, run(*args)
     except MemoryError:
         limit = "is available" if cap is None else f"the {cap >> 20} MiB available"

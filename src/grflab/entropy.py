@@ -172,6 +172,44 @@ def _w_values(traj, weights, times):
     return times, tau, lam, h, m, W
 
 
+def _entropy_trace(times, tau, W, m, dt=None, *, W_plus=None, W_minus=None, dW_formula=None):
+    """EntropyTrace of W and the mass m on the samples; both testbeds build
+    theirs here.
+
+    Without dt the derivative columns are NaN, and a W or mass that is not
+    finite raises RuntimeError.  With dt, dW_fd = (W_plus - W_minus) / 2 dt
+    is set against dW_formula, and RuntimeError is raised unless the worst
+    gap is within max(1e-6, 10 dt^2 scale); a NaN gap or an infinite bound
+    fails too, as neither is an agreement.
+    """
+    tol = None
+    if dt is None:
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(m))):
+            raise RuntimeError("entropy or mass is not finite on the samples")
+        dW_fd, dW_formula, gap = (np.full_like(W, np.nan) for _ in range(3))
+    else:
+        dW_fd = (W_plus - W_minus) / (2.0 * dt)
+        gap = np.abs(dW_fd - dW_formula)
+        # truncation of the central difference is W''' dt^2 / 6 and the
+        # potential contributes mass / tau^3 to W''', hence the smallest tau
+        scale = max(
+            1.0,
+            float(np.max(np.abs(W))),
+            float(np.max(np.abs(dW_formula))),
+            float(np.max(m)) * (1.0 + 1.0 / float(np.min(tau))) ** 3,
+        )
+        tol = max(1e-6, 10.0 * dt * dt * scale)
+        worst = float(np.max(gap))
+        if not (math.isfinite(tol) and worst <= tol):
+            raise RuntimeError(
+                "derivative routes disagree: gap %.3e exceeds tolerance %.3e" % (worst, tol)
+            )
+    return EntropyTrace(
+        times=times, tau=tau, W=W, dW_fd=dW_fd, dW_formula=dW_formula, gap=gap,
+        mass=m, tolerance=tol,
+    )
+
+
 def entropy_eval(
     traj: CylinderTrajectory,
     weights: HeatWeightPath,
@@ -190,42 +228,8 @@ def entropy_eval(
         times = weights.times if t_max is None else weights.times[weights.times <= t_max]
     if np.size(times) == 0:
         raise ValueError("no sample times")
-    with np.errstate(all="ignore"):  # a W that is not finite fails below
-        times, tau, _, _, m, W = _w_values(traj, weights, times)
-    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(m))):
-        raise RuntimeError("entropy or mass is not finite on the samples")
-    nan = np.full_like(W, np.nan)
-    return EntropyTrace(
-        times=times,
-        tau=tau,
-        W=W,
-        dW_fd=nan.copy(),
-        dW_formula=nan.copy(),
-        gap=nan.copy(),
-        mass=m,
-    )
-
-
-def _gap_tolerance(dt, tau, W, dW_formula, m, gap) -> float:
-    """Bound on |dW_fd - dW_formula|; raises when the worst gap exceeds it,
-    is NaN, or the bound itself is not finite."""
-    # truncation of the central difference is W''' dt^2 / 6 and the
-    # potential contributes mass / tau^3 to W''', hence the tau_min term
-    tau_min = float(np.min(tau))
-    scale = max(
-        1.0,
-        float(np.max(np.abs(W))),
-        float(np.max(np.abs(dW_formula))),
-        float(np.max(m)) * (1.0 + 1.0 / tau_min) ** 3,
-    )
-    tol = max(1e-6, 10.0 * dt * dt * scale)
-    worst = float(np.max(gap))
-    # a NaN gap or an infinite bound fails too: neither is an agreement
-    if not (math.isfinite(tol) and worst <= tol):
-        raise RuntimeError(
-            "derivative routes disagree: gap %.3e exceeds tolerance %.3e" % (worst, tol)
-        )
-    return tol
+    times, tau, _, _, m, W = _w_values(traj, weights, times)
+    return _entropy_trace(times, tau, W, m)
 
 
 def entropy_derivative_check(
@@ -264,28 +268,15 @@ def entropy_derivative_check(
     if np.any(times - dt < t0) or np.any(times + dt > t1):
         raise ValueError("finite-difference stencil leaves the trajectory")
 
-    with np.errstate(all="ignore"):  # an overflow fails as a NaN gap
-        times, tau, lam, h, m, W = _w_values(traj, weights, times)
-        Wp = _w_values(traj, weights, times + dt)[5]
-        Wm = _w_values(traj, weights, times - dt)[5]
-        dW_fd = (Wp - Wm) / (2.0 * dt)
-
-        h2 = h * h
-        A_s = 0.5 / lam - 0.5 * h2 - 0.5 / tau
-        A_r = -0.5 * h2 - 0.5 / tau
-        dW_formula = (2.0 * tau * (2.0 * A_s**2 + A_r**2) - h2) * m
-
-        gap = np.abs(dW_fd - dW_formula)
-    tol = _gap_tolerance(dt, tau, W, dW_formula, m, gap)
-    return EntropyTrace(
-        times=times,
-        tau=tau,
-        W=W,
-        dW_fd=dW_fd,
-        dW_formula=dW_formula,
-        gap=gap,
-        mass=m,
-        tolerance=tol,
+    times, tau, lam, h, m, W = _w_values(traj, weights, times)
+    h2 = h * h
+    A_s = 0.5 / lam - 0.5 * h2 - 0.5 / tau
+    A_r = -0.5 * h2 - 0.5 / tau
+    return _entropy_trace(
+        times, tau, W, m, dt,
+        W_plus=_w_values(traj, weights, times + dt)[5],
+        W_minus=_w_values(traj, weights, times - dt)[5],
+        dW_formula=(2.0 * tau * (2.0 * A_s**2 + A_r**2) - h2) * m,
     )
 
 
@@ -377,24 +368,14 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
     tau = 1.0 - stencil
     v, u, integrand = _gaussian_slice(r[None, :], tau[:, None], a[:, None], b[:, None])
     vol = 4.0 * np.pi * np.sqrt(tau) * dr
-    W_all = vol * v.sum(axis=1)
 
-    n = times.size
-    W, m = W_all[n:2 * n], (vol * u.sum(axis=1))[n:2 * n]
-    dW_fd = (W_all[2 * n:] - W_all[:n]) / (2.0 * dt)
-    dW_formula = (vol * integrand.sum(axis=1))[n:2 * n]
-    gap = np.abs(dW_fd - dW_formula)
-    tau = tau[n:2 * n]
-    tol = _gap_tolerance(dt, tau, W, dW_formula, m, gap)
-    return EntropyTrace(
-        times=times,
-        tau=tau,
-        W=W,
-        dW_fd=dW_fd,
-        dW_formula=dW_formula,
-        gap=gap,
-        mass=m,
-        tolerance=tol,
+    def quadrature(x):  # one row per stencil time: t - dt, t, t + dt
+        return (vol * x.sum(axis=1)).reshape(3, -1)
+
+    W_minus, W, W_plus = quadrature(v)
+    return _entropy_trace(
+        times, tau.reshape(3, -1)[1], W, quadrature(u)[1], dt,
+        W_plus=W_plus, W_minus=W_minus, dW_formula=quadrature(integrand)[1],
     )
 
 
@@ -402,10 +383,24 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
 # pointwise checks on the explicit solitons
 
 
-def _require_soliton(data: WarpedSolitonData, grid: np.ndarray, dt: float):
+def _grid_constant(values: np.ndarray, message: str) -> float:
+    """The mean of values, which must be constant on the grid to 1e-9."""
+    mean = float(np.mean(values))
+    if np.max(np.abs(values - mean)) > 1e-9:
+        raise ValueError(message)
+    return mean
+
+
+def _soliton_gate(data: Optional[WarpedSolitonData], grid, dt: float):
+    """(data, grid, kappa) for a pointwise check at t = 0 on the pullback
+    family of data (default the cylinder soliton): the family needs
+    tau = 1 - dt > 0 and, for a linear dilation flow of grad f, a quadratic
+    potential f'' = kappa.  Both canonical solitons qualify."""
+    if data is None:
+        data = cylinder_soliton()
     grid = np.asarray(grid, dtype=float)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < 1:
+        raise ValueError("dt must lie in (0, 1): the pullback family needs tau = 1 - dt > 0")
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a finite 1-d array")
     if np.max(np.abs(grid)) > 5.0 + 1e-12:
@@ -415,27 +410,8 @@ def _require_soliton(data: WarpedSolitonData, grid: np.ndarray, dt: float):
         raise ValueError("data is not a soliton: " + report.message)
     if abs(data.lambda_soliton - 1.0) > 1e-9:
         raise ValueError("heat identities assume soliton constant 1")
-    return grid
-
-
-def _dilation_exponent(data: WarpedSolitonData, grid: np.ndarray) -> float:
-    # The pullback family needs the dilation flow of grad f to be linear,
-    # i.e. a quadratic potential.  Both canonical solitons qualify.
-    fpp = data.f.d2(grid)
-    kappa = float(np.mean(fpp))
-    if np.max(np.abs(fpp - kappa)) > 1e-9:
-        raise ValueError("pullback family requires a quadratic potential")
-    return kappa
-
-
-def _fixed_form_coefficient(data: WarpedSolitonData, grid: np.ndarray) -> float:
-    # H = c dr ^ (unit-sphere area form) with c = h phi^2 constant makes H
-    # closed and codifferential-free at every time of the family.
-    c = data.h(grid) * data.phi(grid) ** 2
-    c0 = float(np.mean(c))
-    if np.max(np.abs(c - c0)) > 1e-9:
-        raise ValueError("torsion form must have constant coefficient h phi^2")
-    return c0
+    kappa = _grid_constant(data.f.d2(grid), "pullback family requires a quadratic potential")
+    return data, grid, kappa
 
 
 def soliton_heat_check(
@@ -449,10 +425,7 @@ def soliton_heat_check(
     by central differences.  Right side, closed form:
     -Lap f + |grad f|^2 - R + |H|^2/4 + 3/(2 (1-t)).
     """
-    if data is None:
-        data = cylinder_soliton()
-    grid = _require_soliton(data, np.asarray(grid, dtype=float), dt)
-    kappa = _dilation_exponent(data, grid)
+    data, grid, kappa = _soliton_gate(data, grid, dt)
 
     def f_at(t):
         return data.f(grid * (1.0 - t) ** (-kappa))
@@ -514,11 +487,11 @@ def pointwise_monotonicity_check(
     M = Ric - H^2/4 + Hess f - g/(2 tau) and sigma is the twisted
     codifferential of H.
     """
-    if data is None:
-        data = cylinder_soliton()
-    grid = _require_soliton(data, np.asarray(grid, dtype=float), dt)
-    kappa = _dilation_exponent(data, grid)
-    c = _fixed_form_coefficient(data, grid)
+    data, grid, kappa = _soliton_gate(data, grid, dt)
+    # H = c dr ^ (unit-sphere area form) with c = h phi^2 constant makes H
+    # closed and codifferential-free at every time of the family
+    c = _grid_constant(data.h(grid) * data.phi(grid) ** 2,
+                       "torsion form must have constant coefficient h phi^2")
     if not dr > 0:
         raise ValueError("dr must be positive")
     stencil = grid[None, :] + dr * np.arange(-2, 3)[:, None]

@@ -474,6 +474,13 @@ def test_short_horizon_blowup_is_a_numerical_failure(invoke, tmp_path):
     assert not (tmp_path / "blowup.json").exists()
 
 
+# a report that overflows (1e200 squared; e^{-f} at f = -700 in the
+# weighted sum) is a numerical failure, not an artifact holding NaN
+HODGE_OVERFLOW = ("hodge-check", "--dim", "3", "--size", "16")
+HODGE_OVERFLOWS = (("--identity", "integral", "--h-amp", "1e200"),
+                   ("--identity", "integral", "--f-amp", "700"),
+                   ("--identity", "divh2", "--h-amp", "1e200"))
+
 # the config error that names the rejected parameter
 REJECTED_BY_NAME = {
     **{(command, "--tmax", value): f"{command}: parameter 'tmax' must be greater than 0"
@@ -485,6 +492,10 @@ REJECTED_BY_NAME = {
     # negative seed names no parameter
     ("cylinder-flow", "--dt-out", "-1"): "cylinder-flow: parameter 'dt_out' must be at least 0",
     ("hodge-check", "--seed", "-3"): "hodge-check: parameter 'seed' must be at least 0",
+    # the pullback family needs tau = 1 - dt > 0
+    **{argv: "dt must lie in (0, 1)"
+       for argv in (("heat-check", "--dt", "1"), ("heat-check", "--dt", "10"),
+                    ("heat-check", "--soliton", "gaussian", "--dt", "2"))},
 }
 
 
@@ -516,13 +527,7 @@ REJECTED_BY_NAME = {
     (("cylinder-flow", "--rtol", "1e-20"), 2),
     # r_max at or below r_switch is rejected by name
     (("shoot", "--r-max", "0.01"), 2),
-    # a report that overflows (1e200 squared; e^{-f} at f = -700 in the
-    # weighted sum) is a numerical failure, not an artifact holding NaN
-    *[pytest.param(("hodge-check", "--dim", "3", "--size", "16", *argv), 3,
-                   marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-      for argv in (("--identity", "integral", "--h-amp", "1e200"),
-                   ("--identity", "integral", "--f-amp", "700"),
-                   ("--identity", "divh2", "--h-amp", "1e200"))],
+    *[(HODGE_OVERFLOW + argv, 3) for argv in HODGE_OVERFLOWS],
     # tau near 1e308 overflows W: every derivative gap is NaN, which is no
     # agreement, and without the check W itself is not finite
     (("entropy", "--h0sq", "0.5", "--T-ref", "1e308"), 3),
@@ -533,6 +538,9 @@ REJECTED_BY_NAME = {
     (("entropy", "--dt", "0", "--t-max", "-1"), 2),
     (("cylinder-flow", "--dt-out", "-1"), 2),
     (("hodge-check", "--seed", "-3"), 2),
+    (("heat-check", "--dt", "1"), 2),
+    (("heat-check", "--dt", "10"), 2),
+    (("heat-check", "--soliton", "gaussian", "--dt", "2"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
@@ -542,12 +550,20 @@ def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected)
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("dt", ["1e-4", "0"])
-def test_overflowing_entropy_prints_only_its_failure(invoke, tmp_path, dt):
+@pytest.mark.parametrize("argv", [
+    # tau near 1e308 overflows W, on both dt paths
+    pytest.param(("entropy", "--h0sq", "0.5", "--T-ref", "1e308", "--dt", "1e-4"), id="1e-4"),
+    pytest.param(("entropy", "--h0sq", "0.5", "--T-ref", "1e308", "--dt", "0"), id="0"),
+    # the conjugate-heat solve overflows
+    pytest.param(("entropy", "--h0sq", "0.5", "--u0", "1e300"), id="u0-1e300"),
+    pytest.param(("hodge-check", "--f-amp", "800"), id="f-amp-800"),
+    *[pytest.param(HODGE_OVERFLOW + argv, id=argv[1] + argv[2])
+      for argv in HODGE_OVERFLOWS],
+])
+def test_overflowing_entropy_prints_only_its_failure(invoke, tmp_path, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = invoke("entropy", "--h0sq", "0.5", "--T-ref", "1e308",
-                                "--dt", dt, "--out", str(tmp_path))
+        code, out, err = invoke(*argv, "--out", str(tmp_path))
     assert code == 3 and out == ""
     assert err.startswith("numerical failure:") and err.count("\n") == 1
 

@@ -103,6 +103,27 @@ def test_nan_gap_is_a_runtime_error(flow_half, weights_half):
         entropy_derivative_check(flow_half, far, times=np.linspace(0.1, 1.5, 15))
 
 
+def test_skewed_formula_fails_both_testbeds(flow_half, weights_half, monkeypatch):
+    # on these windows the bound is tight (1e-6 and 1.43e-6), so a formula
+    # off by 1e-4 mass must fail on both testbeds through the one builder
+    checks = (
+        lambda: entropy_derivative_check(flow_half, weights_half, times=np.linspace(0.1, 0.8, 15)),
+        lambda: gaussian_entropy_check(0.375, np.linspace(0.0, 0.3, 7)),
+    )
+    for check in checks:
+        check()
+    build = ent._entropy_trace
+
+    def skewed(times, tau, W, m, dt=None, **fd):
+        fd["dW_formula"] = fd["dW_formula"] + 1e-4 * m
+        return build(times, tau, W, m, dt, **fd)
+
+    monkeypatch.setattr(ent, "_entropy_trace", skewed)
+    for check in checks:
+        with pytest.raises(RuntimeError, match="derivative routes disagree"):
+            check()
+
+
 def test_derivative_check_fd_order(flow_ricci):
     # large-mass weights push the fd truncation above rounding so the
     # second-order collapse of the gap is measurable
@@ -270,6 +291,10 @@ def test_soliton_gate_errors():
         soliton_heat_check(grid, dt=0.0)
     with pytest.raises(ValueError):
         pointwise_monotonicity_check(grid, dt=1e-4, dr=0.0)
+    # the pullback family needs tau = 1 - dt > 0
+    for check in (soliton_heat_check, pointwise_monotonicity_check):
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, 1\)"):
+            check(grid, dt=1.0)
 
 
 def test_sphere_area_constant():
