@@ -23,10 +23,13 @@ Config layout (all sections optional):
 
     {
       "command": "cylinder-flow",
-      "parameters": {"h0sq": 0.5},
-      "tolerances": {"rtol": 1e-11, "atol": 1e-13, "grid": 64},
+      "parameters": {"h0sq": 0.5, "rtol": 1e-11, "atol": 1e-13},
       "output": {"directory": "out", "csv": true, "json": true}
     }
+
+Each parameter has one name, its flag's with underscores for dashes
+(--lam-floor is "lam_floor"); --dump-config prints a config in this
+layout that reads back as the same run.
 
 The output directory defaults to $GRFLAB_OUTPUT_DIR, then "grflab_out".
 A sweep file lists independent runs, done one after another, each into
@@ -77,12 +80,16 @@ class Param:
 
 _TOL = {"rtol": Param("float", 1e-11, "relative tolerance"),
         "atol": Param("float", 1e-13, "absolute tolerance")}
+_SCALES = {"lam0": Param("float", 1.0, "initial sphere scale"),
+           "beta0": Param("float", 1.0, "initial circle scale")}
+_SOLITON = Param("str", "cylinder", "which explicit soliton",
+                 choices=("cylinder", "gaussian"))
+_HODGE_IDENTITIES = ("suobing", "twisted", "integral", "divh2", "adjointness")
 
 SCHEMAS: Dict[str, Dict[str, Param]] = {
     "cylinder-flow": {
         "h0sq": Param("float", 0.1, "initial torsion h0^2", at_least=0.0),
-        "lam0": Param("float", 1.0, "initial sphere scale"),
-        "beta0": Param("float", 1.0, "initial circle scale"),
+        **_SCALES,
         "tmax": Param("float", 10.0, "latest flow time", above=0.0),
         "lam_floor": Param("float", 1e-8, "collapse detection floor"),
         "dt_out": Param("float", 0.01, "CSV sample step; 0 writes the solver's steps",
@@ -91,16 +98,14 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
     },
     "blowup": {
         "h0sq": Param("float", 0.3, "initial torsion h0^2", at_least=0.0),
-        "lam0": Param("float", 1.0, "initial sphere scale"),
-        "beta0": Param("float", 1.0, "initial circle scale"),
+        **_SCALES,
         "samples": Param("int", 18, "geometric sample count", at_least=3),
         "tmax": Param("float", 10.0, "latest flow time", above=0.0),
         **_TOL,
     },
     "torsion": {
         "h0sq": Param("float", 0.5, "initial torsion h0^2, nonzero", at_least=0.0),
-        "lam0": Param("float", 1.0, "initial sphere scale"),
-        "beta0": Param("float", 1.0, "initial circle scale"),
+        **_SCALES,
         "psi0": Param("float", None, "crossing threshold"),
         "fit_points": Param("int", 200, "points for the log fit", at_least=2),
         "tmax": Param("float", 10.0, "latest flow time", above=0.0),
@@ -114,16 +119,14 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         **_TOL,
     },
     "soliton-residual": {
-        "soliton": Param("str", "cylinder", "which explicit soliton",
-                         choices=("cylinder", "gaussian")),
+        "soliton": _SOLITON,
         "points": Param("int", 200, "grid points", at_least=2),
         "r_min": Param("float", 0.1, "grid start"),
         "r_max": Param("float", 3.0, "grid end"),
     },
     "entropy": {
         "h0sq": Param("float", 0.0, "initial torsion h0^2", at_least=0.0),
-        "lam0": Param("float", 1.0, "initial sphere scale"),
-        "beta0": Param("float", 1.0, "initial circle scale"),
+        **_SCALES,
         "u0": Param("float", None, "initial weight; default normalizes mass to 1"),
         "T_ref": Param("float", None, "reference time; default detected T_sing"),
         "dt": Param("float", 1e-4, "derivative-check step; 0 skips the check",
@@ -132,8 +135,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         **_TOL,
     },
     "heat-check": {
-        "soliton": Param("str", "cylinder", "which explicit soliton",
-                         choices=("cylinder", "gaussian")),
+        "soliton": _SOLITON,
         "dt": Param("float", 1e-4, "central time step", above=0.0),
         "dr": Param("float", 2e-3, "radial stencil step", above=0.0),
         "r_max": Param("float", 3.0, "grid half-width", above=0.0),
@@ -141,8 +143,7 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
     },
     "hodge-check": {
         "identity": Param("str", "all", "which identity to check",
-                          choices=("all", "suobing", "twisted", "integral",
-                                   "divh2", "adjointness")),
+                          choices=("all",) + _HODGE_IDENTITIES),
         "dim": Param("int", 3, "torus dimension", choices=(3, 4)),
         "size": Param("int", 32, "grid points per axis", at_least=16),
         "f_amp": Param("float", 1.0, "scalar field amplitude"),
@@ -211,10 +212,6 @@ def _coerce(command: str, name: str, value, spec: Param):
     return value
 
 
-_GRID_PARAM = {"hodge-check": "size", "soliton-residual": "points",
-               "heat-check": "points"}
-
-
 def _set_params(command: str, params: dict, section: dict, where: str) -> None:
     """Coerce each entry of a parameters section into params."""
     schema = SCHEMAS[command]
@@ -231,13 +228,12 @@ def resolve_config(
     out_flag: Optional[str],
 ) -> dict:
     """Merge defaults, config file and flags into a validated run config."""
-    schema = SCHEMAS[command]
-    params = {name: spec.default for name, spec in schema.items()}
+    params = {name: spec.default for name, spec in SCHEMAS[command].items()}
     out_dir = None
     formats = {"csv": True, "json": True}
 
     if file_cfg is not None:
-        unknown = set(file_cfg) - {"command", "parameters", "tolerances", "output"}
+        unknown = set(file_cfg) - {"command", "parameters", "output"}
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
         declared = file_cfg.get("command")
@@ -251,21 +247,6 @@ def resolve_config(
         if not isinstance(section, dict):
             raise ConfigError("'parameters' must be an object")
         _set_params(command, params, section, command)
-        tols = file_cfg.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("'tolerances' must be an object")
-        for key, value in tols.items():
-            if key in ("rtol", "atol"):
-                if key not in schema:
-                    raise ConfigError(f"{command}: no tolerance '{key}'")
-                params[key] = _coerce(command, key, value, schema[key])
-            elif key == "grid":
-                target = _GRID_PARAM.get(command)
-                if target is None:
-                    raise ConfigError(f"{command}: no grid tolerance")
-                params[target] = _coerce(command, target, value, schema[target])
-            else:
-                raise ConfigError(f"unknown tolerance '{key}'")
         output = file_cfg.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("'output' must be an object")
@@ -519,11 +500,7 @@ def _run_hodge_check(cfg: dict) -> str:
     from . import hodge
 
     p = cfg["parameters"]
-    identities = (
-        ("suobing", "twisted", "integral", "divh2", "adjointness")
-        if p["identity"] == "all"
-        else (p["identity"],)
-    )
+    identities = _HODGE_IDENTITIES if p["identity"] == "all" else (p["identity"],)
     grid = hodge.PeriodicGrid.cube(p["dim"], p["size"])
     bits = []
     artifacts = []

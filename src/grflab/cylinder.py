@@ -136,9 +136,13 @@ def run_flow(
     tmax: float = 10.0,
     lam_floor: float = 1e-8,
 ) -> CylinderTrajectory:
-    """Integrate until the lambda-floor event (collapse) or tmax."""
-    if not lam_floor > 0:
-        raise ValueError("lam_floor must be positive")
+    """Integrate until the lambda-floor event (collapse) or tmax; the floor
+    must lie strictly between 0 and the initial lambda."""
+    if not 0 < lam_floor < initial.lam:
+        raise ValueError(
+            f"lam_floor must lie in (0, lam0): got lam_floor={lam_floor:g} "
+            f"and lam0={initial.lam:g}"
+        )
     y0 = np.array([initial.lam, initial.h, initial.beta, 0.0])
     floor_event = EventSpec(lambda t, y: y[0] - lam_floor, direction="falling", terminal=True)
     traj = integrate(_rhs, (0.0, tmax), y0, events=(floor_event,), rtol=rtol, atol=atol)

@@ -320,7 +320,9 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
     weight f = r^2/2, on which dW vanishes.  Otherwise
     dW/mass = 2 tau (2 a tau - 1/tau)^2 + 2 tau a - 1/tau, negative at
     t = 0 for 1/4 < a0 < 1/2 (minimum -1/8 at a0 = 3/8): the -|H|^2/6
-    term of the monotonicity identity outweighs the squares.
+    term of the monotonicity identity outweighs the squares.  For
+    a0 > 1/2 the weight concentrates at t* = 1 - sqrt(1 - 1/(2 a0)), and
+    a stencil that reaches t* raises ValueError before any integration.
 
     (a, b) is integrated as an initial value problem from the earliest
     stencil time, started from the closed form of a at unit mass, and a is
@@ -341,21 +343,30 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
     stencil = np.concatenate([times - dt, times, times + dt])
     _check_tau(1.0 - stencil)
 
+    def inv_a(t):
+        return 1.0 / a0 - 4.0 * t + 2.0 * t * t
+
     def a_closed(t):
-        return 1.0 / (1.0 / a0 - 4.0 * t + 2.0 * t * t)
+        return 1.0 / inv_a(t)
 
     def rhs(t, y):
         tau = 1.0 - t
         return np.array([4.0 * tau * y[0] * y[0], 1.0 / tau - 2.0 * tau * y[0]])
 
     t_lo, t_hi = float(stencil.min()), float(stencil.max())
+    # 1/a falls for t < 1, so a positive 1/a at the last stencil time keeps
+    # the weight spread over the whole window
+    if not inv_a(t_hi) > 0:
+        t_star = 1.0 - math.sqrt(1.0 - 0.5 / a0)
+        raise ValueError(
+            "the weight concentrates at t* = %.6g, not after the last "
+            "stencil time %.6g" % (t_star, t_hi)
+        )
     a_lo = a_closed(t_lo)
-    if not a_lo > 0:
-        raise ValueError("the weight concentrates before the first sample")
     b_lo = -math.log(2.0 * (1.0 - t_lo) * math.sqrt(a_lo))  # unit mass
     run = integrate(rhs, (t_lo, t_hi), [a_lo, b_lo], rtol=1e-12, atol=1e-14)
     if run.termination != "reached_tmax":
-        raise ValueError("Gaussian weight integration ended by " + run.termination)
+        raise RuntimeError("Gaussian weight integration ended by " + run.termination)
     a, b = run.sol(stencil)
     a_err = float(np.max(np.abs(a / a_closed(stencil) - 1.0)))
     if not a_err < 1e-9:

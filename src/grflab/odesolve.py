@@ -446,7 +446,7 @@ def integrate(
 ) -> Trajectory:
     """solve_ivp with a terminal blowup-ceiling event, run quietly.
 
-    Takes solve_ivp's arguments with tighter default tolerances.  The run
+    Takes solve_ivp's arguments with a tighter default rtol and atol.  The run
     terminates at tf, at the first terminal event, when max|state|
     exceeds BLOWUP_CEILING (termination "blowup"), or when the adaptive
     step underflows.  The ceiling's own crossings are left out of

@@ -180,21 +180,16 @@ def ode_residuals(data: WarpedSolitonData, grid: np.ndarray) -> ResidualReport:
     )
 
 
-def tensor_residuals(
-    data: WarpedSolitonData,
-    grid: np.ndarray,
-    lambda_soliton: Optional[float] = None,
-) -> ResidualReport:
+def tensor_residuals(data: WarpedSolitonData, grid: np.ndarray) -> ResidualReport:
     """Residuals of the tensor soliton equations, per metric direction.
 
     Metric equation 2 Ric - H2/2 - lambda g + 2 Hess f, reported through
     its two distinct eigenvalues (radial and spherical, both relative to
     g), and the torsion equation reduced to its radial dV component via
-    the twisted codifferential.  lambda_soliton defaults to
-    2 * lambda_ode.
+    the twisted codifferential, with lambda = data.lambda_soliton.
     """
     r, phi, dphi, ddphi, h, dh, ddh, df, ddf = _fields(data, grid)
-    lam_s = data.lambda_soliton if lambda_soliton is None else float(lambda_soliton)
+    lam_s = data.lambda_soliton
     phi2 = phi * phi
     h2 = h * h
 
@@ -251,23 +246,27 @@ class ConventionReport:
         return "failing: " + ", ".join(self.failing)
 
 
-def convention_check(data: WarpedSolitonData, grid: np.ndarray, tol: float = 1e-9) -> ConventionReport:
+# sup-norm bound on every residual and on the factor-2 gap of convention_check
+CONVENTION_TOL = 1e-9
+
+
+def convention_check(data: WarpedSolitonData, grid: np.ndarray) -> ConventionReport:
     """Truthy iff both descriptions vanish with the factor-2 bridge intact.
 
     Evaluates the reduced system with lambda_ode, the tensor system with
     the stored lambda_soliton, and the relation
-    lambda_soliton = 2 * lambda_ode; every residual must stay below tol
-    in sup norm.  The report names whichever side fails.
+    lambda_soliton = 2 * lambda_ode; every residual must stay below
+    CONVENTION_TOL in sup norm.  The report names whichever side fails.
     """
     rep1 = ode_residuals(data, grid)
     rep2 = tensor_residuals(data, grid)
     gap = abs(data.lambda_soliton - 2.0 * data.lambda_ode)
     failing = []
-    if not rep1.max_abs < tol:
+    if not rep1.max_abs < CONVENTION_TOL:
         failing.append("ode system (lambda_ode)")
-    if not rep2.max_abs < tol:
+    if not rep2.max_abs < CONVENTION_TOL:
         failing.append("tensor equations (lambda_soliton)")
-    if not gap < tol:
+    if not gap < CONVENTION_TOL:
         failing.append("factor-2 relation")
     return ConventionReport(
         ok=not failing,

@@ -1,10 +1,13 @@
-"""Shared fixtures: scipy's RK45 as the reference for the in-house solver.
+"""Shared fixtures: scipy's RK45 as the reference for the in-house solver,
+and the two closed-form cylinder flows.
 
 scipy is used here only as a reference; grflab's ODE code never loads it.
 """
+import numpy as np
 import pytest
 
 from grflab import odesolve
+from grflab.cylinder import CylinderState, run_flow
 
 _DIRECTIONS = {"rising": 1.0, "falling": -1.0, "any": 0.0}
 
@@ -52,3 +55,15 @@ def scipy_twin():
         return odesolve.solve_ivp(*args, **kwargs), ref
 
     return twin
+
+
+@pytest.fixture(scope="module")
+def flow_ricci():
+    """h0 = 0: lambda = 1 - t, collapse at t = 1."""
+    return run_flow(CylinderState(1.0, 0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def flow_half():
+    """h0^2 = 1/2, on the separatrix: collapse at t = 2."""
+    return run_flow(CylinderState(1.0, np.sqrt(0.5), 1.0))

@@ -219,16 +219,30 @@ def test_dump_config_prints_every_sweep_run_and_runs_none(invoke, tmp_path):
     assert not (tmp_path / "scratch").exists()
 
 
-def test_grid_tolerance_feeds_the_resolution_parameter(invoke, tmp_path):
-    cfg = write_config(tmp_path, {"tolerances": {"grid": 24}})
-    code, out, _ = invoke("hodge-check", "--config", cfg, "--dump-config")
-    assert code == 0
-    assert json.loads(out)["parameters"]["size"] == 24
-    # the schema bound holds on every route into a parameter
-    cfg = write_config(tmp_path, {"tolerances": {"grid": 8}}, name="coarse.json")
+def test_config_parameter_holds_its_schema_bound(invoke, tmp_path):
+    # the schema bound holds on the config route into a parameter too
+    cfg = write_config(tmp_path, {"parameters": {"size": 8}})
     code, out, err = invoke("hodge-check", "--config", cfg, "--dump-config")
     assert code == 2 and out == ""
     assert "parameter 'size' must be at least 16" in err
+
+
+def test_tolerances_section_is_rejected(invoke, tmp_path):
+    # rtol, atol and the grid size are parameters; no section renames them
+    cfg = write_config(tmp_path, {"parameters": {"size": 24}, "tolerances": {"grid": 40}})
+    code, out, err = invoke("hodge-check", "--config", cfg, "--dump-config")
+    assert code == 2 and out == ""
+    assert "unknown config section(s): ['tolerances']" in err
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_dumped_config_reads_back_as_the_same_run(invoke, tmp_path, command):
+    code, dumped, _ = invoke(command, "--dump-config")
+    assert code == 0
+    cfg = write_config(tmp_path, json.loads(dumped))
+    code, again, err = invoke(command, "--config", cfg, "--dump-config")
+    assert code == 0 and err == ""
+    assert again == dumped
 
 
 def test_output_directory_precedence(invoke, tmp_path, monkeypatch):
@@ -461,7 +475,8 @@ def test_sweep_runs_one_at_a_time(invoke, tmp_path, monkeypatch, command, argv, 
 def test_underflowing_flow_prints_only_its_failure(invoke, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = invoke("cylinder-flow", "--lam0", "1e-300", "--out", str(tmp_path))
+        code, out, err = invoke("cylinder-flow", "--lam0", "1e-300", "--lam-floor", "1e-310",
+                                "--out", str(tmp_path))
     assert code == 3 and out == ""
     assert err == "numerical failure: flow terminated with step_underflow\n"
 
@@ -496,6 +511,16 @@ REJECTED_BY_NAME = {
     **{argv: "dt must lie in (0, 1)"
        for argv in (("heat-check", "--dt", "1"), ("heat-check", "--dt", "10"),
                     ("heat-check", "--soliton", "gaussian", "--dt", "2"))},
+    # the collapse floor must lie below lam0, else the flow starts at or
+    # under it; the default floor is 1e-8
+    **{argv: f"lam_floor must lie in (0, lam0): got {values}"
+       for argv, values in (
+           (("cylinder-flow", "--h0sq", "0.1", "--lam-floor", "1"), "lam_floor=1 and lam0=1"),
+           (("cylinder-flow", "--lam-floor", "2"), "lam_floor=2 and lam0=1"),
+           (("blowup", "--lam0", "1e-9"), "lam_floor=1e-08 and lam0=1e-09"),
+           (("torsion", "--lam0", "1e-9"), "lam_floor=1e-08 and lam0=1e-09"),
+           (("entropy", "--lam0", "1e-9"), "lam_floor=1e-08 and lam0=1e-09"),
+       )},
 }
 
 
@@ -541,6 +566,11 @@ REJECTED_BY_NAME = {
     (("heat-check", "--dt", "1"), 2),
     (("heat-check", "--dt", "10"), 2),
     (("heat-check", "--soliton", "gaussian", "--dt", "2"), 2),
+    (("cylinder-flow", "--h0sq", "0.1", "--lam-floor", "1"), 2),
+    (("cylinder-flow", "--lam-floor", "2"), 2),
+    (("blowup", "--lam0", "1e-9"), 2),
+    (("torsion", "--lam0", "1e-9"), 2),
+    (("entropy", "--lam0", "1e-9"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"

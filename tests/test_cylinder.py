@@ -23,16 +23,6 @@ T_SING_H01 = 1.322806705723048  # frozen from a high-precision independent solve
 NOISE = 1e-9
 
 
-@pytest.fixture(scope="module")
-def flow_ricci():
-    return run_flow(CylinderState(1.0, 0.0, 1.0))
-
-
-@pytest.fixture(scope="module")
-def flow_half():
-    return run_flow(CylinderState(1.0, np.sqrt(0.5), 1.0))
-
-
 def test_scalar_state_at_matches_dense_output(recorded_solves, scipy_twin):
     # state_at gives scipy's OdeSolution values bit for bit, scalar and
     # vectorized, on step points (earlier segment), between them and just
@@ -110,10 +100,11 @@ def test_no_collapse_within_short_horizon():
 
 def test_underflowing_run_is_quiet():
     # lambda0 = 1e-300 overflows the rhs on the first stages; the run ends
-    # on its underflow label without a floating-point warning on the way
+    # on its underflow label without a floating-point warning on the way.
+    # The floor must lie below lambda0, hence one under it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = run_flow(CylinderState(1e-300, math.sqrt(0.1), 1.0))
+        traj = run_flow(CylinderState(1e-300, math.sqrt(0.1), 1.0), lam_floor=1e-310)
     assert traj.termination == "step_underflow"
 
 

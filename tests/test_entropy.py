@@ -17,16 +17,6 @@ from grflab.entropy import (
 from grflab.warped import RadialProfile, WarpedSolitonData, cylinder_soliton, gaussian_shrinker
 
 @pytest.fixture(scope="module")
-def flow_ricci():
-    return run_flow(CylinderState(1.0, 0.0, 1.0))
-
-
-@pytest.fixture(scope="module")
-def flow_half():
-    return run_flow(CylinderState(1.0, np.sqrt(0.5), 1.0))
-
-
-@pytest.fixture(scope="module")
 def weights_ricci(flow_ricci):
     return conjugate_heat_homogeneous(flow_ricci, T_ref=1.0)
 
@@ -216,11 +206,15 @@ def test_gaussian_validation():
         gaussian_entropy_check(0.375, [0.1], dt=0.0)
     with pytest.raises(ValueError):
         gaussian_entropy_check(0.375, [])
-    # a0 > 1/2 concentrates at t = 1 - sqrt(1 - 1/(2 a0)) = 1/2 for a0 = 2/3
+    # a0 > 1/2 concentrates at t* = 1 - sqrt(1 - 1/(2 a0)) = 1/2 for a0 = 2/3;
+    # a window that reaches t* is rejected before any integration, wherever
+    # its first sample lies
     with pytest.raises(ValueError, match="concentrates"):
         gaussian_entropy_check(2.0 / 3.0, [0.6])
-    with pytest.raises(ValueError, match="integration ended by blowup"):
+    with pytest.raises(ValueError, match=r"concentrates at t\* = 0\.5, "):
         gaussian_entropy_check(2.0 / 3.0, [0.1, 0.6])
+    with pytest.raises(ValueError, match=r"concentrates at t\* = 0\.465478"):
+        gaussian_entropy_check(0.7, np.linspace(0.0, 0.5, 6))
 
 
 def test_trace_csv_header(flow_ricci, weights_ricci):

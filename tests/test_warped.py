@@ -155,8 +155,9 @@ def test_torsion_pointwise_helpers():
 @settings(max_examples=40, deadline=None)
 @given(eps=st.floats(min_value=-0.9, max_value=2.0))
 def test_lambda_override_shifts_tensor_residuals_linearly(eps):
-    # overriding the soliton constant by 1 + eps moves every tensor
+    # overriding the data's soliton constant by 1 + eps moves every tensor
     # residual by exactly -eps on soliton data
-    report = tensor_residuals(cylinder_soliton(), CYL_GRID, lambda_soliton=1.0 + eps)
+    data = dataclasses.replace(cylinder_soliton(), lambda_soliton=1.0 + eps)
+    report = tensor_residuals(data, CYL_GRID)
     for key in ("metric_r", "metric_sphere", "torsion"):
         assert np.abs(np.asarray(report.residuals[key]) + eps).max() < 1e-12
