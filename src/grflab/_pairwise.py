@@ -1,8 +1,9 @@
 """numpy's float64 sum of an array that arrives in chunks, to np.sum's bits.
 
 hodge's adjointness check forms its two pairings one slab of planes at a
-time and never holds either whole; `PairwiseSum` adds up the slabs as
-they come.  It is a module of its own because each start compiles the
+time and never holds either whole, and `hodge.integral` expands its
+broadcast integrand one slab at a time; `PairwiseSum` adds up the slabs
+as they come.  It is a module of its own because each start compiles the
 modules it imports where no bytecode is cached, and a hodge module that
 grew by this class raised the peak resident size of a hodge-check
 process by about 0.4 MB.

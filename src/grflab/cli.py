@@ -91,7 +91,8 @@ SCHEMAS: Dict[str, Dict[str, Param]] = {
         "h0sq": Param("float", 0.1, "initial torsion h0^2", at_least=0.0),
         **_SCALES,
         "tmax": Param("float", 10.0, "latest flow time", above=0.0),
-        "lam_floor": Param("float", 1e-8, "collapse detection floor"),
+        "lam_floor": Param("float", None,
+                           "collapse detection floor; default cylinder.LAM_FLOOR"),
         "dt_out": Param("float", 0.01, "CSV sample step; 0 writes the solver's steps",
                         at_least=0.0),
         **_TOL,
@@ -297,13 +298,20 @@ def _written(cfg: dict, *artifacts) -> str:
     return f" -> {', '.join(paths)}" if paths else ""
 
 
-def _flow(p: dict, **limits):
-    """run_flow from (lam0, h0sq, beta0); a step underflow is a numerical
-    failure."""
+def _flow(cfg: dict, **limits):
+    """run_flow from (lam0, h0sq, beta0) down to the run's lam_floor, or
+    cylinder.LAM_FLOOR where it sets none; a step underflow is a numerical
+    failure.  A command without a lam_floor parameter rejects a lam0 at or
+    below that floor by lam0's name."""
     from . import cylinder
 
+    p = cfg["parameters"]
+    floor = cylinder.LAM_FLOOR if p.get("lam_floor") is None else p["lam_floor"]
+    if "lam_floor" not in p and not p["lam0"] > floor:
+        raise ConfigError(f"{cfg['command']}: parameter 'lam0' must be greater "
+                          f"than the collapse floor {floor:g}")
     state = cylinder.CylinderState(lam=p["lam0"], h=math.sqrt(p["h0sq"]), beta=p["beta0"])
-    traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], **limits)
+    traj = cylinder.run_flow(state, rtol=p["rtol"], atol=p["atol"], lam_floor=floor, **limits)
     if traj.termination == "step_underflow":
         raise NumericalError("flow terminated with step_underflow")
     return traj
@@ -311,7 +319,7 @@ def _flow(p: dict, **limits):
 
 def _run_cylinder_flow(cfg: dict) -> str:
     p = cfg["parameters"]
-    traj = _flow(p, tmax=p["tmax"], lam_floor=p["lam_floor"])
+    traj = _flow(cfg, tmax=p["tmax"])
     if traj.termination == "blowup":
         raise NumericalError("flow terminated with blowup")
     dt_out = p["dt_out"] or None
@@ -328,7 +336,7 @@ def _run_blowup(cfg: dict) -> str:
     from . import cylinder
 
     p = cfg["parameters"]
-    report = cylinder.blowup_analysis(_flow(p, tmax=p["tmax"]), n_samples=p["samples"])
+    report = cylinder.blowup_analysis(_flow(cfg, tmax=p["tmax"]), n_samples=p["samples"])
     dest = _written(cfg, ("json", "blowup.json", report.to_json))
     return (
         f"blowup h0sq={p['h0sq']:g}: limit={report.limit:.6f} "
@@ -341,7 +349,7 @@ def _run_torsion(cfg: dict) -> str:
 
     p = cfg["parameters"]
     report = cylinder.torsion_divergence(
-        _flow(p, tmax=p["tmax"]), psi0=p["psi0"], fit_points=p["fit_points"]
+        _flow(cfg, tmax=p["tmax"]), psi0=p["psi0"], fit_points=p["fit_points"]
     )
     dest = _written(cfg, ("json", "torsion.json", report.to_json))
     cross = "none" if report.crossing_time is None else f"{report.crossing_time:.6f}"
@@ -413,7 +421,7 @@ def _run_entropy(cfg: dict) -> str:
     from . import entropy
 
     p = cfg["parameters"]
-    traj = _flow(p)
+    traj = _flow(cfg)
     weights = entropy.conjugate_heat_homogeneous(traj, u0=p["u0"], T_ref=p["T_ref"])
     if p["dt"] > 0:
         trace = entropy.entropy_derivative_check(traj, weights, dt=p["dt"], t_max=p["t_max"])
@@ -502,10 +510,13 @@ def _run_hodge_check(cfg: dict) -> str:
     p = cfg["parameters"]
     identities = _HODGE_IDENTITIES if p["identity"] == "all" else (p["identity"],)
     grid = hodge.PeriodicGrid.cube(p["dim"], p["size"])
+    # the adjointness walk is the run's largest working set: it goes first,
+    # so a run that does not fit fails before the other identities compute
+    done = {i: _one_hodge_report(i, grid, p) for i in identities if i == "adjointness"}
     bits = []
     artifacts = []
     for identity in identities:
-        report = _one_hodge_report(identity, grid, p)
+        report = done[identity] if identity in done else _one_hodge_report(identity, grid, p)
         if p["refine"] and identity != "adjointness":
             fine = _one_hodge_report(identity, grid.refined(), p)
             key = max(report.residuals, key=lambda k: report.residuals[k])

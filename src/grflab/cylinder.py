@@ -30,6 +30,7 @@ __all__ = [
     "BlowupReport",
     "TorsionReport",
     "run_flow",
+    "LAM_FLOOR",
     "blowup_analysis",
     "torsion_divergence",
 ]
@@ -129,12 +130,16 @@ class CylinderTrajectory:
         })
 
 
+# The default collapse floor: a flow ends when lambda falls through it.
+LAM_FLOOR = 1e-8
+
+
 def run_flow(
     initial: CylinderState,
     rtol: float = 1e-11,
     atol: float = 1e-13,
     tmax: float = 10.0,
-    lam_floor: float = 1e-8,
+    lam_floor: float = LAM_FLOOR,
 ) -> CylinderTrajectory:
     """Integrate until the lambda-floor event (collapse) or tmax; the floor
     must lie strictly between 0 and the initial lambda."""

@@ -27,8 +27,10 @@ operator returns, has the grid's number of axes, and each axis has
 length 1 or the full grid size; numpy broadcasting supplies the rest.
 A field that depends on one coordinate therefore costs one line of
 values, not a grid.  Each element sees the same operations it would on
-the expanded array, so results are bit-identical to it; only `integral`
-expands, because pairwise summation depends on the array's shape.
+the expanded array, so results are bit-identical to it.  Pairwise
+summation depends on the array's shape, so `integral` sums the expanded
+array, one slab of axis-0 planes at a time through `PairwiseSum`, and
+never holds it whole.
 
 A result is written into an array the operator allocated itself, never
 into a component it was given.  `adjointness_gap` builds neither d alpha
@@ -96,10 +98,19 @@ Index = Tuple[int, ...]
 _WRAP_ROWS = 4096
 
 # Bytes of axis-0 planes per slab that `adjointness_gap` forms its terms
-# on: half the 2 MiB per-core L2, so a slab's working arrays stay cached
-# across the operations that form, scale, multiply and add one component.
-# A budget of 2 MiB measured slower at 48^4 and 96^3.
-_SLAB_BYTES = 1 << 20
+# on and `integral` sums: a quarter of the 2 MiB per-core L2, so a slab's
+# four working arrays (the total and three work arrays) stay cached across
+# the operations that form, scale, multiply and add one component.  Median
+# adjointness report at 256/512/768/1024 KiB: 57/49/56/71 ms at 64^3,
+# 93/89/88/100 ms at 80^3, 140/140/154/165 ms at 96^3 and 355/344/348/403
+# ms at 128^3; at 48^4 a plane (884 KB) is a slab under every budget.
+_SLAB_BYTES = 1 << 19
+
+
+def _slab_planes(grid: PeriodicGrid) -> int:
+    """Axis-0 planes per slab of a walk over the grid: as many as fit in
+    `_SLAB_BYTES`, at least one, at most the whole axis."""
+    return min(grid.sizes[0], max(1, _SLAB_BYTES // (8 * math.prod(grid.sizes[1:]))))
 
 
 def _stencil(out, v, lo: int, hi: int, h: float, scale: float = 1.0, tmp=None):
@@ -623,12 +634,22 @@ def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
 def integral(values: np.ndarray, grid: PeriodicGrid) -> float:
     """Trapezoid rule on the periodic grid: mean times total volume.
 
-    Sums a contiguous full-grid copy of values: pairwise summation
-    depends on the array's shape, so summing the broadcast form would
-    change the last digits.
+    Pairwise summation depends on the array's shape, so summing the
+    broadcast form would change the last digits.  The expanded array is
+    therefore copied one slab of `_slab_planes` axis-0 planes at a time
+    into one slab-sized buffer, and `PairwiseSum` adds the slabs up as
+    they come, to the bits np.sum gives a contiguous full-grid copy.
     """
-    full = np.ascontiguousarray(np.broadcast_to(values, grid.sizes))
-    return float(np.sum(full, dtype=np.float64)) * grid.cell_volume
+    full = np.broadcast_to(values, grid.sizes)
+    step = _slab_planes(grid)
+    buf = np.empty(step * math.prod(grid.sizes[1:]))
+    total = _pairwise.PairwiseSum(math.prod(grid.sizes))
+    for start in range(0, grid.sizes[0], step):
+        rows = full[start:start + step]
+        slab = _view(buf, rows.shape)
+        np.copyto(slab, rows)
+        total.add(slab.reshape(-1))
+    return total.total() * grid.cell_volume
 
 
 def l2_inner(a: FormField, b: FormField) -> float:
@@ -731,6 +752,12 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
     term or the scaled other, and scaled source values.  Every read,
     stencil and product goes through `_source`, so a generated
     component's rows come from its ring in `rings`.
+
+    Signs are folded, not applied: a term is formed with its scale's
+    magnitude, the component is held up to a sign, and each sign decides
+    between adding and subtracting.  Negation commutes with every
+    round-to-nearest operation here, so only the sign of an exact zero
+    can differ, and none reaches the total, which starts at +0.0.
     """
     comp_buf, term_buf, scaled = work
     planes = len(total)
@@ -741,22 +768,27 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
             v, lo = _source(arr, rings, start)
             shape = _rows(v, lo, lo + planes).shape
             into = comp if i == 0 and shape == comp.shape else _view(term_buf, shape)
-            term = _slab_deriv(grid, v, axis, scale, lo, lo + planes, into, scaled)
-            if negate:
-                np.negative(term, out=term)
+            term = _slab_deriv(grid, v, axis, abs(scale), lo, lo + planes, into, scaled)
+            flip = (scale < 0) != negate  # the term is minus what was formed
             if i == 0:
+                negative = flip  # comp holds minus the component
                 if term is not comp:
                     np.copyto(comp, term)
-            else:
+            elif flip == negative:
                 comp += term
-        if factor != 1.0:
-            comp *= factor
+            else:
+                comp -= term
+        if abs(factor) != 1.0:
+            comp *= abs(factor)
         v, lo = _source(other, rings, start)
         mate = _rows(v, lo, lo + planes)
         if other_factor != 1.0:
             mate = np.multiply(mate, other_factor, out=_view(term_buf, mate.shape))
         comp *= mate
-        total += comp
+        if negative == (factor < 0):
+            total += comp
+        else:
+            total -= comp
 
 
 def adjointness_gap(alpha: FormField, beta: FormField) -> float:
@@ -782,7 +814,7 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
         raise ValueError("beta must have degree one above alpha")
     grid = alpha.grid
     n, plane = grid.sizes[0], math.prod(grid.sizes[1:])
-    step = min(n, max(1, _SLAB_BYTES // (8 * plane)))
+    step = _slab_planes(grid)
     left = []
     for idx in beta.indices():
         terms = _d_terms(alpha, idx)

@@ -352,13 +352,24 @@ def test_negative_h0sq_is_rejected_by_its_bound(invoke, tmp_path, command):
     assert "parameter 'h0sq' must be at least 0" in err
 
 
-def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path):
+def test_hodge_grid_beyond_available_memory_is_a_config_error(invoke, tmp_path, monkeypatch):
+    # the adjointness walk, the largest working set, goes first, so the run
+    # fails there before any other identity computes
+    computed = []
+    report = cli._one_hodge_report
+
+    def recorded(identity, grid, p):
+        computed.append(identity)
+        return report(identity, grid, p)
+
+    monkeypatch.setattr(cli, "_one_hodge_report", recorded)
     code, out, err = invoke(
         "hodge-check", "--dim", "4", "--size", "2000", "--out", str(tmp_path)
     )
     assert code == 2 and out == ""
     assert "out of memory" in err and "MiB available" in err
     assert list(tmp_path.iterdir()) == []
+    assert computed == ["adjointness"]
 
 
 def test_cylinder_csv_beyond_available_memory_is_a_config_error(invoke, tmp_path, monkeypatch):
@@ -405,18 +416,19 @@ def report_peak(identity, grid):
 
 
 @pytest.mark.parametrize("dim, size, arrays", [
-    (4, 24, 8.52),
-    (4, 32, 3.26),
-    (3, 64, 7.6),
+    (4, 24, 4.27),
+    (4, 32, 2.37),
+    (3, 64, 4.07),
 ], ids=["4d-24", "4d-32", "3d-64"])
 def test_adjointness_report_peak_stays_within_its_grid_arrays(dim, size, arrays):
     # A report holds no grid-sized array: each component's partial sum (one
     # axis-0 plane), four slab arrays (the slab total and three working
-    # arrays) and one ring of generated rows per component: 8.12 grid
-    # arrays at 24^4 (slabs of 9 planes, rings of 9 or 18), 2.86 at 32^4
-    # (slabs of 4) and 7.20 at 64^3 (two slabs of 32, rings of 32 or the
-    # whole axis).  Each bound adds 0.4 arrays, so one full-size component
-    # kept by mistake, or the previous degree's pair, goes past it.
+    # arrays) and one ring of generated rows per component: 3.87 grid
+    # arrays at 24^4 (slabs of 4 planes, rings of 4 or 8), 1.97 at 32^4
+    # (slabs of 2, rings of 2 or 6) and 3.67 at 64^3 (four slabs of 16,
+    # rings of 16 or 32).  Each bound adds 0.4 arrays, so one full-size
+    # component kept by mistake, or the previous degree's pair, goes past
+    # it.
     peak = report_peak("adjointness", hodge.PeriodicGrid.cube(dim, size))
     assert peak <= arrays * 8 * size**dim
 
@@ -427,6 +439,15 @@ def test_example_report_peak_stays_within_its_grid_arrays():
     # little more than the contiguous copy it sums
     peak = report_peak("integral", hodge.PeriodicGrid.cube(3, 16))
     assert peak <= 1.7 * 8 * 16**3
+
+
+def test_integral_report_holds_no_full_grid_copy():
+    # at 64^3 the integrand is summed in four slabs of 16 planes: 0.35 grid
+    # arrays, the slab buffer and the example fields' smaller arrays.  The
+    # bound adds 0.4 arrays, so a full-grid copy of the integrand (1.10
+    # arrays when `integral` made one) goes past it.
+    peak = report_peak("integral", hodge.PeriodicGrid.cube(3, 64))
+    assert peak <= 0.75 * 8 * 64**3
 
 
 @pytest.mark.parametrize("command, argv, runs", [
@@ -512,15 +533,16 @@ REJECTED_BY_NAME = {
        for argv in (("heat-check", "--dt", "1"), ("heat-check", "--dt", "10"),
                     ("heat-check", "--soliton", "gaussian", "--dt", "2"))},
     # the collapse floor must lie below lam0, else the flow starts at or
-    # under it; the default floor is 1e-8
+    # under it; a command without a lam_floor names lam0 and the default
+    # floor, 1e-8
     **{argv: f"lam_floor must lie in (0, lam0): got {values}"
        for argv, values in (
            (("cylinder-flow", "--h0sq", "0.1", "--lam-floor", "1"), "lam_floor=1 and lam0=1"),
            (("cylinder-flow", "--lam-floor", "2"), "lam_floor=2 and lam0=1"),
-           (("blowup", "--lam0", "1e-9"), "lam_floor=1e-08 and lam0=1e-09"),
-           (("torsion", "--lam0", "1e-9"), "lam_floor=1e-08 and lam0=1e-09"),
-           (("entropy", "--lam0", "1e-9"), "lam_floor=1e-08 and lam0=1e-09"),
        )},
+    **{(command, "--lam0", "1e-9"):
+       f"config error: {command}: parameter 'lam0' must be greater than the collapse floor 1e-08"
+       for command in ("blowup", "torsion", "entropy")},
 }
 
 

@@ -410,12 +410,21 @@ def test_checks_on_compact_fields_equal_checks_on_expanded_fields(dim, data):
         assert compact.values == full.values
 
 
-def test_integral_of_a_compact_array_equals_its_expanded_copy():
+def test_integral_of_a_compact_array_equals_its_expanded_copy(monkeypatch):
+    # the streamed sum against np.sum of a contiguous full-grid copy, on
+    # slabs of 1, 2, 3 and 7 axis-0 planes and the whole grid
     grid = PeriodicGrid(dim=4, sizes=(16, 17, 18, 19))
+    n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
     w, x, y, z = grid.coords()
-    for values in (np.cos(x) * np.exp(np.sin(w)), np.sin(y) ** 2 + 0.1, np.zeros((1,) * 4)):
-        full = np.broadcast_to(values, grid.sizes).copy()
-        assert integral(values, grid) == integral(full, grid)
+    rng = np.random.default_rng(27)
+    for values in (np.cos(x) * np.exp(np.sin(w)), np.sin(y) ** 2 + 0.1, np.zeros((1,) * 4),
+                   spread_values(rng, grid.sizes), spread_values(rng, (1, 17, 1, 19))):
+        full = np.ascontiguousarray(np.broadcast_to(values, grid.sizes))
+        expected = float(np.sum(full, dtype=np.float64)) * grid.cell_volume
+        for planes in (1, 2, 3, 7, n):
+            monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+            for arr in (values, full):
+                assert integral(arr, grid).hex() == expected.hex(), f"{planes} planes"
 
 
 def test_hodge_sign_is_folded_into_the_factor(g16, gm16):

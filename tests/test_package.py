@@ -116,13 +116,15 @@ sys.exit(cli.main(sys.argv[2:]))
 @pytest.mark.parametrize("available, expected", [("64", 2), ("-", 0)],
                          ids=["64MiB", "as-reported"])
 def test_run_past_its_data_cap_is_a_config_error(available, expected, tmp_path):
-    # a 64^4 array is 128 MiB and the integral check holds about 1.1 of
-    # them: that fits in the memory the kernel reports, but not under a cap
-    # 64 MiB above what the process maps when the run starts
+    # the CSV resampled at 5e-6 has about 265,000 rows and its text costs
+    # about 590 B per row, some 150 MiB: that fits in the memory the kernel
+    # reports, but not under a cap 64 MiB above what the process maps when
+    # the run starts.  (No hodge-check grid both passes that cap's test
+    # quickly and needs more: the checks hold no grid-sized array.)
     out_dir = tmp_path / "out"
     run = subprocess.run(
-        [sys.executable, "-c", REPORTED, available, "hodge-check", "--dim", "4",
-         "--size", "64", "--identity", "integral", "--out", str(out_dir)],
+        [sys.executable, "-c", REPORTED, available, "cylinder-flow", "--dt-out", "5e-6",
+         "--out", str(out_dir)],
         capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
     assert run.returncode == expected, run.stderr
     if expected:
@@ -130,7 +132,7 @@ def test_run_past_its_data_cap_is_a_config_error(available, expected, tmp_path):
         assert run.stderr.startswith("config error: out of memory")
         assert not out_dir.exists()
     else:
-        assert (out_dir / "hodge_integral.json").exists()
+        assert (out_dir / "cylinder_flow.csv").exists()
 
 
 # Calls cli.main in one fresh process on each argv of the JSON list argv[2],
@@ -167,8 +169,10 @@ def test_data_limit_is_restored_after_every_run(soft_gib, tmp_path):
     # one run of a sweep
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"runs": [{"name": "a"}, {"name": "b"}]}))
+    # the 64^4 adjointness walk needs more than the 64 MiB reported: it
+    # runs degree 0 and runs out of memory in degree 1
     argvs = [["hodge-check", "--dim", "3", "--size", "16", "--identity", "integral"],
-             ["hodge-check", "--dim", "4", "--size", "64", "--identity", "integral"],
+             ["hodge-check", "--dim", "4", "--size", "64", "--identity", "adjointness"],
              ["cylinder-flow", "--sweep", str(sweep)]]
     argvs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
     run = subprocess.run([sys.executable, "-c", RESTORED, soft_gib, json.dumps(argvs)],
