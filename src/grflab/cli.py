@@ -423,10 +423,7 @@ def _run_entropy(cfg: dict) -> str:
     p = cfg["parameters"]
     traj = _flow(cfg)
     weights = entropy.conjugate_heat_homogeneous(traj, u0=p["u0"], T_ref=p["T_ref"])
-    if p["dt"] > 0:
-        trace = entropy.entropy_derivative_check(traj, weights, dt=p["dt"], t_max=p["t_max"])
-    else:
-        trace = entropy.entropy_eval(traj, weights, t_max=p["t_max"])
+    trace = entropy.entropy_derivative_check(traj, weights, dt=p["dt"], t_max=p["t_max"])
     dest = _written(cfg, ("csv", "entropy.csv", trace.to_csv))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])
     # without the derivative check both columns are NaN, and so are these
@@ -444,6 +441,9 @@ def _run_heat_check(cfg: dict) -> str:
     data = _soliton(p["soliton"])
     # the gaussian warp vanishes at r = 0; keep the grid one-sided there
     lo = 0.1 if p["soliton"] == "gaussian" else -p["r_max"]
+    if not p["r_max"] > lo:
+        raise ConfigError(f"heat-check: r_max must exceed {lo:g}, where the "
+                          f"{p['soliton']} grid starts")
     grid = np.linspace(lo, p["r_max"], p["points"])
     heat = entropy.soliton_heat_check(grid, dt=p["dt"], data=data)
     mono = entropy.pointwise_monotonicity_check(grid, dt=p["dt"], data=data, dr=p["dr"])

@@ -8,6 +8,9 @@ Three testbeds share this module.
   formula) are closed-form products.  Sphere convention here follows the
   flow module: Ric(sphere factor) = half the metric, R = 1/lam.  The
   formula derivative is strictly positive on this family.
+  entropy_derivative_check is its one sampler: at dt = 0 it evaluates W
+  and the mass only, at dt > 0 it also runs both derivative routes, and
+  every sample t - dt and t + dt must lie on the flow.
 * Gaussian weights on the S^2 x R cylinder flow: the weight is
   inhomogeneous in r, its two exponents solve an ODE pair, and W, the
   mass and the formula derivative are radial quadratures.  Away from the
@@ -52,7 +55,6 @@ __all__ = [
     "HeatWeightPath",
     "EntropyTrace",
     "conjugate_heat_homogeneous",
-    "entropy_eval",
     "entropy_derivative_check",
     "gaussian_entropy_check",
     "soliton_heat_check",
@@ -210,26 +212,16 @@ def _entropy_trace(times, tau, W, m, dt=None, *, W_plus=None, W_minus=None, dW_f
     )
 
 
-def entropy_eval(
-    traj: CylinderTrajectory,
-    weights: HeatWeightPath,
-    times=None,
-    t_max: Optional[float] = None,
-) -> EntropyTrace:
-    """Shrinking entropy along the flow, tau = weights.T_ref - t.
-
-    Homogeneous reduction: W = [tau (1/lam - h^2/2) + f - 3] mass with
-    f = -ln u - (3/2) ln(4 pi tau).  Only W is filled; the derivative
-    columns are NaN until entropy_derivative_check runs.  The default
-    samples are the weight's, up to t_max.  Raises RuntimeError when W or
-    the mass is not finite.
-    """
-    if times is None:
-        times = weights.times if t_max is None else weights.times[weights.times <= t_max]
-    if np.size(times) == 0:
-        raise ValueError("no sample times")
-    times, tau, _, _, m, W = _w_values(traj, weights, times)
-    return _entropy_trace(times, tau, W, m)
+def _samples(values, name: str, span=None, dt: float = 0.0) -> np.ndarray:
+    """values as a float array, which must be finite, 1-d and non-empty;
+    with span = (t0, t1), every value - dt and value + dt must lie in it."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be a finite 1-d array")
+    if span is not None and (np.any(values - dt < span[0]) or np.any(values + dt > span[1])):
+        raise ValueError("sample times t - dt and t + dt must lie on the flow, "
+                         "in [%.6g, %.6g]" % span)
+    return values
 
 
 def entropy_derivative_check(
@@ -239,36 +231,47 @@ def entropy_derivative_check(
     times=None,
     t_max: Optional[float] = None,
 ) -> EntropyTrace:
-    """Central finite difference of W against the curvature formula,
-    tau = weights.T_ref - t.
+    """Shrinking entropy along the flow, tau = weights.T_ref - t, and at
+    dt > 0 its central finite difference against the curvature formula.
 
+    Homogeneous reduction: W = [tau (1/lam - h^2/2) + f - 3] mass with
+    f = -ln u - (3/2) ln(4 pi tau), and
     dW_formula = [2 tau (2 A_s^2 + A_r^2) - h^2] mass with
     A_s = 1/(2 lam) - h^2/2 - 1/(2 tau) on the two sphere directions and
     A_r = -h^2/2 - 1/(2 tau) on the circle direction; the -h^2 term is
     -|H|^2/6, and the homogeneous reduction kills the twisted-flux term.
-    Raises RuntimeError if the worst gap exceeds max(1e-6, 10 dt^2 scale)
-    or is NaN.  t_max caps the default window; explicit times override it.
+
+    Samples: explicit times must be a finite, non-empty 1-d array with
+    every t - dt and t + dt on the flow, and t_max does not apply to them.
+    The default window is the weight's samples up to t_max; at dt > 0 it
+    keeps only those whose stencil stays on the flow and whose tau is at
+    least 50 dt.  Every sample needs tau > 0.
+
+    At dt = 0 only W and the mass are filled, the derivative columns are
+    NaN, and RuntimeError is raised when W or the mass is not finite.  At
+    dt > 0, RuntimeError is raised if the worst gap exceeds
+    max(1e-6, 10 dt^2 scale) or is NaN.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not dt >= 0:
+        raise ValueError("dt must be positive, or 0 to skip the derivative check")
     t0, t1 = float(weights.times[0]), float(traj.t_end)
     if times is None:
-        # tau well clear of the step keeps the central difference meaningful
-        keep = (
-            (weights.times - dt >= t0)
-            & (weights.times + dt <= t1)
-            & (weights.T_ref - weights.times >= 50.0 * dt)
-        )
+        times = weights.times
+        keep = (times - dt >= t0) & (times + dt <= t1)
+        if dt > 0:
+            # tau well clear of the step keeps the central difference meaningful
+            keep &= weights.T_ref - times >= 50.0 * dt
         if t_max is not None:
-            keep &= weights.times <= t_max
-        times = weights.times[keep]
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("no sample times admit the finite-difference stencil")
-    if np.any(times - dt < t0) or np.any(times + dt > t1):
-        raise ValueError("finite-difference stencil leaves the trajectory")
+            keep &= times <= t_max
+        times = times[keep]
+        if times.size == 0:
+            raise ValueError("no sample times in the default window")
+    else:
+        times = _samples(times, "times", (t0, t1), dt)
 
     times, tau, lam, h, m, W = _w_values(traj, weights, times)
+    if dt == 0:
+        return _entropy_trace(times, tau, W, m)
     h2 = h * h
     A_s = 0.5 / lam - 0.5 * h2 - 0.5 / tau
     A_r = -0.5 * h2 - 0.5 / tau
@@ -337,9 +340,7 @@ def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
         raise ValueError("a0 must be positive")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise ValueError("times must be a finite 1-d array")
+    times = _samples(times, "times")
     stencil = np.concatenate([times - dt, times, times + dt])
     _check_tau(1.0 - stencil)
 
@@ -409,11 +410,9 @@ def _soliton_gate(data: Optional[WarpedSolitonData], grid, dt: float):
     potential f'' = kappa.  Both canonical solitons qualify."""
     if data is None:
         data = cylinder_soliton()
-    grid = np.asarray(grid, dtype=float)
     if not 0 < dt < 1:
         raise ValueError("dt must lie in (0, 1): the pullback family needs tau = 1 - dt > 0")
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be a finite 1-d array")
+    grid = _samples(grid, "grid")
     if np.max(np.abs(grid)) > 5.0 + 1e-12:
         raise ValueError("soliton checks are restricted to |r| <= 5")
     report = convention_check(data, grid)

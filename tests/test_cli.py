@@ -5,6 +5,7 @@ status, the one-line summary, and the artifacts left in a scratch
 directory.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -543,6 +544,13 @@ REJECTED_BY_NAME = {
     **{(command, "--lam0", "1e-9"):
        f"config error: {command}: parameter 'lam0' must be greater than the collapse floor 1e-08"
        for command in ("blowup", "torsion", "entropy")},
+    # the gaussian grid starts at r = 0.1, where its warp is clear of zero
+    ("heat-check", "--soliton", "gaussian", "--r-max", "0.05"):
+        "heat-check: r_max must exceed 0.1, where the gaussian grid starts",
+    # without the derivative check the default window keeps every weight
+    # sample, so one past T_ref is rejected, not dropped
+    ("entropy", "--h0sq", "0.5", "--T-ref", "1.2", "--dt", "0"):
+        "tau = T_ref - t must stay positive",
 }
 
 
@@ -593,6 +601,8 @@ REJECTED_BY_NAME = {
     (("blowup", "--lam0", "1e-9"), 2),
     (("torsion", "--lam0", "1e-9"), 2),
     (("entropy", "--lam0", "1e-9"), 2),
+    (("heat-check", "--soliton", "gaussian", "--r-max", "0.05"), 2),
+    (("entropy", "--h0sq", "0.5", "--T-ref", "1.2", "--dt", "0"), 2),
 ])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
@@ -635,6 +645,25 @@ def test_entropy_t_max_only_caps_the_default_window(invoke, tmp_path):
     assert code == 0
     _, rows = read_csv(tmp_path / "one" / "entropy.csv")
     assert 0 < len(rows) < 300 and max(row[0] for row in rows) <= 1.0
+
+
+def _golden_runs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "golden.py")
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden.RUNS
+
+
+@pytest.mark.parametrize("argv", _golden_runs(), ids="_".join)
+def test_golden_run_parses(argv):
+    # tools/golden.py runs these in fresh processes; a renamed flag or
+    # choice must fail here, not there
+    try:
+        args = cli.build_parser().parse_args(list(argv))
+    except SystemExit:
+        pytest.fail(f"grflab {' '.join(argv)} does not parse")
+    assert args.command == argv[0]
 
 
 def test_missing_command_prints_usage(invoke):

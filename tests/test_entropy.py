@@ -9,7 +9,6 @@ from grflab.cylinder import CylinderState, run_flow
 from grflab.entropy import (
     conjugate_heat_homogeneous,
     entropy_derivative_check,
-    entropy_eval,
     gaussian_entropy_check,
     pointwise_monotonicity_check,
     soliton_heat_check,
@@ -42,7 +41,7 @@ def test_mass_is_conserved(h0sq):
     traj = run_flow(CylinderState(1.0, np.sqrt(h0sq), 1.0))
     weights = conjugate_heat_homogeneous(traj)
     times = np.linspace(0.0, traj.T_sing - 0.3, 25)
-    trace = entropy_eval(traj, weights, times=times)
+    trace = entropy_derivative_check(traj, weights, dt=0, times=times)
     assert np.abs(trace.mass - trace.mass[0]).max() / trace.mass[0] < 1e-9
     assert abs(trace.mass[0] - 1.0) < 1e-9
 
@@ -50,13 +49,13 @@ def test_mass_is_conserved(h0sq):
 def test_entropy_initial_value_closed_form(flow_ricci, weights_ricci):
     # unit mass, tau = 1, lambda = beta = 1, h = 0:
     # W(0) = f - 3 + 1 = ln(16 pi^2) - 1.5 ln(4 pi) - 2 = ln(2 sqrt(pi)) - 2
-    trace = entropy_eval(flow_ricci, weights_ricci, times=np.array([0.0]))
+    trace = entropy_derivative_check(flow_ricci, weights_ricci, dt=0, times=np.array([0.0]))
     assert abs(trace.W[0] - (np.log(2.0 * np.sqrt(np.pi)) - 2.0)) < 1e-12
 
 
 def test_entropy_initial_value_on_separatrix(flow_half, weights_half):
     # tau (1/lambda - h^2/2) = 3/2 exactly on the h0^2 = 1/2 branch
-    trace = entropy_eval(flow_half, weights_half, times=np.array([0.0]))
+    trace = entropy_derivative_check(flow_half, weights_half, dt=0, times=np.array([0.0]))
     expect = np.log(16.0 * np.pi**2) - 1.5 * np.log(8.0 * np.pi) - 1.5
     assert abs(trace.W[0] - expect) < 1e-10
 
@@ -218,10 +217,40 @@ def test_gaussian_validation():
 
 
 def test_trace_csv_header(flow_ricci, weights_ricci):
-    trace = entropy_eval(flow_ricci, weights_ricci, times=np.array([0.1, 0.2]))
+    trace = entropy_derivative_check(flow_ricci, weights_ricci, dt=0, times=np.array([0.1, 0.2]))
     lines = trace.to_csv().splitlines()
     assert lines[0] == "t,tau,W,dW_fd,dW_formula,gap"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("dt", [0.0, 1e-4])
+@pytest.mark.parametrize("times, message", [
+    pytest.param([-0.5, 0.5], "must lie on the flow", id="before-t0"),
+    pytest.param([0.5, 5.0], "must lie on the flow", id="after-t-end"),
+    pytest.param([0.5, np.nan], "times must be a finite 1-d array", id="nan"),
+    pytest.param([[0.5, 0.6]], "times must be a finite 1-d array", id="2-d"),
+    pytest.param([], "times must be a finite 1-d array", id="empty"),
+    pytest.param([0.5, 1.5], "tau = T_ref - t must stay positive", id="tau"),
+])
+def test_explicit_samples_are_rejected_by_name(flow_half, weights_half, dt, times, message):
+    early = dataclasses.replace(weights_half, T_ref=1.0)
+    with pytest.raises(ValueError, match=message):
+        entropy_derivative_check(flow_half, early, dt=dt, times=times)
+
+
+def test_dt_zero_trace_is_the_check_without_its_derivatives(flow_half, weights_half):
+    plain = entropy_derivative_check(flow_half, weights_half, dt=0)
+    checked = entropy_derivative_check(flow_half, weights_half, dt=1e-4)
+    # the dt = 0 default window is every weight sample, the ends included
+    assert np.array_equal(plain.times, weights_half.times)
+    both = np.isin(plain.times, checked.times)
+    assert 0 < both.sum() == checked.times.size < plain.times.size
+    for name in ("times", "tau", "W", "mass"):
+        assert ([x.hex() for x in getattr(plain, name)[both].tolist()]
+                == [x.hex() for x in getattr(checked, name).tolist()]), name
+    for name in ("dW_fd", "dW_formula", "gap"):
+        assert np.all(np.isnan(getattr(plain, name))), name
+    assert plain.tolerance is None
 
 
 def test_validation_errors(flow_ricci, weights_ricci):
@@ -235,7 +264,10 @@ def test_validation_errors(flow_ricci, weights_ricci):
     with pytest.raises(ValueError, match="T_ref must be finite"):
         conjugate_heat_homogeneous(flow_ricci, u0=1.0, T_ref=np.inf)
     with pytest.raises(ValueError):
-        entropy_eval(flow_ricci, weights_ricci, times=np.array([5.0]))  # tau < 0
+        entropy_derivative_check(flow_ricci, weights_ricci, dt=0, times=np.array([5.0]))
+    for dt in (-1e-4, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive, or 0"):
+            entropy_derivative_check(flow_ricci, weights_ricci, dt=dt)
 
 
 def test_soliton_heat_identity_converges():
