@@ -396,21 +396,19 @@ def _run_soliton_residual(cfg: dict) -> str:
         raise ConfigError("soliton-residual: r_max must exceed r_min")
     data = _soliton(p["soliton"])
     grid = np.linspace(p["r_min"], p["r_max"], p["points"])
-    ode = warped.ode_residuals(data, grid)
-    tensor = warped.tensor_residuals(data, grid)
     conv = warped.convention_check(data, grid)
     payload = {
         "soliton": p["soliton"],
         "grid": {"r_min": p["r_min"], "r_max": p["r_max"], "points": p["points"]},
-        "ode_sup": ode.sup,
-        "tensor_sup": tensor.sup,
+        "ode_sup": conv.ode.sup,
+        "tensor_sup": conv.tensor.sup,
         "convention_ok": conv.ok,
         "factor_gap": conv.factor_gap,
         "lambda_ode": data.lambda_ode,
         "lambda_soliton": data.lambda_soliton,
     }
     dest = _written(cfg, ("json", "soliton_residual.json", lambda: to_json_text(payload)))
-    worst = max(ode.max_abs, tensor.max_abs)
+    worst = max(conv.ode.max_abs, conv.tensor.max_abs)
     return (
         f"soliton-residual {p['soliton']}: max_residual={worst:.3e} "
         f"convention_ok={conv.ok}{dest}"

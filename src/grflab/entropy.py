@@ -10,7 +10,8 @@ Three testbeds share this module.
   formula derivative is strictly positive on this family.
   entropy_derivative_check is its one sampler: at dt = 0 it evaluates W
   and the mass only, at dt > 0 it also runs both derivative routes, and
-  every sample t - dt and t + dt must lie on the flow.
+  every sample t - dt and t + dt must lie on the flow; a T_ref inside the
+  default window is an error at every dt.
 * Gaussian weights on the S^2 x R cylinder flow: the weight is
   inhomogeneous in r, its two exponents solve an ODE pair, and W, the
   mass and the formula derivative are radial quadratures.  Away from the
@@ -19,10 +20,11 @@ Three testbeds share this module.
 * The explicit warped solitons at a single time: the conjugate-heat
   identity and the pointwise monotonicity identity are checked on the
   self-similar pullback family, time derivatives by central differences.
-  Sphere convention here is the unit sphere of the warped module; the
-  data must pass convention_check with soliton constant 2 * lambda_ode,
-  and the identities assume that constant equals one, so only the two
-  canonical profiles (and rescalings with the same constant) qualify.
+  Sphere convention and every curvature term come from warped.curvature
+  (unit sphere); the data must pass convention_check with soliton
+  constant 2 * lambda_ode, and the identities assume that constant equals
+  one, so only the two canonical profiles (and rescalings with the same
+  constant) qualify.
 
 Norms are raw index contractions throughout: |H|^2 = 6 h^2 for H = h dV,
 H2 = 2 h^2 g, |sigma|^2 = 2 (h' - f' h)^2 for the twisted codifferential
@@ -44,9 +46,8 @@ from .warped import (
     ResidualReport,
     WarpedSolitonData,
     convention_check,
+    curvature,
     cylinder_soliton,
-    laplacian_radial,
-    scalar_curvature,
     torsion_norm_sq,
     twisted_flux_norm_sq,
 )
@@ -243,9 +244,10 @@ def entropy_derivative_check(
 
     Samples: explicit times must be a finite, non-empty 1-d array with
     every t - dt and t + dt on the flow, and t_max does not apply to them.
-    The default window is the weight's samples up to t_max; at dt > 0 it
-    keeps only those whose stencil stays on the flow and whose tau is at
-    least 50 dt.  Every sample needs tau > 0.
+    The default window is the weight's samples up to t_max whose stencil
+    stays on the flow; a T_ref at or before its last sample raises
+    ValueError, at every dt.  At dt > 0 the window then keeps only the
+    samples whose tau is at least 50 dt.  Every sample needs tau > 0.
 
     At dt = 0 only W and the mass are filled, the derivative columns are
     NaN, and RuntimeError is raised when W or the mass is not finite.  At
@@ -258,12 +260,15 @@ def entropy_derivative_check(
     if times is None:
         times = weights.times
         keep = (times - dt >= t0) & (times + dt <= t1)
-        if dt > 0:
-            # tau well clear of the step keeps the central difference meaningful
-            keep &= weights.T_ref - times >= 50.0 * dt
         if t_max is not None:
             keep &= times <= t_max
         times = times[keep]
+        if times.size and not weights.T_ref > times[-1]:
+            raise ValueError("tau = T_ref - t must stay positive on the samples: T_ref = %.6g is "
+                             "not past the window's last sample t = %.6g" % (weights.T_ref, times[-1]))
+        if dt > 0:
+            # tau well clear of the step keeps the central difference meaningful
+            times = times[weights.T_ref - times >= 50.0 * dt]
         if times.size == 0:
             raise ValueError("no sample times in the default window")
     else:
@@ -441,14 +446,9 @@ def soliton_heat_check(
         return data.f(grid * (1.0 - t) ** (-kappa))
 
     lhs = (f_at(dt) - f_at(-dt)) / (2.0 * dt)
-    grad2 = data.f.d1(grid) ** 2
-    rhs = (
-        -laplacian_radial(data.f, data.phi, grid)
-        + grad2
-        - scalar_curvature(data.phi, grid)
-        + 0.25 * torsion_norm_sq(data.h(grid))
-        + 1.5
-    )
+    k = curvature(data.phi(grid), data.phi.d1(grid), data.phi.d2(grid),
+                  data.f.d1(grid), data.f.d2(grid))
+    rhs = -k.lap_f + k.grad2 - k.R + 0.25 * torsion_norm_sq(data.h(grid)) + 1.5
     return ResidualReport(
         grid=grid,
         residuals={"heat_identity": lhs - rhs},
@@ -459,7 +459,8 @@ def soliton_heat_check(
 def _family_v(data: WarpedSolitonData, r: np.ndarray, t: float, kappa: float, c: float):
     """v = [tau (2 Lap f - |grad f|^2 + R - |H|^2/12) + f - 3] u on the
     self-similar family g_t = tau^{1-2kappa} dr^2 + tau phi(s)^2 g_sphere,
-    s = r tau^{-kappa}, with the torsion kept as the fixed coordinate form."""
+    s = r tau^{-kappa}, with the torsion kept as the fixed coordinate form;
+    returns v, u, the family's Curvature and h."""
     tau = 1.0 - t
     s = r * tau ** (-kappa)
     a2 = tau ** (1.0 - 2.0 * kappa)  # radial metric coefficient
@@ -473,13 +474,11 @@ def _family_v(data: WarpedSolitonData, r: np.ndarray, t: float, kappa: float, c:
     df = data.f.d1(s) * tau ** (-kappa)
     ddf = data.f.d2(s) * tau ** (-2.0 * kappa)
 
-    lap_f = (ddf + 2.0 * (dphi / phi) * df) / a2
-    grad2 = df * df / a2
-    R = -4.0 * (ddphi / a2) / phi + 2.0 * (1.0 - dphi * dphi / a2) / (phi * phi)
+    k = curvature(phi, dphi, ddphi, df, ddf, a2)
     h_t = c / (np.sqrt(a2) * phi * phi)
     u = (4.0 * np.pi * tau) ** (-1.5) * np.exp(-f)
-    v = (tau * (2.0 * lap_f - grad2 + R - 0.5 * h_t * h_t) + f - 3.0) * u
-    return v, u, R, h_t
+    v = (tau * (2.0 * k.lap_f - k.grad2 + k.R - 0.5 * h_t * h_t) + f - 3.0) * u
+    return v, u, k, h_t
 
 
 def pointwise_monotonicity_check(
@@ -512,7 +511,8 @@ def pointwise_monotonicity_check(
     v_minus = _family_v(data, grid, -dt, kappa, c)[0]
     dv_dt = (v_plus - v_minus) / (2.0 * dt)
 
-    v0, u0, R0, h0 = _family_v(data, grid, 0.0, kappa, c)
+    # at t = 0 the family is data itself: tau, a^2 and every rescaling are 1
+    v0, u0, k0, h0 = _family_v(data, grid, 0.0, kappa, c)
     vs = _family_v(data, stencil, 0.0, kappa, c)[0]
     d1 = (-vs[4] + 8.0 * vs[3] - 8.0 * vs[1] + vs[0]) / (12.0 * dr)
     d2 = (-vs[4] + 16.0 * vs[3] - 30.0 * vs[2] + 16.0 * vs[1] - vs[0]) / (
@@ -520,16 +520,12 @@ def pointwise_monotonicity_check(
     )
     lap_v = d2 + 2.0 * (data.phi.d1(grid) / data.phi(grid)) * d1
 
-    lhs = -dv_dt - lap_v + (R0 - 1.5 * h0 * h0) * v0
+    lhs = -dv_dt - lap_v + (k0.R - 1.5 * h0 * h0) * v0
 
     # closed-form right side at t = 0, tau = 1
-    phi, dphi, ddphi = data.phi(grid), data.phi.d1(grid), data.phi.d2(grid)
     h = data.h(grid)
-    df, ddf = data.f.d1(grid), data.f.d2(grid)
-    ric_r = -2.0 * ddphi / phi
-    ric_s = (1.0 - dphi**2 - phi * ddphi) / (phi * phi)
-    m_r = ric_r - 0.5 * h * h + ddf - 0.5
-    m_s = ric_s - 0.5 * h * h + dphi * df / phi - 0.5
+    m_r = k0.ric_r - 0.5 * h * h + k0.hess_r - 0.5
+    m_s = k0.ric_s - 0.5 * h * h + k0.hess_s - 0.5
     M2 = m_r * m_r + 2.0 * m_s * m_s
     sigma2 = twisted_flux_norm_sq(data, grid)
     rhs = -(2.0 * M2 + 0.5 * sigma2 - h * h) * u0

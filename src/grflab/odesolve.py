@@ -461,13 +461,11 @@ def integrate(
     with np.errstate(all="ignore"):
         traj = solve_ivp(rhs, t_span, y0, events=(*events, ceiling), rtol=rtol, atol=atol)
 
-    # a terminal event stopped the run; the ceiling sentinel wins the
-    # label only if it is the one that fired at the end time
+    # a terminal event stopped the run: solve_ivp keeps no crossing past
+    # its root and sorts ties by index, the sentinel's being the largest,
+    # so the event that stopped the run is the last one recorded
     sentinel = len(events)
-    crossings = [t for t, _, idx in traj.events if idx == sentinel]
-    if traj.termination == "event" and crossings and np.isclose(
-        crossings[-1], traj.t_end, rtol=0, atol=1e-13 * max(1.0, abs(traj.t_end))
-    ):
+    if traj.termination == "event" and traj.events[-1][2] == sentinel:
         traj.termination = "blowup"
     traj.events = [rec for rec in traj.events if rec[2] != sentinel]
     return traj

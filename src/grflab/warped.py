@@ -13,10 +13,13 @@ Two equivalent descriptions of a gradient soliton are implemented:
   the reduced torsion equation, with lambda_soliton = 2 * lambda_ode.
 
 Residual evaluators return signed residuals (left side minus right
-side) on a radial grid.
+side) on a radial grid.  curvature is the one place the Ricci and Hess f
+eigenvalues, R, Lap f and |grad f|^2 of a^2 dr^2 + phi^2 g_{S^2} are
+written; the tensor residuals and the entropy soliton checks read it.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -29,6 +32,7 @@ __all__ = [
     "RadialProfile",
     "WarpedSolitonData",
     "ResidualReport",
+    "curvature",
     "cylinder_soliton",
     "gaussian_shrinker",
     "ode_residuals",
@@ -38,8 +42,6 @@ __all__ = [
     "convention_check",
     "normalize_phi",
     "rescale_profile",
-    "scalar_curvature",
-    "laplacian_radial",
     "torsion_norm_sq",
     "twisted_flux_norm_sq",
 ]
@@ -153,6 +155,27 @@ def _fields(data: WarpedSolitonData, r: np.ndarray):
     return r, phi, dphi, ddphi, h, dh, ddh, df, ddf
 
 
+# eigenvalues relative to the metric: radial, then each sphere direction
+Curvature = namedtuple("Curvature", "ric_r ric_s hess_r hess_s R lap_f grad2")
+
+
+def curvature(phi, dphi, ddphi, df, ddf, a2: float = 1.0) -> Curvature:
+    """Ricci and Hess f eigenvalues, R, Lap f and |grad f|^2 of
+    a^2 dr^2 + phi(r)^2 g_{S^2} (unit round fiber, constant a^2) from phi,
+    phi', phi'', f', f'' in r.  R is its own formula, not the Ricci trace;
+    at a^2 = 1 every division by a^2 is exact."""
+    ddphi_a, dphi2_a = ddphi / a2, dphi * dphi / a2
+    return Curvature(
+        ric_r=-2.0 * ddphi_a / phi,
+        ric_s=(1.0 - dphi2_a - phi * ddphi_a) / (phi * phi),
+        hess_r=ddf / a2,
+        hess_s=dphi * df / phi / a2,
+        R=-4.0 * ddphi_a / phi + 2.0 * (1.0 - dphi2_a) / (phi * phi),
+        lap_f=(ddf + 2.0 * (dphi / phi) * df) / a2,
+        grad2=df * df / a2,
+    )
+
+
 def ode_residuals(data: WarpedSolitonData, grid: np.ndarray) -> ResidualReport:
     """Residuals of the reduced soliton system on the grid.
 
@@ -192,14 +215,10 @@ def tensor_residuals(data: WarpedSolitonData, grid: np.ndarray) -> ResidualRepor
     lam_s = data.lambda_soliton
     phi2 = phi * phi
     h2 = h * h
+    k = curvature(phi, dphi, ddphi, df, ddf)
 
-    ric_r = -2.0 * ddphi / phi
-    ric_s = (1.0 - dphi**2 - phi * ddphi) / phi2
-    hess_r = ddf
-    hess_s = dphi * df / phi
-
-    metric_r = 2.0 * ric_r - h2 - lam_s + 2.0 * hess_r
-    metric_s = 2.0 * ric_s - h2 - lam_s + 2.0 * hess_s
+    metric_r = 2.0 * k.ric_r - h2 - lam_s + 2.0 * k.hess_r
+    metric_s = 2.0 * k.ric_s - h2 - lam_s + 2.0 * k.hess_s
 
     # dV coefficient of d(e^f d*(e^{-f} H)) - lambda_soliton H
     torsion = (
@@ -228,11 +247,11 @@ def combined_equation_residual(data: WarpedSolitonData, grid: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class ConventionReport:
-    """Outcome of the factor-2 cross-check between the two descriptions."""
+    """Outcome of the factor-2 cross-check, with both descriptions' residuals."""
 
     ok: bool
-    ode_sup: float
-    tensor_sup: float
+    ode: ResidualReport
+    tensor: ResidualReport
     factor_gap: float
     failing: tuple
 
@@ -258,20 +277,20 @@ def convention_check(data: WarpedSolitonData, grid: np.ndarray) -> ConventionRep
     lambda_soliton = 2 * lambda_ode; every residual must stay below
     CONVENTION_TOL in sup norm.  The report names whichever side fails.
     """
-    rep1 = ode_residuals(data, grid)
-    rep2 = tensor_residuals(data, grid)
+    ode = ode_residuals(data, grid)
+    tensor = tensor_residuals(data, grid)
     gap = abs(data.lambda_soliton - 2.0 * data.lambda_ode)
     failing = []
-    if not rep1.max_abs < CONVENTION_TOL:
+    if not ode.max_abs < CONVENTION_TOL:
         failing.append("ode system (lambda_ode)")
-    if not rep2.max_abs < CONVENTION_TOL:
+    if not tensor.max_abs < CONVENTION_TOL:
         failing.append("tensor equations (lambda_soliton)")
     if not gap < CONVENTION_TOL:
         failing.append("factor-2 relation")
     return ConventionReport(
         ok=not failing,
-        ode_sup=rep1.max_abs,
-        tensor_sup=rep2.max_abs,
+        ode=ode,
+        tensor=tensor,
         factor_gap=gap,
         failing=tuple(failing),
     )
@@ -301,20 +320,7 @@ def rescale_profile(p: RadialProfile, a: float, b: float) -> RadialProfile:
     )
 
 
-# geometry helpers reused by the entropy checks
-
-
-def scalar_curvature(phi: RadialProfile, r: np.ndarray) -> np.ndarray:
-    """Scalar curvature of dr^2 + phi^2 g_{S^2} (unit round fiber)."""
-    r = np.asarray(r, dtype=float)
-    p, dp, ddp = phi(r), phi.d1(r), phi.d2(r)
-    return -4.0 * ddp / p + 2.0 * (1.0 - dp * dp) / (p * p)
-
-
-def laplacian_radial(func: RadialProfile, phi: RadialProfile, r: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami of a radial function: F'' + 2 (phi'/phi) F'."""
-    r = np.asarray(r, dtype=float)
-    return func.d2(r) + 2.0 * (phi.d1(r) / phi(r)) * func.d1(r)
+# torsion helpers reused by the entropy checks
 
 
 def torsion_norm_sq(h) -> np.ndarray:

@@ -155,6 +155,21 @@ def test_entropy_without_collapse_needs_explicit_reference_time(invoke, tmp_path
     assert code == 0
 
 
+def test_soliton_residual_evaluates_each_system_once(invoke, tmp_path, monkeypatch):
+    # the convention check's own reports fill the artifact
+    from grflab import warped
+
+    calls = []
+    for name in ("ode_residuals", "tensor_residuals"):
+        def counted(*args, _name=name, _fn=getattr(warped, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(warped, name, counted)
+    assert invoke("soliton-residual", "--out", str(tmp_path))[0] == 0
+    assert sorted(calls) == ["ode_residuals", "tensor_residuals"]
+
+
 def test_heat_check_writes_both_reports(invoke, tmp_path):
     code, out, err = invoke(
         "heat-check", "--soliton", "gaussian", "--points", "60",
@@ -518,97 +533,100 @@ HODGE_OVERFLOWS = (("--identity", "integral", "--h-amp", "1e200"),
                    ("--identity", "integral", "--f-amp", "700"),
                    ("--identity", "divh2", "--h-amp", "1e200"))
 
-# the config error that names the rejected parameter
-REJECTED_BY_NAME = {
-    **{(command, "--tmax", value): f"{command}: parameter 'tmax' must be greater than 0"
-       for command, value in (("cylinder-flow", "-1"), ("blowup", "0"), ("torsion", "-1"))},
+# every rejected run: its exit status and the stderr text after the
+# "config error: " (2) or "numerical failure: " (3) prefix, which names the
+# parameter or the rule the run breaks
+REJECTIONS = {
+    ("torsion", "--h0sq", "0"): (2, "h0 must be nonzero for a divergence witness: "
+                                    "at h0 = 0 the torsion integral converges"),
+    ("cylinder-flow", "--tmax", "-1"): (2, "cylinder-flow: parameter 'tmax' must be greater than 0"),
+    ("blowup", "--tmax", "0.05"): (3, "flow did not reach the collapse event"),
+    # parameters below their schema bound are config errors
+    ("torsion", "--fit-points", "0"): (2, "torsion: parameter 'fit_points' must be at least 2"),
+    ("torsion", "--fit-points", "1"): (2, "torsion: parameter 'fit_points' must be at least 2"),
+    ("heat-check", "--dt", "0"): (2, "heat-check: parameter 'dt' must be greater than 0"),
+    ("heat-check", "--dr", "0"): (2, "heat-check: parameter 'dr' must be greater than 0"),
+    ("heat-check", "--points", "1"): (2, "heat-check: parameter 'points' must be at least 2"),
+    ("entropy", "--dt", "-1"): (2, "entropy: parameter 'dt' must be at least 0"),
+    ("blowup", "--samples", "2"): (2, "blowup: parameter 'samples' must be at least 3"),
+    # library ValueErrors: a broken precondition, not a numerical failure
+    ("heat-check", "--r-max", "6"): (2, "soliton checks are restricted to |r| <= 5"),
+    ("heat-check", "--soliton", "gaussian", "--dr", "0.2"):
+        (2, "radial stencil leaves the phi > 0 region"),
+    ("entropy", "--u0", "-1"): (2, "u0 must be positive"),
+    ("entropy", "--u0", "0"): (2, "u0 must be positive"),
+    # the stencil t - dt >= 0 leaves no sample up to t_max = 0
+    ("entropy", "--t-max", "0"): (2, "no sample times in the default window"),
+    ("torsion", "--psi0", "-1"): (2, "psi0 must be nonnegative"),
+    ("cylinder-flow", "--lam-floor", "-1", "--tmax", "3"):
+        (2, "lam_floor must lie in (0, lam0): got lam_floor=-1 and lam0=1"),
+    ("shoot", "--delta-floor", "2"): (2, "delta_floor must lie in (0, 1)"),
+    # the gaussian warp phi = r vanishes at 0
+    ("soliton-residual", "--soliton", "gaussian", "--r-min", "-1"):
+        (2, "phi must be positive on the grid"),
+    ("cylinder-flow", "--h0sq", "-1"): (2, "cylinder-flow: parameter 'h0sq' must be at least 0"),
+    ("entropy", "--h0sq", "-1"): (2, "entropy: parameter 'h0sq' must be at least 0"),
+    # an rtol below 100 eps is rejected, not clamped to it
+    ("cylinder-flow", "--rtol", "1e-20"): (2, "rtol must be at least 100 eps = 2.22e-14, got 1e-20"),
+    # r_max at or below r_switch is rejected by name
+    ("shoot", "--r-max", "0.01"): (2, "r_max (0.01) must exceed r_switch (0.05)"),
+    **{HODGE_OVERFLOW + argv: (3, f"hodge-check: {fields} not finite")
+       for argv, fields in zip(HODGE_OVERFLOWS, (
+           "integral relative_gap, value_error, left, right, closed_form",
+           "integral relative_gap, right",
+           "divh2 sup"))},
+    # tau near 1e308 overflows W: every derivative gap is NaN, which is no
+    # agreement, and without the check W itself is not finite
+    ("entropy", "--h0sq", "0.5", "--T-ref", "1e308"):
+        (3, "derivative routes disagree: gap nan exceeds tolerance inf"),
+    ("blowup", "--tmax", "0"): (2, "blowup: parameter 'tmax' must be greater than 0"),
+    ("torsion", "--tmax", "-1"): (2, "torsion: parameter 'tmax' must be greater than 0"),
+    ("entropy", "--h0sq", "0.5", "--T-ref", "1e308", "--dt", "0"):
+        (3, "entropy or mass is not finite on the samples"),
     # u0 * 1e-14, the solve's absolute tolerance, underflows to 0
-    ("entropy", "--u0", "1e-320"): "u0 is too small",
-    ("entropy", "--dt", "0", "--t-max", "-1"): "no sample times",
+    ("entropy", "--u0", "1e-320"):
+        (2, "u0 is too small: its solver tolerance u0 * 1e-14 underflows to 0"),
+    ("entropy", "--dt", "0", "--t-max", "-1"): (2, "no sample times in the default window"),
     # only dt_out 0 means the solver's own steps; numpy's own error for a
     # negative seed names no parameter
-    ("cylinder-flow", "--dt-out", "-1"): "cylinder-flow: parameter 'dt_out' must be at least 0",
-    ("hodge-check", "--seed", "-3"): "hodge-check: parameter 'seed' must be at least 0",
+    ("cylinder-flow", "--dt-out", "-1"): (2, "cylinder-flow: parameter 'dt_out' must be at least 0"),
+    ("hodge-check", "--seed", "-3"): (2, "hodge-check: parameter 'seed' must be at least 0"),
     # the pullback family needs tau = 1 - dt > 0
-    **{argv: "dt must lie in (0, 1)"
+    **{argv: (2, "dt must lie in (0, 1): the pullback family needs tau = 1 - dt > 0")
        for argv in (("heat-check", "--dt", "1"), ("heat-check", "--dt", "10"),
                     ("heat-check", "--soliton", "gaussian", "--dt", "2"))},
     # the collapse floor must lie below lam0, else the flow starts at or
     # under it; a command without a lam_floor names lam0 and the default
     # floor, 1e-8
-    **{argv: f"lam_floor must lie in (0, lam0): got {values}"
-       for argv, values in (
-           (("cylinder-flow", "--h0sq", "0.1", "--lam-floor", "1"), "lam_floor=1 and lam0=1"),
-           (("cylinder-flow", "--lam-floor", "2"), "lam_floor=2 and lam0=1"),
-       )},
+    ("cylinder-flow", "--h0sq", "0.1", "--lam-floor", "1"):
+        (2, "lam_floor must lie in (0, lam0): got lam_floor=1 and lam0=1"),
+    ("cylinder-flow", "--lam-floor", "2"):
+        (2, "lam_floor must lie in (0, lam0): got lam_floor=2 and lam0=1"),
     **{(command, "--lam0", "1e-9"):
-       f"config error: {command}: parameter 'lam0' must be greater than the collapse floor 1e-08"
+       (2, f"{command}: parameter 'lam0' must be greater than the collapse floor 1e-08")
        for command in ("blowup", "torsion", "entropy")},
     # the gaussian grid starts at r = 0.1, where its warp is clear of zero
     ("heat-check", "--soliton", "gaussian", "--r-max", "0.05"):
-        "heat-check: r_max must exceed 0.1, where the gaussian grid starts",
-    # without the derivative check the default window keeps every weight
-    # sample, so one past T_ref is rejected, not dropped
+        (2, "heat-check: r_max must exceed 0.1, where the gaussian grid starts"),
+    # a T_ref inside the flow (T_sing = 2 here) is rejected at every dt, not
+    # cut from the window
     ("entropy", "--h0sq", "0.5", "--T-ref", "1.2", "--dt", "0"):
-        "tau = T_ref - t must stay positive",
+        (2, "tau = T_ref - t must stay positive on the samples: "
+            "T_ref = 1.2 is not past the window's last sample t = 2"),
+    **{("entropy", "--h0sq", h0sq, "--T-ref", "1.2"):
+       (2, "tau = T_ref - t must stay positive on the samples: "
+           f"T_ref = 1.2 is not past the window's last sample t = {last}")
+       for h0sq, last in (("0.5", "1.9999"), ("1.5", "3.02643"))},
 }
+_ERROR_CLASS = {2: "config error: ", 3: "numerical failure: "}
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (("torsion", "--h0sq", "0"), 2),
-    (("cylinder-flow", "--tmax", "-1"), 2),
-    (("blowup", "--tmax", "0.05"), 3),
-    # parameters below their schema bound are config errors
-    (("torsion", "--fit-points", "0"), 2),
-    (("torsion", "--fit-points", "1"), 2),
-    (("heat-check", "--dt", "0"), 2),
-    (("heat-check", "--dr", "0"), 2),
-    (("heat-check", "--points", "1"), 2),
-    (("entropy", "--dt", "-1"), 2),
-    (("blowup", "--samples", "2"), 2),
-    # library ValueErrors: a broken precondition, not a numerical failure
-    (("heat-check", "--r-max", "6"), 2),
-    (("heat-check", "--soliton", "gaussian", "--dr", "0.2"), 2),
-    (("entropy", "--u0", "-1"), 2),
-    (("entropy", "--u0", "0"), 2),
-    (("entropy", "--t-max", "0"), 2),
-    (("torsion", "--psi0", "-1"), 2),
-    (("cylinder-flow", "--lam-floor", "-1", "--tmax", "3"), 2),
-    (("shoot", "--delta-floor", "2"), 2),
-    (("soliton-residual", "--soliton", "gaussian", "--r-min", "-1"), 2),
-    (("cylinder-flow", "--h0sq", "-1"), 2),
-    (("entropy", "--h0sq", "-1"), 2),
-    # an rtol below 100 eps is rejected, not clamped to it
-    (("cylinder-flow", "--rtol", "1e-20"), 2),
-    # r_max at or below r_switch is rejected by name
-    (("shoot", "--r-max", "0.01"), 2),
-    *[(HODGE_OVERFLOW + argv, 3) for argv in HODGE_OVERFLOWS],
-    # tau near 1e308 overflows W: every derivative gap is NaN, which is no
-    # agreement, and without the check W itself is not finite
-    (("entropy", "--h0sq", "0.5", "--T-ref", "1e308"), 3),
-    (("blowup", "--tmax", "0"), 2),
-    (("torsion", "--tmax", "-1"), 2),
-    (("entropy", "--h0sq", "0.5", "--T-ref", "1e308", "--dt", "0"), 3),
-    (("entropy", "--u0", "1e-320"), 2),
-    (("entropy", "--dt", "0", "--t-max", "-1"), 2),
-    (("cylinder-flow", "--dt-out", "-1"), 2),
-    (("hodge-check", "--seed", "-3"), 2),
-    (("heat-check", "--dt", "1"), 2),
-    (("heat-check", "--dt", "10"), 2),
-    (("heat-check", "--soliton", "gaussian", "--dt", "2"), 2),
-    (("cylinder-flow", "--h0sq", "0.1", "--lam-floor", "1"), 2),
-    (("cylinder-flow", "--lam-floor", "2"), 2),
-    (("blowup", "--lam0", "1e-9"), 2),
-    (("torsion", "--lam0", "1e-9"), 2),
-    (("entropy", "--lam0", "1e-9"), 2),
-    (("heat-check", "--soliton", "gaussian", "--r-max", "0.05"), 2),
-    (("entropy", "--h0sq", "0.5", "--T-ref", "1.2", "--dt", "0"), 2),
-])
+@pytest.mark.parametrize("argv, expected", [(argv, code) for argv, (code, _) in REJECTIONS.items()])
 def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected):
     out_dir = tmp_path / "never"
     code, out, err = invoke(*argv, "--out", str(out_dir))
     assert code == expected and out == ""
-    assert REJECTED_BY_NAME.get(argv, "") in err
+    assert err == _ERROR_CLASS[expected] + REJECTIONS[argv][1] + "\n"
     assert not out_dir.exists()
 
 

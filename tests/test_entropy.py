@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import grflab.entropy as ent
+import grflab.warped as warped
 from grflab.cylinder import CylinderState, run_flow
 from grflab.entropy import (
     conjugate_heat_homogeneous,
@@ -13,7 +14,14 @@ from grflab.entropy import (
     pointwise_monotonicity_check,
     soliton_heat_check,
 )
-from grflab.warped import RadialProfile, WarpedSolitonData, cylinder_soliton, gaussian_shrinker
+from grflab.warped import (
+    RadialProfile,
+    WarpedSolitonData,
+    convention_check,
+    curvature,
+    cylinder_soliton,
+    gaussian_shrinker,
+)
 
 @pytest.fixture(scope="module")
 def weights_ricci(flow_ricci):
@@ -238,6 +246,22 @@ def test_explicit_samples_are_rejected_by_name(flow_half, weights_half, dt, time
         entropy_derivative_check(flow_half, early, dt=dt, times=times)
 
 
+@pytest.mark.parametrize("dt", [0.0, 1e-4])
+def test_reference_time_inside_the_window_is_rejected(flow_half, weights_half, dt):
+    # T_sing = 2: a T_ref of 1.2 falls inside the default window on both dt
+    # paths, and the late samples are not silently dropped
+    early = dataclasses.replace(weights_half, T_ref=1.2)
+    with pytest.raises(ValueError, match=r"tau = T_ref - t must stay positive on the samples: "
+                                         r"T_ref = 1\.2 is not past the window's last sample t = (2|1\.99)"):
+        entropy_derivative_check(flow_half, early, dt=dt)
+    # capped at t_max = 1 the window ends before T_ref, and the tau >= 50 dt
+    # margin removes none of it
+    capped = entropy_derivative_check(flow_half, early, dt=dt, t_max=1.0)
+    window = weights_half.times
+    window = window[(window - dt >= 0.0) & (window + dt <= flow_half.t_end) & (window <= 1.0)]
+    assert np.array_equal(capped.times, window)
+
+
 def test_dt_zero_trace_is_the_check_without_its_derivatives(flow_half, weights_half):
     plain = entropy_derivative_check(flow_half, weights_half, dt=0)
     checked = entropy_derivative_check(flow_half, weights_half, dt=1e-4)
@@ -294,6 +318,37 @@ def test_pointwise_monotonicity_gaussian_trivial():
     grid = np.linspace(0.1, 3.0, 200)
     rep = pointwise_monotonicity_check(grid, dt=1e-4, data=gaussian_shrinker())
     assert rep.max_abs < 1e-10
+
+
+def shifted(field):
+    """warped.curvature with one of its fields raised by 1e-3."""
+    def mutant(*args):
+        k = curvature(*args)
+        return k._replace(**{field: getattr(k, field) + 1e-3})
+
+    return mutant
+
+
+def test_shifted_ricci_scalar_fails_both_identities(monkeypatch):
+    # R enters the heat identity's right side and the box* operator on the
+    # density; a 1e-3 error in it must stand far above each identity's sup
+    grid = np.linspace(-3.0, 3.0, 200)
+    checks = (soliton_heat_check, pointwise_monotonicity_check)
+    clean = [check(grid, dt=1e-4).max_abs for check in checks]
+    assert clean[0] < 2e-7 and clean[1] < 5e-10
+    monkeypatch.setattr(ent, "curvature", shifted("R"))
+    shifted_sups = [check(grid, dt=1e-4).max_abs for check in checks]
+    assert shifted_sups[0] > 9e-4 and shifted_sups[1] > 3e-5
+
+
+def test_shifted_sphere_ricci_fails_the_soliton_gate(monkeypatch):
+    grid = np.linspace(-3.0, 3.0, 200)
+    monkeypatch.setattr(warped, "curvature", shifted("ric_s"))
+    report = convention_check(cylinder_soliton(), grid)
+    assert report.failing == ("tensor equations (lambda_soliton)",)
+    for check in (soliton_heat_check, pointwise_monotonicity_check):
+        with pytest.raises(ValueError, match="data is not a soliton"):
+            check(grid, dt=1e-4)
 
 
 def test_soliton_gate_errors():

@@ -71,6 +71,20 @@ def test_blowup_ceiling_terminates_run():
     assert traj.states[-1][0] >= 0.99 * BLOWUP_CEILING
 
 
+@pytest.mark.parametrize("t_user, termination", [(0.4, "event"), (0.6, "blowup")])
+def test_blowup_label_names_the_root_that_stopped_the_run(t_user, termination):
+    # y = 2e12 t crosses the ceiling at t = 0.5 inside the last step, which
+    # spans [0.111, 1] and also holds the user's terminal root: the earlier
+    # root stops the run and names it
+    stop = EventSpec(lambda t, y: t - t_user, terminal=True)
+    traj = integrate(lambda t, y: np.full(1, 2.0 * BLOWUP_CEILING), (0.0, 1.0), [0.0],
+                     events=(stop,))
+    assert traj.times[-2] < 0.4
+    assert traj.termination == termination
+    assert abs(traj.t_end - min(t_user, 0.5)) < 1e-12
+    assert [idx for _, _, idx in traj.events] == ([0] if termination == "event" else [])
+
+
 def test_step_underflow_is_reported():
     # integrable blowup of the rhs itself; the adaptive step collapses
     # approaching t = 1/2 and the failure must be labeled, not raised

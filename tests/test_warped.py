@@ -10,13 +10,12 @@ from grflab.warped import (
     WarpedSolitonData,
     combined_equation_residual,
     convention_check,
+    curvature,
     cylinder_soliton,
     gaussian_shrinker,
-    laplacian_radial,
     normalize_phi,
     ode_residuals,
     rescale_profile,
-    scalar_curvature,
     tensor_residuals,
     torsion_norm_sq,
     twisted_flux_norm_sq,
@@ -79,8 +78,11 @@ def test_broken_factor_two_is_detected():
     assert not report.ok
     assert not bool(report)
     assert abs(report.factor_gap - 0.5) < 1e-12
-    assert abs(report.tensor_sup - 0.5) < 1e-12
-    assert report.ode_sup < 1e-14  # the ODE side never saw lambda_soliton
+    assert abs(report.tensor.max_abs - 0.5) < 1e-12
+    assert report.ode.max_abs < 1e-14  # the ODE side never saw lambda_soliton
+    # the report carries both residual systems it judged
+    assert report.tensor.sup == tensor_residuals(broken, CYL_GRID).sup
+    assert report.ode.sup == ode_residuals(broken, CYL_GRID).sup
     assert any("factor" in name for name in report.failing)
     assert "fail" in report.message.lower()
 
@@ -134,14 +136,78 @@ def test_rescale_profile_semantics_and_roundtrip():
         assert np.abs(getattr(back, part)(r) - getattr(phi, part)(r)).max() < 1e-13
 
 
+def curvature_of(data, r):
+    return curvature(data.phi(r), data.phi.d1(r), data.phi.d2(r), data.f.d1(r), data.f.d2(r))
+
+
 def test_curvature_and_laplacian_closed_forms():
+    # radial Ricci, sphere Ricci, radial Hess f, sphere Hess f, R, Lap f,
+    # |grad f|^2: the round cylinder S^2 x R with f = r^2/2, and flat R^3
+    # with f = r^2/4
     r = GAUSS_GRID
-    cyl, gau = cylinder_soliton(), gaussian_shrinker()
-    assert np.abs(scalar_curvature(cyl.phi, r) - 2.0).max() < 1e-14
-    assert np.abs(scalar_curvature(gau.phi, r)).max() < 1e-14
-    # radial laplacian f'' + 2 (phi'/phi) f'
-    assert np.abs(laplacian_radial(cyl.f, cyl.phi, r) - 1.0).max() < 1e-14
-    assert np.abs(laplacian_radial(gau.f, gau.phi, r) - 1.5).max() < 1e-14
+    closed = {
+        cylinder_soliton: (0.0, 1.0, 1.0, 0.0, 2.0, 1.0, r * r),
+        gaussian_shrinker: (0.0, 0.0, 0.5, 0.5, 0.0, 1.5, r * r / 4.0),
+    }
+    for soliton, values in closed.items():
+        k = curvature_of(soliton(), r)
+        assert k._fields == ("ric_r", "ric_s", "hess_r", "hess_s", "R", "lap_f", "grad2")
+        for name, got, want in zip(k._fields, k, values):
+            assert np.abs(got - want).max() < 1e-14, (soliton.__name__, name)
+
+
+def hexes(x):
+    return [v.hex() for v in np.asarray(x, dtype=float).tolist()]
+
+
+def test_curvature_keeps_the_bits_of_each_written_out_formula():
+    # written out in the operation order of each formula's earlier home:
+    # at a^2 = 1 the tensor residuals' eigenvalues, R, the radial Laplacian
+    # and f'^2; at the cylinder family's a^2 = tau^{1 - 2 kappa} = 1/tau,
+    # the family density's R, Lap f and |grad f|^2
+    r = np.linspace(0.1, 5.0, 301)
+    prof = smooth_branch_profile()
+    phi, dphi, ddphi = prof(r), prof.d1(r), prof.d2(r)
+    df, ddf = r * np.cos(r), np.exp(-r) - 0.3
+    k = curvature(phi, dphi, ddphi, df, ddf)
+    plain = (
+        -2.0 * ddphi / phi,
+        (1.0 - dphi**2 - phi * ddphi) / (phi * phi),
+        ddf,
+        dphi * df / phi,
+        -4.0 * ddphi / phi + 2.0 * (1.0 - dphi * dphi) / (phi * phi),
+        ddf + 2.0 * (dphi / phi) * df,
+        df**2,
+    )
+    for name, got, want in zip(k._fields, k, plain):
+        assert hexes(got) == hexes(want), name
+    kappa = 1.0  # the cylinder's f'' = kappa
+    for dt in (1e-4, 0.5):
+        for tau in (1.0 - dt, 1.0 + dt):
+            a2 = tau ** (1.0 - 2.0 * kappa)
+            k = curvature(phi, dphi, ddphi, df, ddf, a2)
+            family = {
+                "R": -4.0 * (ddphi / a2) / phi + 2.0 * (1.0 - dphi * dphi / a2) / (phi * phi),
+                "lap_f": (ddf + 2.0 * (dphi / phi) * df) / a2,
+                "grad2": df * df / a2,
+            }
+            for name, want in family.items():
+                assert hexes(getattr(k, name)) == hexes(want), (tau, name)
+
+
+def test_radial_coefficient_is_a_change_of_radius():
+    # a^2 dr^2 + phi^2 g is dx^2 + phi^2 g in the arc length x = a r, so
+    # every quantity equals its a^2 = 1 value on x-derivatives
+    r = np.linspace(0.1, 5.0, 301)
+    prof = smooth_branch_profile()
+    phi, dphi, ddphi = prof(r), prof.d1(r), prof.d2(r)
+    df, ddf = r * np.cos(r), np.exp(-r) - 0.3
+    for a2 in (0.25, 1.0 / 1.5, 2.0, 1e4):
+        a = np.sqrt(a2)
+        scaled = curvature(phi, dphi, ddphi, df, ddf, a2)
+        arc = curvature(phi, dphi / a, ddphi / a2, df / a, ddf / a2)
+        for name, got, want in zip(scaled._fields, scaled, arc):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13), (a2, name)
 
 
 def test_torsion_pointwise_helpers():

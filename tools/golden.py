@@ -11,7 +11,7 @@ artifact.  Compare two trees by diffing the output:
     PYTHONPATH=../parent/src python tools/golden.py > parent.txt
     diff parent.txt change.txt
 
-Standard library only; about 15 s on 2 cores.
+Standard library only; about 20 s on 2 cores.
 """
 from __future__ import annotations
 
@@ -52,6 +52,13 @@ RUNS = (
     ("heat-check", "--soliton", "gaussian"),
     ("heat-check", "--soliton", "gaussian", "--r-max", "0.05"),
     ("cylinder-flow", "--dt-out", "0"),
+    ("soliton-residual", "--soliton", "cylinder", "--r-min", "-3"),
+    # a large dt: the cylinder family's radial coefficient 1/tau is far
+    # from 1, while the gaussian's stays 1 and only phi and f rescale
+    ("heat-check", "--soliton", "cylinder", "--dt", "0.5"),
+    ("heat-check", "--soliton", "gaussian", "--dt", "0.5"),
+    # a window capped before a reference time that lies inside the flow
+    ("entropy", "--h0sq", "0.5", "--T-ref", "1.2", "--t-max", "1.0"),
 )
 
 
