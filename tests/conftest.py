@@ -1,8 +1,10 @@
 """Shared fixtures: scipy's RK45 as the reference for the in-house solver,
-and the two closed-form cylinder flows.
+the two closed-form cylinder flows, and the threads a test starts.
 
 scipy is used here only as a reference; grflab's ODE code never loads it.
 """
+import threading
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,17 @@ def flow_ricci():
 def flow_half():
     """h0^2 = 1/2, on the separatrix: collapse at t = 2."""
     return run_flow(CylinderState(1.0, np.sqrt(0.5), 1.0))
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started

@@ -2,6 +2,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -261,7 +263,7 @@ def test_generated_rows_equal_the_full_component_bit_for_bit(grid_name, request)
     assert fast_rng.normal() == slow_rng.normal()
 
 
-def test_adjointness_gap_generates_each_row_once_per_call(g4, monkeypatch):
+def test_adjointness_gap_generates_each_row_once_per_call(g4, monkeypatch, workers):
     rows = {}
     generate = dec.TrigComponent.rows
 
@@ -276,7 +278,11 @@ def test_adjointness_gap_generates_each_row_once_per_call(g4, monkeypatch):
         monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
         for k in range(g4.dim):
             rows.clear()
+            workers.clear()
             adjointness_gap(separable_trig_form(g4, k, rng), separable_trig_form(g4, k + 1, rng))
+            # a slab of one plane is walked on two threads, each
+            # generating half the rings
+            assert workers == (["adjointness-walk"] if planes == 1 else [])
             # one walk for both pairings over the n rows, plus the two halo
             # rows on each side for a component differentiated along axis
             # 0; a walk per pairing would take 2n, generating per read up
@@ -528,7 +534,7 @@ def adjoint_pairs(grid):
 
 @pytest.mark.parametrize("grid_name", ["g16", "gm16", "gm4"])
 def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(
-    grid_name, request, monkeypatch
+    grid_name, request, monkeypatch, workers
 ):
     grid = request.getfixturevalue(grid_name)
     n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
@@ -538,17 +544,84 @@ def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(
         expected = abs(l2_inner(d(alpha), beta) - l2_inner(alpha, codiff(beta)))
         # slabs of 1, 2, 3 and 7 axis-0 planes and the whole grid: partial
         # last slabs, +-2 neighbours that wrap across the slab ends and
-        # across both ends of the axis
+        # across both ends of the axis; slabs of one plane on two threads
         for planes in (1, 2, 3, 7, n):
             monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+            workers.clear()
             gap = adjointness_gap(alpha, beta)
             assert gap.hex() == expected.hex(), f"{planes} planes per slab"
+            assert workers == (["adjointness-walk"] if planes == 1 else [])
         # no product is written into an input component
         for before, after in zip(inputs, (*alpha.comps.values(), *beta.comps.values())):
             assert_same_bits(np.asarray(after), before)
         gaps.append(gap)
     # rounding-level gaps, not zeros, so the comparison sees the last bits
     assert sum(gap > 0.0 for gap in gaps) >= len(gaps) // 2
+
+
+@pytest.mark.parametrize("dim, n, threaded", [
+    (3, 64, False), (3, 128, False), (4, 32, False), (4, 40, True), (4, 48, True), (4, 56, True),
+])
+def test_walk_takes_two_threads_where_a_slab_is_one_plane(dim, n, threaded):
+    # a grid holds no array: the rule reads only its sizes and _SLAB_BYTES
+    grid = PeriodicGrid.cube(dim, n)
+    assert dec._two_threads(grid) is threaded
+
+
+def test_threaded_walk_keeps_its_bits_under_fast_thread_switches(gm4, monkeypatch):
+    # the two threads share only the rings, written and read on either side
+    # of a barrier wait; a switch every microsecond would expose a ring read
+    # before it is written or overwritten while it is read
+    pairs = adjoint_pairs(gm4)
+    expected = [abs(l2_inner(d(a), b) - l2_inner(a, codiff(b))).hex() for a, b in pairs]
+    monkeypatch.setattr(dec, "_SLAB_BYTES", 8 * math.prod(gm4.sizes[1:]))
+    gaps = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: gaps.extend(
+            adjointness_gap(a, b).hex() for a, b in pairs))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert gaps == expected
+
+
+@pytest.mark.parametrize("where, phase, error", [
+    ("worker", "rows", MemoryError),
+    ("worker", "pairing", MemoryError),
+    ("main", "pairing", KeyboardInterrupt),
+], ids=["worker-rows", "worker-pairing", "main-interrupt"])
+def test_a_failure_on_either_thread_is_raised_by_the_walk(where, phase, error, g16, monkeypatch):
+    barriers = []
+
+    class Recorded(threading.Barrier):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            barriers.append(self)
+
+    monkeypatch.setattr(threading, "Barrier", Recorded)
+    monkeypatch.setattr(dec, "_SLAB_BYTES", 8 * math.prod(g16.sizes[1:]))
+    owner, name = (dec.TrigComponent, "rows") if phase == "rows" else (dec, "_pair_slab")
+    real, calls = getattr(owner, name), itertools.count()
+
+    def failing(*args, **kwargs):
+        # the fifth call on the chosen thread fails, part way down the axis
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (where == "main") and next(calls) == 4:
+            raise error("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    rng = np.random.default_rng(5)
+    alpha, beta = separable_trig_form(g16, 1, rng), separable_trig_form(g16, 2, rng)
+    before = threading.active_count()
+    with pytest.raises(error, match="injected"):
+        adjointness_gap(alpha, beta)
+    assert threading.active_count() == before
+    assert len(barriers) == 1 and barriers[0].broken and barriers[0].n_waiting == 0
 
 
 def test_wedge_and_interior_shapes(g16):

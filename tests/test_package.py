@@ -78,6 +78,22 @@ def test_hodge_check_run_loads_neither_numpy_ma_nor_scipy(tmp_path):
     assert run.stdout.strip().splitlines()[-1] == "0 []"
 
 
+def test_threaded_hodge_check_loads_neither_a_pool_nor_logging(tmp_path):
+    # slabs of one plane put the 16^3 adjointness walk on a worker thread of
+    # plain threading; concurrent.futures would load logging, some 7 ms
+    code = ("import sys, threading; from grflab import cli, hodge; "
+            "hodge._SLAB_BYTES = 8 * 16 * 16; started = []; start = threading.Thread.start; "
+            "threading.Thread.start = lambda t: (started.append(t.name), start(t))[1]; "
+            f"code = cli.main(['hodge-check', '--dim', '3', '--size', '16', '--out', {str(tmp_path)!r}]); "
+            "print(code, started, sorted(m for m in sys.modules"
+            " if m in ('concurrent.futures', 'logging')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    walks = ["adjointness-walk"] * 3
+    assert run.stdout.strip().splitlines()[-1] == f"0 {walks} []"
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--help"], 0),  # imports grflab and grflab.cli
     (["soliton-residual"], 0),
@@ -188,6 +204,37 @@ def test_data_limit_is_restored_after_every_run(soft_gib, tmp_path):
     assert all(hard == limits[1] and soft != resource.RLIM_INFINITY
                and (limits[0] == resource.RLIM_INFINITY or soft < limits[0])
                for soft, hard in seen)
+
+
+# Calls cli.main on argv[1:] in a fresh process in which no thread can be
+# started, and prints its exit status with RLIMIT_DATA before and after.
+THREADLESS = """
+import json, resource, sys, threading
+from grflab import cli
+def refuse(thread):
+    raise RuntimeError("can't start new thread")
+threading.Thread.start = refuse
+before = resource.getrlimit(resource.RLIMIT_DATA)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, before, resource.getrlimit(resource.RLIMIT_DATA)]))
+"""
+
+
+def test_walk_whose_worker_cannot_start_is_out_of_memory(tmp_path):
+    # a 40^4 slab is one plane, so the adjointness walk starts a worker
+    # thread; one that cannot start, as when the data cap leaves no room
+    # for its stack, is the run not fitting (exit 2), not a numerical
+    # failure (exit 3)
+    out_dir = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-c", THREADLESS, "hodge-check", "--dim", "4", "--size", "40",
+         "--out", str(out_dir)],
+        capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, before, after = json.loads(run.stdout.strip().splitlines()[-1])
+    assert code == 2 and before == after
+    assert run.stderr.startswith("config error: out of memory")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,8 +1,11 @@
 """The benchmark tracer (perfbench/tracer.py) patches grflab names where
 callers look them up.  Installing and removing it here makes a refactor
-that drops or renames one of those names fail in the fast suite."""
+that drops or renames one of those names fail in the fast suite, and a
+traced name entered off the main thread, where the tracer's span stack
+and counts are not safe, fail a test."""
 
 import importlib.util
+import threading
 from pathlib import Path
 
 from grflab import cli, cylinder, entropy, hodge, odesolve
@@ -43,3 +46,32 @@ def test_tracer_counts_the_conjugate_heat_solve():
         t.uninstall()
     assert t.counts["entropy.conjugate_heat_homogeneous.nfev"] > 0
     assert entropy.solve_ivp is odesolve.solve_ivp
+
+
+def test_no_traced_name_runs_on_the_walks_worker(monkeypatch, tmp_path, workers):
+    # every name the tracer patches asserts that it runs on the main thread;
+    # slabs of one plane put the 16^3 adjointness walk on two threads
+    tracer = load_tracer()
+
+    class MainThreadOnly(tracer.Tracer):
+        def wrap(self, name, fn, **kwargs):
+            traced = super().wrap(name, fn, **kwargs)
+
+            def checked(*args, **kw):
+                assert threading.current_thread() is threading.main_thread(), name
+                return traced(*args, **kw)
+
+            return checked
+
+    monkeypatch.setattr(hodge, "_SLAB_BYTES", 8 * 16 * 16)
+    t = MainThreadOnly()
+    try:
+        tracer.install(t)
+        code = cli.main(["hodge-check", "--dim", "3", "--size", "16", "--identity", "adjointness",
+                         "--out", str(tmp_path / "out")])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert workers == ["adjointness-walk"] * 3
+    assert t.counts["hodge.adjointness_gap.calls"] == 3
+    assert t.counts["cli.random_trig_form.calls"] == 6
