@@ -1,13 +1,17 @@
 """Shrinking entropy, conjugate-heat weights, and monotonicity checks.
 
-Three testbeds share this module.
+Three testbeds share this module, and one entropy density
+v = [tau (2 Lap f - |grad f|^2 + R - |H|^2/12) + f - 3] u (_density) and
+one monotonicity integrand (2 tau |M|^2 + (tau/2) |sigma|^2 - |H|^2/6) u
+(_integrand).  Each testbed supplies its curvature as a warped.Curvature:
+the homogeneous flow writes its sphere's Ric = g/2, R = 1/lam in _w_values,
+and the Gaussian and soliton testbeds read warped.curvature (unit sphere).
 
 * The homogeneous S^2 x S^1 flow: every spatial integral collapses to a
   product, the weight u(t) solves a scalar linear ODE, and the entropy
   and its two derivative routes (finite difference vs the curvature
-  formula) are closed-form products.  Sphere convention here follows the
-  flow module: Ric(sphere factor) = half the metric, R = 1/lam.  The
-  formula derivative is strictly positive on this family.
+  formula) are closed-form products.  The formula derivative is strictly
+  positive on this family.
   entropy_derivative_check is its one sampler: at dt = 0 it evaluates W
   and the mass only, at dt > 0 it also runs both derivative routes, and
   every sample t - dt and t + dt must lie on the flow; a T_ref inside the
@@ -16,15 +20,13 @@ Three testbeds share this module.
   inhomogeneous in r, its two exponents solve an ODE pair, and W, the
   mass and the formula derivative are radial quadratures.  Away from the
   soliton weight the torsion term can make the derivative negative.
-  Sphere convention: the unit sphere of the warped module.
 * The explicit warped solitons at a single time: the conjugate-heat
   identity and the pointwise monotonicity identity are checked on the
   self-similar pullback family, time derivatives by central differences.
-  Sphere convention and every curvature term come from warped.curvature
-  (unit sphere); the data must pass convention_check with soliton
-  constant 2 * lambda_ode, and the identities assume that constant equals
-  one, so only the two canonical profiles (and rescalings with the same
-  constant) qualify.
+  The data must pass convention_check with soliton constant
+  2 * lambda_ode, and the identities assume that constant equals one, so
+  only the two canonical profiles (and rescalings with the same constant)
+  qualify.
 
 Norms are raw index contractions throughout: |H|^2 = 6 h^2 for H = h dV,
 H2 = 2 h^2 g, |sigma|^2 = 2 (h' - f' h)^2 for the twisted codifferential
@@ -43,6 +45,7 @@ from .odesolve import integrate, solve_ivp
 from .ioutil import to_csv_text
 from .ioutil import atomic_write_text  # noqa: F401  (unused here; perfbench/tracer.py patches it)
 from .warped import (
+    Curvature,
     ResidualReport,
     WarpedSolitonData,
     convention_check,
@@ -159,7 +162,21 @@ def _check_tau(tau: np.ndarray):
         raise ValueError("tau = T_ref - t must stay positive on the samples")
 
 
+def _density(k: Curvature, h2, f, tau, u):
+    """Every testbed's entropy density, |H|^2 = 6 h2 (module docstring)."""
+    return (tau * (2.0 * k.lap_f - k.grad2 + k.R - 0.5 * h2) + f - 3.0) * u
+
+
+def _integrand(k: Curvature, h2, sigma2, tau, u):
+    """Every testbed's monotonicity integrand (module docstring), with
+    M = Ric - H2/4 + Hess f - g/(2 tau) and H2 = 2 h2 g."""
+    m_r = k.ric_r - 0.5 * h2 + k.hess_r - 0.5 / tau
+    m_s = k.ric_s - 0.5 * h2 + k.hess_s - 0.5 / tau
+    return (2.0 * tau * (m_r * m_r + 2.0 * m_s * m_s) + 0.5 * tau * sigma2 - h2) * u
+
+
 def _w_values(traj, weights, times):
+    """(times, tau, curvature, h^2, mass, W) of the homogeneous testbed."""
     times = np.asarray(times, dtype=float)
     tau = weights.T_ref - times
     _check_tau(tau)
@@ -171,8 +188,11 @@ def _w_values(traj, weights, times):
     # CIRCLE_LENGTH; constant in exact arithmetic
     m = u * SPHERE_AREA * lam * CIRCLE_LENGTH * beta
     f = -np.log(u) - 1.5 * np.log(4.0 * np.pi * tau)
-    W = (tau * (1.0 / lam - 0.5 * h * h) + f - 3.0) * m
-    return times, tau, lam, h, m, W
+    # the flow's Ric = g/2 sphere, flat circle and constant f; curvature at
+    # phi = sqrt(2 lam) would round phi^2
+    k = Curvature(ric_r=0.0, ric_s=0.5 / lam, hess_r=0.0, hess_s=0.0, R=1.0 / lam,
+                  lap_f=0.0, grad2=0.0)
+    return times, tau, k, h * h, m, _density(k, h * h, f, tau, m)
 
 
 def _entropy_trace(times, tau, W, m, dt=None, *, W_plus=None, W_minus=None, dW_formula=None):
@@ -235,12 +255,11 @@ def entropy_derivative_check(
     """Shrinking entropy along the flow, tau = weights.T_ref - t, and at
     dt > 0 its central finite difference against the curvature formula.
 
-    Homogeneous reduction: W = [tau (1/lam - h^2/2) + f - 3] mass with
-    f = -ln u - (3/2) ln(4 pi tau), and
-    dW_formula = [2 tau (2 A_s^2 + A_r^2) - h^2] mass with
-    A_s = 1/(2 lam) - h^2/2 - 1/(2 tau) on the two sphere directions and
-    A_r = -h^2/2 - 1/(2 tau) on the circle direction; the -h^2 term is
-    -|H|^2/6, and the homogeneous reduction kills the twisted-flux term.
+    Homogeneous reduction: W is the shared density with R = 1/lam and
+    f = -ln u - (3/2) ln(4 pi tau), weighted by the mass, and dW_formula
+    the shared integrand, whose M has eigenvalue 1/(2 lam) - h^2/2 - 1/(2 tau)
+    on the two sphere directions and -h^2/2 - 1/(2 tau) on the circle; the
+    homogeneous reduction kills the twisted-flux term.
 
     Samples: explicit times must be a finite, non-empty 1-d array with
     every t - dt and t + dt on the flow, and t_max does not apply to them.
@@ -274,17 +293,14 @@ def entropy_derivative_check(
     else:
         times = _samples(times, "times", (t0, t1), dt)
 
-    times, tau, lam, h, m, W = _w_values(traj, weights, times)
+    times, tau, k, h2, m, W = _w_values(traj, weights, times)
     if dt == 0:
         return _entropy_trace(times, tau, W, m)
-    h2 = h * h
-    A_s = 0.5 / lam - 0.5 * h2 - 0.5 / tau
-    A_r = -0.5 * h2 - 0.5 / tau
     return _entropy_trace(
         times, tau, W, m, dt,
         W_plus=_w_values(traj, weights, times + dt)[5],
         W_minus=_w_values(traj, weights, times - dt)[5],
-        dW_formula=(2.0 * tau * (2.0 * A_s**2 + A_r**2) - h2) * m,
+        dW_formula=_integrand(k, h2, 0.0, tau, m),
     )
 
 
@@ -293,27 +309,17 @@ def entropy_derivative_check(
 
 
 def _gaussian_slice(r, tau, a, b):
-    """Entropy density v, weight u and the monotonicity integrand
-    (2 tau |M|^2 + (tau/2) |sigma|^2 - |H|^2/6) u on the cylinder flow
-    g = dr^2/tau + tau g_{S^2}, H = dr ^ vol_{S^2}, for the weight
-    u = (4 pi tau)^{-3/2} e^{-f} with f = a r^2 + b.
-
-    The radial line is flat and the sphere factor does not depend on r, so
-    g^{rr} = tau turns r-derivatives into norms and Hess f vanishes on the
-    sphere; R = 2/tau, Ric = g/tau on the sphere, h^2 = 1/tau for H = h dV,
-    and d*H = 0 leaves sigma = i_{grad f} H.
-    """
+    """Entropy density v, weight u and monotonicity integrand on the
+    cylinder flow g = dr^2/tau + tau g_{S^2}, the warped product phi =
+    sqrt(tau), a^2 = 1/tau, for u = (4 pi tau)^{-3/2} e^{-f}, f = a r^2 + b.
+    H = dr ^ vol_{S^2} is h dV with h^2 = 1/tau, and d*H = 0 leaves
+    sigma = i_{grad f} H, so |sigma|^2 = 2 |grad f|^2 h^2."""
     f, df = a * r * r + b, 2.0 * a * r
+    k = curvature(np.sqrt(tau), 0.0, 0.0, df, 2.0 * a, 1.0 / tau)
     h2 = 1.0 / tau
-    grad2 = tau * df * df
-    hess_r = tau * 2.0 * a  # also Lap f: the sphere adds nothing
     u = (4.0 * np.pi * tau) ** (-1.5) * np.exp(-f)
-    v = (tau * (2.0 * hess_r - grad2 + 2.0 / tau - 0.5 * h2) + f - 3.0) * u
-    m_r = hess_r - 0.5 * h2 - 0.5 / tau  # Ric vanishes along the line
-    m_s = 1.0 / tau - 0.5 * h2 - 0.5 / tau
-    sigma2 = 2.0 * grad2 * h2
-    rhs = (2.0 * tau * (m_r * m_r + 2.0 * m_s * m_s) + 0.5 * tau * sigma2 - h2) * u
-    return v, u, rhs
+    return (_density(k, h2, f, tau, u), u,
+            _integrand(k, h2, 2.0 * k.grad2 * h2, tau, u))
 
 
 def gaussian_entropy_check(a0: float, times, dt: float = 1e-4) -> EntropyTrace:
@@ -457,10 +463,9 @@ def soliton_heat_check(
 
 
 def _family_v(data: WarpedSolitonData, r: np.ndarray, t: float, kappa: float, c: float):
-    """v = [tau (2 Lap f - |grad f|^2 + R - |H|^2/12) + f - 3] u on the
-    self-similar family g_t = tau^{1-2kappa} dr^2 + tau phi(s)^2 g_sphere,
-    s = r tau^{-kappa}, with the torsion kept as the fixed coordinate form;
-    returns v, u, the family's Curvature and h."""
+    """Entropy density v, weight u, Curvature and h on the self-similar family
+    g_t = tau^{1-2kappa} dr^2 + tau phi(s)^2 g_sphere, s = r tau^{-kappa},
+    with the torsion kept as the fixed coordinate form."""
     tau = 1.0 - t
     s = r * tau ** (-kappa)
     a2 = tau ** (1.0 - 2.0 * kappa)  # radial metric coefficient
@@ -477,8 +482,7 @@ def _family_v(data: WarpedSolitonData, r: np.ndarray, t: float, kappa: float, c:
     k = curvature(phi, dphi, ddphi, df, ddf, a2)
     h_t = c / (np.sqrt(a2) * phi * phi)
     u = (4.0 * np.pi * tau) ** (-1.5) * np.exp(-f)
-    v = (tau * (2.0 * k.lap_f - k.grad2 + k.R - 0.5 * h_t * h_t) + f - 3.0) * u
-    return v, u, k, h_t
+    return _density(k, h_t * h_t, f, tau, u), u, k, h_t
 
 
 def pointwise_monotonicity_check(
@@ -524,11 +528,7 @@ def pointwise_monotonicity_check(
 
     # closed-form right side at t = 0, tau = 1
     h = data.h(grid)
-    m_r = k0.ric_r - 0.5 * h * h + k0.hess_r - 0.5
-    m_s = k0.ric_s - 0.5 * h * h + k0.hess_s - 0.5
-    M2 = m_r * m_r + 2.0 * m_s * m_s
-    sigma2 = twisted_flux_norm_sq(data, grid)
-    rhs = -(2.0 * M2 + 0.5 * sigma2 - h * h) * u0
+    rhs = -_integrand(k0, h * h, twisted_flux_norm_sq(data, grid), 1.0, u0)
 
     return ResidualReport(
         grid=grid,

@@ -15,7 +15,8 @@ Two equivalent descriptions of a gradient soliton are implemented:
 Residual evaluators return signed residuals (left side minus right
 side) on a radial grid.  curvature is the one place the Ricci and Hess f
 eigenvalues, R, Lap f and |grad f|^2 of a^2 dr^2 + phi^2 g_{S^2} are
-written; the tensor residuals and the entropy soliton checks read it.
+written; the tensor residuals and the Gaussian and soliton entropy
+testbeds read it.
 """
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 Every test drives grflab.cli.main(argv) in process and inspects the exit
 status, the one-line summary, and the artifacts left in a scratch
-directory.  Exit codes: 0 success, 2 config error, 3 numerical failure.
+directory; only the golden record's check runs fresh processes.  Exit
+codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 import importlib.util
@@ -665,15 +666,15 @@ def test_entropy_t_max_only_caps_the_default_window(invoke, tmp_path):
     assert 0 < len(rows) < 300 and max(row[0] for row in rows) <= 1.0
 
 
-def _golden_runs():
+def _golden():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "golden.py")
     spec = importlib.util.spec_from_file_location("golden", path)
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
-    return golden.RUNS
+    return golden
 
 
-@pytest.mark.parametrize("argv", _golden_runs(), ids="_".join)
+@pytest.mark.parametrize("argv", _golden().RUNS, ids="_".join)
 def test_golden_run_parses(argv):
     # tools/golden.py runs these in fresh processes; a renamed flag or
     # choice must fail here, not there
@@ -682,6 +683,45 @@ def test_golden_run_parses(argv):
     except SystemExit:
         pytest.fail(f"grflab {' '.join(argv)} does not parse")
     assert args.command == argv[0]
+
+
+def test_golden_record_lists_the_runs_in_order():
+    golden = _golden()
+    with open(golden.RECORD) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("# python ")
+    assert [line for line in lines if line.startswith("$ grflab ")] == [
+        "$ grflab " + " ".join(argv) for argv in golden.RUNS]
+
+
+def test_golden_check_fails_on_one_changed_digit(tmp_path, monkeypatch, capsys):
+    golden = _golden()
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", src + os.pathsep + path if path else src)
+    monkeypatch.setattr(golden, "RUNS", (("soliton-residual", "--soliton", "gaussian"),
+                                         ("heat-check", "--soliton", "gaussian")))
+    monkeypatch.setattr(golden, "RECORD", str(tmp_path / "golden.txt"))
+    assert golden.main([]) == 0
+    record = capsys.readouterr().out
+    (tmp_path / "golden.txt").write_text(record)
+    assert golden.main(["--check"]) == 0
+    assert capsys.readouterr().out == "golden: 2 runs match\n"
+
+    i = record.index("sha256 ") + len("sha256 ")
+    i = record.index(" ", i) + 1  # the hash after the artifact's name
+    digit = "1" if record[i] == "0" else "0"
+    (tmp_path / "golden.txt").write_text(record[:i] + digit + record[i + 1:])
+    assert golden.main(["--check"]) == 1
+    diff = capsys.readouterr().out.splitlines()
+    assert [line[0] for line in diff if line[:1] in "-+" and line[:3] not in ("---", "+++")] == [
+        "-", "+"]
+
+    header, rest = record.split("\n", 1)
+    (tmp_path / "golden.txt").write_text("# python 0.0 numpy 0.0 simd none\n" + rest)
+    assert golden.main(["--check"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  record: # python 0.0 numpy 0.0 simd none", "  here:   " + header]
 
 
 def test_missing_command_prints_usage(invoke):

@@ -121,6 +121,57 @@ def test_skewed_formula_fails_both_testbeds(flow_half, weights_half, monkeypatch
             check()
 
 
+def failing_testbeds(flow_half, weights_half):
+    """The entropy testbeds whose check fails: the homogeneous and Gaussian
+    derivative checks on windows with tight bounds (1e-6 and 2.7e-6), and
+    the cylinder's pointwise identity, whose sup is 4.5e-10, above 1e-6."""
+    checks = {
+        "homogeneous": lambda: entropy_derivative_check(flow_half, weights_half, t_max=0.5),
+        "gaussian": lambda: gaussian_entropy_check(0.375, np.linspace(0.0, 0.5, 11)),
+    }
+    failed = set()
+    for name, check in checks.items():
+        try:
+            check()
+        except RuntimeError as err:
+            assert "derivative routes disagree" in str(err)
+            failed.add(name)
+    if pointwise_monotonicity_check(np.linspace(-3.0, 3.0, 200), dt=1e-4).max_abs > 1e-6:
+        failed.add("cylinder")
+    return failed
+
+
+def h2_over_4(integrand):
+    # -|H|^2/6 -> -|H|^2/4: gaps 0.33 and 1.0, pointwise sup 1.1e-2
+    return lambda k, h2, sigma2, tau, u: integrand(k, h2, sigma2, tau, u) - 0.5 * h2 * u
+
+
+def no_sigma(integrand):
+    # |sigma|^2 dropped: Gaussian gap 0.85, pointwise sup 1.7e-2; the
+    # homogeneous reduction has no twisted flux to drop
+    return lambda k, h2, sigma2, tau, u: integrand(k, h2, 0.0, tau, u)
+
+
+def no_tau(density):
+    # the curvature bracket without its tau: gaps 0.66 and 6.7, pointwise
+    # sup 7.9e-2
+    return lambda k, h2, f, tau, u: density(k, h2, f, 1.0, u)
+
+
+@pytest.mark.parametrize("helper, mutant, failing", [
+    ("_integrand", h2_over_4, {"homogeneous", "gaussian", "cylinder"}),
+    ("_integrand", no_sigma, {"gaussian", "cylinder"}),
+    ("_density", no_tau, {"homogeneous", "gaussian", "cylinder"}),
+], ids=["integrand-H2-over-4", "integrand-no-sigma", "density-no-tau"])
+def test_shared_formula_reaches_every_testbed(flow_half, weights_half, monkeypatch,
+                                              helper, mutant, failing):
+    # every testbed evaluates W and dW through the one density and the one
+    # integrand, so a wrong term in either must fail each testbed it enters
+    assert failing_testbeds(flow_half, weights_half) == set()
+    monkeypatch.setattr(ent, helper, mutant(getattr(ent, helper)))
+    assert failing_testbeds(flow_half, weights_half) == failing
+
+
 def test_derivative_check_fd_order(flow_ricci):
     # large-mass weights push the fd truncation above rounding so the
     # second-order collapse of the gap is measurable

@@ -142,8 +142,8 @@ def curvature_of(data, r):
 
 def test_curvature_and_laplacian_closed_forms():
     # radial Ricci, sphere Ricci, radial Hess f, sphere Hess f, R, Lap f,
-    # |grad f|^2: the round cylinder S^2 x R with f = r^2/2, and flat R^3
-    # with f = r^2/4
+    # |grad f|^2: the round cylinder S^2 x R with f = r^2/2, flat R^3
+    # with f = r^2/4, and the Gaussian entropy testbed's slice
     r = GAUSS_GRID
     closed = {
         cylinder_soliton: (0.0, 1.0, 1.0, 0.0, 2.0, 1.0, r * r),
@@ -154,6 +154,16 @@ def test_curvature_and_laplacian_closed_forms():
         assert k._fields == ("ric_r", "ric_s", "hess_r", "hess_s", "R", "lap_f", "grad2")
         for name, got, want in zip(k._fields, k, values):
             assert np.abs(got - want).max() < 1e-14, (soliton.__name__, name)
+    # the Gaussian entropy testbed's slice of the cylinder flow: phi =
+    # sqrt(tau), a^2 = 1/tau, f = alpha r^2 + b, each value within 1e-15
+    # relative (a few ulp; measured 3.1e-16) and the vanishing ones exact
+    rng = np.random.default_rng(24)
+    tau, alpha, r = (rng.uniform(lo, hi, 500) for lo, hi in ((0.05, 2.0), (0.1, 3.0), (-5.0, 5.0)))
+    k = curvature(np.sqrt(tau), 0.0, 0.0, 2.0 * alpha * r, 2.0 * alpha, 1.0 / tau)
+    values = (0.0, 1.0 / tau, 2.0 * alpha * tau, 0.0, 2.0 / tau, 2.0 * alpha * tau,
+              tau * (2.0 * alpha * r) ** 2)
+    for name, got, want in zip(k._fields, k, values):
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), ("gaussian slice", name)
 
 
 def hexes(x):

@@ -5,16 +5,25 @@ Each run is a fresh process under the caller's environment (so the caller's
 PYTHONPATH picks which grflab runs), writing into its own temporary
 directory.  For each run this prints the argv, the exit status, stdout and
 stderr with the temporary path masked as <out>, and the SHA-256 of every
-artifact.  Compare two trees by diffing the output:
+artifact.  The first line is a header naming the Python version, the numpy
+version and numpy's enabled SIMD dispatch features, as numpy's float64
+sin, exp and log can differ by an ulp across them.
 
-    PYTHONPATH=src python tools/golden.py > change.txt
-    PYTHONPATH=../parent/src python tools/golden.py > parent.txt
-    diff parent.txt change.txt
+The committed record is tools/golden.txt:
 
-Standard library only; about 20 s on 2 cores.
+    PYTHONPATH=src python tools/golden.py > tools/golden.txt
+    PYTHONPATH=src python tools/golden.py --check
+
+--check re-runs the list and compares it with the committed record: exit
+0 on a match, 1 with a unified diff on any difference, and 2, naming both
+headers, when the header differs (another Python, numpy or SIMD set), in
+which case nothing is compared.
+
+Standard library only; about 23 s on 2 cores.
 """
 from __future__ import annotations
 
+import difflib
 import hashlib
 import os
 import subprocess
@@ -87,15 +96,56 @@ def record(argv, env) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
+RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.txt")
+
+_HEADER = """\
+import platform
+import numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+simd = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+print("# python", platform.python_version(), "numpy", numpy.__version__,
+      "simd", " ".join(simd) or "none")
+"""
+
+
+def header(env) -> str:
+    """The record's first line, from a fresh process of the runs' Python."""
+    proc = subprocess.run([sys.executable, "-c", _HEADER], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--check"]):
+        print("usage: golden.py [--check]", file=sys.stderr)
+        return 2
     # each run starts in its own directory, so a relative PYTHONPATH entry
     # is made absolute against the caller's
     env = dict(os.environ)
     paths = env.get("PYTHONPATH", "").split(os.pathsep)
     env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in paths if p)
-    for argv in RUNS:
-        print(record(argv, env), flush=True)
-    return 0
+    first = header(env)
+    if not argv:
+        print(first, flush=True)
+        for run in RUNS:
+            print(record(run, env), flush=True)
+        return 0
+    with open(RECORD) as fh:
+        want = fh.read().splitlines()
+    if not want or want[0] != first:
+        print("golden: header differs, nothing compared\n  record: %s\n  here:   %s"
+              % (want[0] if want else "(empty)", first))
+        return 2
+    got = [first]
+    for run in RUNS:
+        got.extend(record(run, env).splitlines())
+    diff = list(difflib.unified_diff(want, got, "golden.txt", "this tree", lineterm=""))
+    print("\n".join(diff) if diff else "golden: %d runs match" % len(RUNS))
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
