@@ -32,23 +32,25 @@ summation depends on the array's shape, so `integral` sums the expanded
 array, one slab of axis-0 planes at a time through `PairwiseSum`, and
 never holds it whole.
 
-A result is written into an array the operator allocated itself, never
-into a component it was given.  `adjointness_gap` builds neither d alpha
-nor d* beta, and holds no full-grid array.  It walks slabs of axis-0
-planes once, each slab at most `_SLAB_BYTES` (a grid whose whole array
-fits is one slab), and on each slab forms every component of both
-pairings from the slab's rows only, each into a slab total that
-`PairwiseSum` adds up to that pairing's sum as it comes, to the bits
-`np.sum` gives the whole array.  That total and three
-working arrays of one slab each stay in cache while a component is
-formed, scaled, multiplied and added.  The components
-`random_trig_form` makes (`TrigComponent`) are never built whole there:
-the walk generates their rows once into one ring of planes per
-component, the slab, plus two halo planes on each side for a component
-either pairing differentiates along axis 0, or the whole axis when that
-is fewer planes.  At 48^4 a pair of 10 components so costs their partial
-sums, one plane each, and rings of 1 or 5 planes, instead of 10 full
-grids.
+Two memory rules hold.  The field route writes every result into an
+array the operator allocated itself, never into a component it was
+given.  `adjointness_gap` reads and writes only arrays it allocated: it
+builds neither d alpha nor d* beta, and holds no full-grid array.  It
+walks slabs of axis-0 planes once, each slab at most `_SLAB_BYTES` (a
+grid whose whole array fits is one slab), and on each slab forms every
+component of both pairings from the slab's rows only, each into a slab
+total that `PairwiseSum` adds up to that pairing's sum as it comes, to
+the bits `np.sum` gives the whole array.  That total and three working
+arrays of one slab each stay in cache while a component is formed,
+scaled, multiplied and added.  Every component is read from its ring of
+full grid planes, which the walk fills before each slab with the rows
+the slab reads: the slab, plus two halo planes on each side for a
+component either pairing differentiates along axis 0, or the whole axis
+when that is fewer planes.  The components `random_trig_form` makes
+(`TrigComponent`) generate their rows there and are never built whole;
+a plain array's rows are copied there.  At 48^4 a pair of 10 such
+components so costs their partial sums, one plane each, and rings of 1
+or 5 planes, instead of 10 full grids.
 
 Where a slab is a single axis-0 plane (one plane more than half of
 `_SLAB_BYTES`: on cubes 33^4 and up, 182^3 and up) the walk runs on two
@@ -62,7 +64,7 @@ the L2 with its working arrays, where the hand-offs cost more than they
 save: at 64^3 a second thread took 4% off the walk's wall time for 48%
 more CPU time.  Such grids stay on one thread.  The worker runs no name
 the benchmark tracer patches: the walk differentiates along axes >= 1
-through `_deriv`, past `PeriodicGrid.deriv`'s argument checks.
+through `_deriv`, not `PeriodicGrid.deriv`.
 """
 from __future__ import annotations
 
@@ -107,8 +109,8 @@ __all__ = [
 
 Index = Tuple[int, ...]
 
-# Rows per block when `PeriodicGrid.deriv` recomputes the wrap columns of
-# its flat path: the cache lines at both ends of a block's rows, 1 MiB of
+# Rows per block when `_deriv` recomputes the wrap columns of its flat
+# path: the cache lines at both ends of a block's rows, 1 MiB of
 # input and output, stay in L2 between copying them out and back.
 _WRAP_ROWS = 4096
 
@@ -232,53 +234,45 @@ class PeriodicGrid:
             "metric": list(self.metric),
         }
 
-    def deriv(self, u: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """4th-order periodic central difference along one axis.
-
-        (8 (u[i+1] - u[i-1]) - u[i+2] + u[i-2]) / 12h, evaluated in that
-        order by `_stencil` into `out`, or into a fresh array when out is
-        None.  out must be a writable float64 array of u's shape that does
-        not overlap u: an aliased out would read values already
-        overwritten, so it raises ValueError.  No shifted copy of u is
-        made, and every element sees the same operations as the np.roll
-        formula, so the result is bit-identical to it.
-
-        Two evaluation paths, one result:
-
-        * a C-contiguous u and out made of full grid planes, the whole
-          grid or a slab of axis-0 planes, differentiated along the last
-          axis, are walked as flat arrays with element offsets +-1 and
-          +-2, so each operation is one loop over the whole array rather
-          than a loop of m-2 elements per row, which made this axis cost
-          twice the others.  The offsets reach into the neighbouring row
-          in columns 0, 1, m-2 and m-1; those columns are then recomputed
-          over blocks of `_WRAP_ROWS` rows, from a copy of each block's
-          columns m-4..m-1 and 0..3 in which they are contiguous rows;
-        * every other axis, and every broadcast-shape or non-contiguous
-          u or out, uses contiguous slices along the axis: each operation
-          covers the rows its neighbour offset reaches without wrapping
-          in one slice and the rest in another.  Their inner loops are
-          already long, and the flat form measured slower there.
-
-        u is constant along an axis of length 1, where the stencil gives
-        u - u: +0.0 where u is finite and nan where it is not, exactly
-        what the formula gives on the expanded array.  A `TrigComponent`
-        u is differentiated as the full array it stands for.
-        """
+    def deriv(self, u: np.ndarray, axis: int) -> np.ndarray:
+        """4th-order periodic central difference along one axis, into a
+        fresh array of u's shape and layout (`_deriv`).  A `TrigComponent`
+        u is differentiated as the full array it stands for."""
         u = np.asarray(u)
-        if out is None:
-            out = np.empty_like(u)
-        elif out.shape != u.shape or out.dtype != np.float64 or not out.flags.writeable:
-            raise ValueError("out must be a writable float64 array of u's shape")
-        elif np.may_share_memory(out, u):
-            raise ValueError("out must not overlap u")
-        return _deriv(self, u, axis, out)
+        return _deriv(self, u, axis, np.empty_like(u))
 
 
 def _deriv(grid: PeriodicGrid, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """`PeriodicGrid.deriv` of u into out past its argument checks, for
-    callers whose out is valid by construction: the adjointness walk,
-    whose worker thread so runs no name the benchmark tracer patches."""
+    """(8 (u[i+1] - u[i-1]) - u[i+2] + u[i-2]) / 12h along one axis,
+    evaluated in that order by `_stencil` into out, a float64 array of
+    u's shape that does not overlap it.  Its owners are `deriv`, which
+    allocates out, and the adjointness walk, which differentiates a slab
+    of a ring into one of its own working arrays, so the walk's worker
+    thread runs no name the benchmark tracer patches.  No shifted copy of
+    u is made, and every element sees the same operations as the np.roll
+    formula, so the result is bit-identical to it.
+
+    Two evaluation paths, one result:
+
+    * a C-contiguous u and out made of full grid planes, the whole grid
+      or a slab of axis-0 planes, differentiated along the last axis, are
+      walked as flat arrays with element offsets +-1 and +-2, so each
+      operation is one loop over the whole array rather than a loop of
+      m-2 elements per row, which made this axis cost twice the others.
+      The offsets reach into the neighbouring row in columns 0, 1, m-2
+      and m-1; those columns are then recomputed over blocks of
+      `_WRAP_ROWS` rows, from a copy of each block's columns m-4..m-1 and
+      0..3 in which they are contiguous rows;
+    * every other axis, and every broadcast-shape or non-contiguous u or
+      out, uses contiguous slices along the axis: each operation covers
+      the rows its neighbour offset reaches without wrapping in one slice
+      and the rest in another.  Their inner loops are already long, and
+      the flat form measured slower there.
+
+    u is constant along an axis of length 1, where the stencil gives
+    u - u: +0.0 where u is finite and nan where it is not, exactly what
+    the formula gives on the expanded array.
+    """
     if u.shape[axis] == 1:
         return np.subtract(u, u, out=out)
     h = grid.spacing[axis]
@@ -678,12 +672,6 @@ def l2_inner(a: FormField, b: FormField) -> float:
     return integral(inner_pointwise(a, b), a.grid)
 
 
-def _rows(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of a broadcast-shape array along axis 0; an
-    array constant along axis 0 is its own slab."""
-    return arr if arr.shape[0] == 1 else arr[start:stop]
-
-
 def _view(buf: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """The leading part of a flat working array, as a C-contiguous array
     of the given shape."""
@@ -698,10 +686,11 @@ def _ring_planes(n: int, step: int) -> int:
     return min(n, step * -(-(step + 4) // step))
 
 
-def _rings(pairs, n: int, step: int):
-    """{id(component): (component, ring, halo)} for every `TrigComponent`
-    the pairs read: a working array of planes its rows are generated
-    into, with halo for the components differentiated along axis 0."""
+def _rings(pairs, sizes: Tuple[int, ...], step: int):
+    """{id(component): (source, ring, halo)} for every component the pairs
+    read: its rows' source (a `TrigComponent`, or a plain array broadcast
+    to full planes), a ring of full planes they go into, and halo for the
+    components differentiated along axis 0."""
     comps, halo = {}, set()
     for terms, _, other, _ in pairs:
         for arr, axis, _, _ in terms:
@@ -711,52 +700,57 @@ def _rings(pairs, n: int, step: int):
         comps[id(other)] = other
     rings = {}
     for key, arr in comps.items():
-        if isinstance(arr, TrigComponent):
-            planes = _ring_planes(n, step) if key in halo else step
-            rings[key] = (arr, np.empty((planes,) + arr.shape[1:]), key in halo)
+        if not isinstance(arr, TrigComponent):
+            arr = np.broadcast_to(arr, arr.shape[:1] + sizes[1:])
+        planes = _ring_planes(sizes[0], step) if key in halo else step
+        rings[key] = (arr, np.empty((planes,) + sizes[1:]), key in halo)
     return rings
 
 
 def _generate(rings, start: int, stop: int) -> None:
-    """Generate the rows the slab start..stop-1 reads and no earlier slab
-    generated: rows start..stop-1, or start-2..stop+1 with halo, and of
-    those only the rows past the previous slab's.  Row x goes to slot
-    x mod len(ring), so each ring plane is generated once per walk
-    except the four halo planes that wrap around axis 0."""
+    """Write the rows the slab start..stop-1 reads and no earlier slab
+    wrote: rows start..stop-1, or start-2..stop+1 with halo, and of those
+    only the rows past the previous slab's.  Row x goes to slot
+    x mod len(ring), so each ring plane is written once per walk except
+    the four halo planes that wrap around axis 0.  A `TrigComponent`
+    generates its rows; a plain array's are copied, with wrap."""
     for comp, ring, halo in rings.values():
         lo, hi = (start + 2 if start else -2, stop + 2) if halo else (start, stop)
         planes = len(ring)
         while lo < hi:
             slot = lo % planes
             count = min(hi - lo, planes - slot)
-            comp.rows(lo, lo + count, ring[slot:slot + count])
+            part = ring[slot:slot + count]
+            if isinstance(comp, TrigComponent):
+                comp.rows(lo, lo + count, part)
+            else:
+                np.take(comp, np.arange(lo, lo + count), axis=0, out=part, mode="wrap")
             lo += count
 
 
 def _source(arr, rings, start: int):
-    """(v, lo): the array that holds component arr's rows around the slab
-    starting at row start, and that row's index in it.  Row x sits at
-    v[x mod len(v)] for every row the slab reads: in arr itself, or in
-    the ring a generated component's rows were written into."""
-    v = rings[id(arr)][1] if id(arr) in rings else arr
-    return v, start % len(v)
+    """(ring, lo): the ring that holds component arr's rows around the
+    slab starting at row start, and that row's index in it.  Row x sits
+    at ring[x mod len(ring)] for every row the slab reads."""
+    ring = rings[id(arr)][1]
+    return ring, start % len(ring)
 
 
 def _slab_deriv(
     grid: PeriodicGrid, v: np.ndarray, axis: int, factor: float,
     lo: int, hi: int, out: np.ndarray, scaled: np.ndarray,
 ) -> np.ndarray:
-    """Rows lo..hi-1 of D_axis (factor v), written into out.
+    """Rows lo..hi-1 of D_axis (factor v), written into out, for an array
+    v of full grid planes (a ring).
 
-    Along axes >= 1, and along an axis 0 of length 1, this is `_deriv`
-    (out has the shape of its input) of the slab's rows of v, scaled into
+    Along axes >= 1 this is `_deriv` of rows lo..hi-1 of v, scaled into
     the working array `scaled` first when the factor is not 1.0.  Along
     axis 0 the stencil reads the neighbour rows lo-2..hi+1 of v with wrap
     in len(v) and scales each as it reads it.  Every element sees the
     operations `deriv` gives it on the scaled full array.
     """
-    if axis > 0 or v.shape[0] == 1:
-        src = _rows(v, lo, hi)
+    if axis > 0:
+        src = v[lo:hi]
         if factor != 1.0:
             src = np.multiply(factor, src, out=_view(scaled, src.shape))
         return _deriv(grid, src, axis, out)
@@ -771,9 +765,9 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
     the sum of the `_d_terms` terms, scaled by factor, times other scaled
     by other_factor, added in list order into total zeroed first.  `work`
     holds three flat working arrays of one slab each: the component, one
-    term or the scaled other, and scaled source values.  Every read,
-    stencil and product goes through `_source`, so a generated
-    component's rows come from its ring in `rings`.
+    term or the scaled other, and scaled source values.  Every stencil
+    and product reads a component's ring in `rings` through `_source`, so
+    every operand has the slab's shape.
 
     Signs are folded, not applied: a term is formed with its scale's
     magnitude, the component is held up to a sign, and each sign decides
@@ -784,18 +778,14 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
     comp_buf, term_buf, scaled = work
     planes = len(total)
     total.fill(0.0)
-    comp = _view(comp_buf, total.shape)
+    comp, held = _view(comp_buf, total.shape), _view(term_buf, total.shape)
     for terms, factor, other, other_factor in pairs:
         for i, (arr, axis, scale, negate) in enumerate(terms):
             v, lo = _source(arr, rings, start)
-            shape = _rows(v, lo, lo + planes).shape
-            into = comp if i == 0 and shape == comp.shape else _view(term_buf, shape)
-            term = _slab_deriv(grid, v, axis, abs(scale), lo, lo + planes, into, scaled)
+            term = _slab_deriv(grid, v, axis, abs(scale), lo, lo + planes, held if i else comp, scaled)
             flip = (scale < 0) != negate  # the term is minus what was formed
             if i == 0:
                 negative = flip  # comp holds minus the component
-                if term is not comp:
-                    np.copyto(comp, term)
             elif flip == negative:
                 comp += term
             else:
@@ -803,9 +793,9 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
         if abs(factor) != 1.0:
             comp *= abs(factor)
         v, lo = _source(other, rings, start)
-        mate = _rows(v, lo, lo + planes)
+        mate = v[lo:lo + planes]
         if other_factor != 1.0:
-            mate = np.multiply(mate, other_factor, out=_view(term_buf, mate.shape))
+            mate = np.multiply(mate, other_factor, out=held)
         comp *= mate
         if negative == (factor < 0):
             total += comp
@@ -893,8 +883,8 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     component is scaled, multiplied by its partner's slab and added into
     the slab total, in the order `inner_pointwise` takes.  The component
     of d* beta on J is the outer star of d(*beta) on the complement of J.
-    A `TrigComponent` is read from the one ring the walk generates its
-    rows into before each slab (`_generate`).
+    Every component is read from the one ring the walk writes its rows
+    into before each slab (`_generate`).
 
     Where a slab is one plane (`_two_threads`: on cubes 33^4 and up, and
     182^3 and up) the walk runs on two threads: each generates half the
@@ -926,7 +916,7 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
         if terms:
             _, factor = _star(grid, source, sign)
             right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
-    rings = _rings(left + right, n, step)
+    rings = _rings(left + right, grid.sizes, step)
     sums = [_pairwise.PairwiseSum(n * plane) for _ in range(2)]
 
     def buffers():  # a slab total and three working arrays

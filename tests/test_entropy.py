@@ -121,12 +121,25 @@ def test_skewed_formula_fails_both_testbeds(flow_half, weights_half, monkeypatch
             check()
 
 
-def failing_testbeds(flow_half, weights_half):
-    """The entropy testbeds whose check fails: the homogeneous and Gaussian
-    derivative checks on windows with tight bounds (1e-6 and 2.7e-6), and
-    the cylinder's pointwise identity, whose sup is 4.5e-10, above 1e-6."""
+@pytest.fixture(scope="module")
+def off_separatrix():
+    """h0^2 = 0.1, off the separatrix, weighted up to its collapse at t =
+    1.32.  The flow is not self-similar, so tau R and tau h^2 vary in time
+    and a wrong R or |H|^2 coefficient in the density moves dW, which it
+    cannot on the separatrix."""
+    flow = run_flow(CylinderState(1.0, np.sqrt(0.1), 1.0))
+    return flow, conjugate_heat_homogeneous(flow)
+
+
+def failing_testbeds(flow_half, weights_half, off_separatrix):
+    """The entropy testbeds whose check fails: the homogeneous derivative
+    check on and off the separatrix and the Gaussian one, on windows with
+    tight bounds (1e-6, 1.09e-6 and 2.7e-6; gaps 4.3e-9, 4.6e-9 and
+    3.8e-8), and the cylinder's pointwise identity, whose sup is 4.5e-10,
+    above 1e-6."""
     checks = {
         "homogeneous": lambda: entropy_derivative_check(flow_half, weights_half, t_max=0.5),
+        "off-separatrix": lambda: entropy_derivative_check(*off_separatrix, t_max=0.5),
         "gaussian": lambda: gaussian_entropy_check(0.375, np.linspace(0.0, 0.5, 11)),
     }
     failed = set()
@@ -142,34 +155,48 @@ def failing_testbeds(flow_half, weights_half):
 
 
 def h2_over_4(integrand):
-    # -|H|^2/6 -> -|H|^2/4: gaps 0.33 and 1.0, pointwise sup 1.1e-2
+    # -|H|^2/6 -> -|H|^2/4: gaps 0.33, 0.14 and 1.0, pointwise sup 1.1e-2
     return lambda k, h2, sigma2, tau, u: integrand(k, h2, sigma2, tau, u) - 0.5 * h2 * u
 
 
 def no_sigma(integrand):
-    # |sigma|^2 dropped: Gaussian gap 0.85, pointwise sup 1.7e-2; the
+    # |sigma|^2 dropped: Gaussian gap 0.87, pointwise sup 1.7e-2; the
     # homogeneous reduction has no twisted flux to drop
     return lambda k, h2, sigma2, tau, u: integrand(k, h2, 0.0, tau, u)
 
 
 def no_tau(density):
-    # the curvature bracket without its tau: gaps 0.66 and 6.7, pointwise
-    # sup 7.9e-2
+    # the curvature bracket without its tau: gaps 0.66, 2.0 and 6.7,
+    # pointwise sup 7.9e-2
     return lambda k, h2, f, tau, u: density(k, h2, f, 1.0, u)
 
 
+def h2_over_6(density):
+    # -|H|^2/12 -> -|H|^2/6: off-separatrix gap 0.17; on the separatrix
+    # the change is a constant times the mass (gap 5.1e-9)
+    return lambda k, h2, f, tau, u: density(k, 2.0 * h2, f, tau, u)
+
+
+def twice_r(density):
+    # R -> 2R: off-separatrix gap 0.39; separatrix gap 9.7e-10
+    return lambda k, h2, f, tau, u: density(k._replace(R=2.0 * k.R), h2, f, tau, u)
+
+
 @pytest.mark.parametrize("helper, mutant, failing", [
-    ("_integrand", h2_over_4, {"homogeneous", "gaussian", "cylinder"}),
+    ("_integrand", h2_over_4, {"homogeneous", "off-separatrix", "gaussian", "cylinder"}),
     ("_integrand", no_sigma, {"gaussian", "cylinder"}),
-    ("_density", no_tau, {"homogeneous", "gaussian", "cylinder"}),
-], ids=["integrand-H2-over-4", "integrand-no-sigma", "density-no-tau"])
-def test_shared_formula_reaches_every_testbed(flow_half, weights_half, monkeypatch,
-                                              helper, mutant, failing):
+    ("_density", no_tau, {"homogeneous", "off-separatrix", "gaussian", "cylinder"}),
+    ("_density", h2_over_6, {"off-separatrix"}),
+    ("_density", twice_r, {"off-separatrix"}),
+], ids=["integrand-H2-over-4", "integrand-no-sigma", "density-no-tau", "density-H2-over-6",
+        "density-2R"])
+def test_shared_formula_reaches_every_testbed(flow_half, weights_half, off_separatrix,
+                                              monkeypatch, helper, mutant, failing):
     # every testbed evaluates W and dW through the one density and the one
     # integrand, so a wrong term in either must fail each testbed it enters
-    assert failing_testbeds(flow_half, weights_half) == set()
+    assert failing_testbeds(flow_half, weights_half, off_separatrix) == set()
     monkeypatch.setattr(ent, helper, mutant(getattr(ent, helper)))
-    assert failing_testbeds(flow_half, weights_half) == failing
+    assert failing_testbeds(flow_half, weights_half, off_separatrix) == failing
 
 
 def test_derivative_check_fd_order(flow_ricci):

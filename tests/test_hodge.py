@@ -168,7 +168,7 @@ def test_stencil_matches_roll_formula_bit_for_bit(sizes):
             for order in "CF":
                 prefilled = np.full(u.shape, np.nan, order=order)
                 with np.errstate(invalid="ignore"):
-                    into = grid.deriv(u, axis, out=prefilled)
+                    into = dec._deriv(grid, u, axis, prefilled)
                 assert into is prefilled
                 assert_same_bits(np.broadcast_to(into, sizes), expected)
     # slabs of axis-0 planes, as the adjointness check forms its terms: the
@@ -192,23 +192,6 @@ def test_stencil_matches_roll_formula_bit_for_bit(sizes):
                         expected = roll_deriv(grid, factor * u, axis)[start:stop]
                     assert into is out
                     assert_same_bits(into, expected)
-
-
-@pytest.mark.parametrize("make_out", [
-    lambda u: np.empty(u.shape[:-1] + (u.shape[-1] + 1,)),  # wrong shape
-    lambda u: np.empty(u.shape, dtype=np.float32),  # wrong dtype
-    lambda u: np.broadcast_to(np.empty(u.shape[-1]), u.shape),  # read-only
-    lambda u: u,  # u itself
-    lambda u: u[::-1],  # overlaps u
-], ids=["shape", "dtype", "read-only", "same", "overlapping"])
-def test_deriv_rejects_an_unusable_out(g16, make_out):
-    u = np.random.default_rng(3).standard_normal(g16.sizes)
-    before = u.copy()
-    out = make_out(u)
-    for axis in range(g16.dim):
-        with pytest.raises(ValueError):
-            g16.deriv(u, axis, out=out)
-    assert_same_bits(u, before)
 
 
 def full_grid_trig_form(grid, degree, rng):
@@ -557,6 +540,37 @@ def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(
         gaps.append(gap)
     # rounding-level gaps, not zeros, so the comparison sees the last bits
     assert sum(gap > 0.0 for gap in gaps) >= len(gaps) // 2
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm4"])
+def test_walk_reads_every_component_from_a_ring_it_allocated(grid_name, request, monkeypatch):
+    # every stencil and mate read of the walk goes through _source; on the
+    # pairs with plain-array components (broadcast-shape example fields,
+    # Fortran-order forms) none may read an input component in place
+    grid = request.getfixturevalue(grid_name)
+    n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
+    source, reads, inputs = dec._source, [], []
+
+    def checked(arr, rings, start):
+        v, lo = source(arr, rings, start)
+        reads.append(not any(np.shares_memory(v, comp) for comp in inputs))
+        return v, lo
+
+    monkeypatch.setattr(dec, "_source", checked)
+    plain = 0
+    for alpha, beta in adjoint_pairs(grid):
+        comps = (*alpha.comps.values(), *beta.comps.values())
+        inputs[:] = [arr for arr in comps if not isinstance(arr, dec.TrigComponent)]
+        if not inputs:
+            continue
+        plain += 1
+        # slabs of one plane (two threads), of three and the whole grid
+        for planes in (1, 3, n):
+            monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+            reads.clear()
+            adjointness_gap(alpha, beta)
+            assert reads and all(reads), f"{planes} planes per slab"
+    assert plain == 10
 
 
 @pytest.mark.parametrize("dim, n, threaded", [
