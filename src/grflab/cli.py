@@ -48,13 +48,24 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+# OpenBLAS starts a spinning worker thread per extra core when numpy
+# loads, yet grflab's only BLAS calls (odesolve's np.dot and norm on at
+# most 7 x 4 arrays) are far below the size it splits across threads.
+# Set before numpy's first import, so it reaches every CLI process; a
+# caller's own value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 # The compute modules are imported by the runners that use them, so a
 # command loads only what it runs: after numpy, importing cylinder with
 # odesolve takes 12-17 ms, entropy with warped 12-16 ms, hodge 15-19 ms and
 # shooting 4-5 ms (five fresh processes, no bytecode cache), which would
-# add to the cold start of every command that needs none of them.
+# add to the cold start of every command that needs none of them.  numpy
+# is most of a cold start: 60-92 ms of `import grflab.cli`'s 83-126 ms
+# with one BLAS thread, against 127-163 of 155-197 ms with OpenBLAS's
+# default pool (`-X importtime`, eight fresh processes each, 2 cores); a
+# whole command runs 65-80 ms shorter in wall and CPU time.
 from .ioutil import atomic_write_text, to_json_text
 
 ENV_OUTPUT_DIR = "GRFLAB_OUTPUT_DIR"

@@ -1,4 +1,6 @@
-"""Package-level checks: importing the package loads no scipy, every
+"""Package-level checks: importing the package loads no scipy and no
+numpy, the CLI starts numpy with one BLAS thread unless the caller sets
+OPENBLAS_NUM_THREADS and its artifacts do not depend on that count, every
 command runs with scipy unimportable, a hodge-check run loads neither
 numpy.ma nor scipy, a run past its data cap exits 2 and every run gives
 the process's data limit back, every exported name exists, only the CLI
@@ -63,6 +65,76 @@ def test_cli_import_loads_no_compute_module():
                          text=True, env=_env(), timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "['grflab.cli', 'grflab.ioutil']"
+
+
+def _blas_env(threads):
+    # importing grflab.cli above set OPENBLAS_NUM_THREADS in this process,
+    # and children inherit it, so each child starts from the caller's value
+    env = _env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def _threads_after(statement, threads):
+    """OS threads and OPENBLAS_NUM_THREADS of a fresh process after
+    `statement`, started with OPENBLAS_NUM_THREADS = `threads` (None: unset)."""
+    code = (f"import os; {statement}; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_blas_env(threads), timeout=60)
+    assert run.returncode == 0, run.stderr
+    count, value = run.stdout.split()
+    return int(count), value
+
+
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="no /proc/self/task to count threads")
+
+
+@needs_proc_tasks
+def test_cli_starts_numpy_with_one_blas_thread():
+    # OpenBLAS would start a worker per extra core that no command uses
+    assert _threads_after("import grflab.cli", None) == (1, "1")
+
+
+@needs_proc_tasks
+def test_callers_blas_thread_count_wins():
+    # the CLI leaves a caller's value, and numpy's pool, as they were
+    numpy_alone = _threads_after("import numpy", "2")
+    assert numpy_alone == (min(2, len(os.sched_getaffinity(0))), "2")
+    assert _threads_after("import grflab.cli", "2") == numpy_alone
+
+
+def test_package_root_loads_no_numpy():
+    # so cli's BLAS setting runs before numpy's first import, and only there:
+    # a library module keeps numpy's default pool
+    code = ("import os, sys, grflab; print('numpy' in sys.modules); "
+            "import grflab.cylinder; print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_blas_env(None), timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "None"]
+
+
+@pytest.mark.parametrize("argv", [["cylinder-flow", "--h0sq", "0.5"], ["shoot", "--csv"]],
+                         ids=["cylinder-flow", "shoot"])
+def test_artifacts_do_not_depend_on_blas_threads(argv, tmp_path):
+    # both runs make every np.dot and norm call of odesolve's stepper and
+    # dense output
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        run = subprocess.run([sys.executable, "-m", "grflab.cli", *argv, "--out", "out"],
+                             capture_output=True, text=True, env=_blas_env(threads),
+                             cwd=cwd, timeout=120)
+        assert run.returncode == 0, run.stderr
+        files = sorted((cwd / "out").iterdir())
+        assert files
+        outputs.append((run.stdout, {p.name: p.read_bytes() for p in files}))
+    assert outputs[0] == outputs[1]
 
 
 def test_hodge_check_run_loads_neither_numpy_ma_nor_scipy(tmp_path):
