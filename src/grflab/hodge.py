@@ -213,7 +213,7 @@ class PeriodicGrid:
     def coords(self):
         """Sparse meshgrid of the coordinate axes."""
         axes = [
-            np.arange(s) * dx for s, dx in zip(self.sizes, self.spacing)
+            np.linspace(0.0, p, s, endpoint=False) for s, p in zip(self.sizes, self.periods)
         ]
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
@@ -320,11 +320,11 @@ class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
     The component is (prefix + cos_line) + sin_line: prefix, the partial
     sum over axes 0..dim-2, has length 1 along the last axis, 1/n of a
     grid, and the last axis's two lines have length 1 along every other
-    axis.  `rows` writes any run of axis-0 rows into an array the caller
-    owns.  Everywhere else the component is the full array it stands for:
-    `__array__` builds that array, the one place it is built, and every
-    ufunc and operator goes through it.  Anything else, indexing
-    included, takes np.asarray of the component first.
+    axis.  `rows` writes a run of axis-0 rows, within one period, into an
+    array the caller owns.  Everywhere else the component is the full
+    array it stands for: `__array__` builds that array, the one place it
+    is built, and every ufunc and operator goes through it.  Anything
+    else, indexing included, takes np.asarray of the component first.
     """
 
     def __init__(self, prefix: np.ndarray, cos_line: np.ndarray, sin_line: np.ndarray):
@@ -333,21 +333,18 @@ class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
         self.ndim = len(self.shape)
 
     def rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Rows start..stop-1 along axis 0, indices taken modulo the axis
-        length, written into out: the additions the full-size sum makes,
-        in its order, so every element has the full array's bits."""
-        n = self.shape[0]
-        x = start
-        while x < stop:
-            row = x % n
-            count = min(stop - x, n - row)
-            part = out[x - start:x - start + count]
-            np.add(self._prefix[row:row + count], self._cos, out=part)
-            part += self._sin
-            x += count
+        """Rows start..stop-1 along axis 0, 0 <= start < stop <= n, written
+        into out: the additions the full-size sum makes, in its order, so
+        every element has the full array's bits."""
+        if not 0 <= start < stop <= self.shape[0]:
+            raise ValueError("rows are read within one period of axis 0")
+        np.add(self._prefix[start:stop], self._cos, out=out)
+        out += self._sin
         return out
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:  # numpy 2's protocol: no view exists to return
+            raise ValueError("a TrigComponent is built anew on every conversion")
         full = self.rows(0, self.shape[0], np.empty(self.shape))
         return full if dtype is None else full.astype(dtype, copy=False)
 
@@ -356,6 +353,13 @@ class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
             return NotImplemented  # nothing is written into a component
         inputs = tuple(np.asarray(x) if isinstance(x, TrigComponent) else x for x in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _common_grid(a, b) -> PeriodicGrid:
+    """The grid two fields live on, which must be the same."""
+    if a.grid != b.grid:
+        raise ValueError("fields live on different grids")
+    return a.grid
 
 
 @dataclass
@@ -414,8 +418,7 @@ class FormField:
         return sorted(self.comps)
 
     def _binary(self, other: "FormField", sign: float) -> "FormField":
-        if self.grid is not other.grid and self.grid != other.grid:
-            raise ValueError("fields live on different grids")
+        grid = _common_grid(self, other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         # a + (-1.0) b equals a - b exactly; unshared components are not copied
@@ -423,7 +426,7 @@ class FormField:
         out = dict(self.comps)
         for k, v in other.comps.items():
             out[k] = combine(out[k], v) if k in out else sign * v
-        return FormField(self.grid, self.degree, out)
+        return FormField(grid, self.degree, out)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -572,9 +575,7 @@ def _codiff_sign(grid: PeriodicGrid, k: int) -> float:
 
 def interior(X: VectorField, f: FormField) -> FormField:
     """Interior product i_X f (zero on scalars)."""
-    grid, k = f.grid, f.degree
-    if X.grid != grid:
-        raise ValueError("fields live on different grids")
+    grid, k = _common_grid(X, f), f.degree
     if k == 0:
         return FormField.zero(grid, 0)
     out: Dict[Index, np.ndarray] = {}
@@ -594,9 +595,7 @@ def lie(X: VectorField, f: FormField) -> FormField:
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    grid = a.grid
+    grid = _common_grid(a, b)
     k = a.degree + b.degree
     if k > grid.dim:
         return FormField.zero(grid, grid.dim)
@@ -638,7 +637,7 @@ def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
     """Degree-normalized inner product <a, b> (increasing indices)."""
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
-    grid = a.grid
+    grid = _common_grid(a, b)
     out = np.zeros((1,) * grid.dim)
     for idx in a.indices():
         if idx in b.comps:
@@ -689,8 +688,8 @@ def _ring_planes(n: int, step: int) -> int:
 def _rings(pairs, sizes: Tuple[int, ...], step: int):
     """{id(component): (source, ring, halo)} for every component the pairs
     read: its rows' source (a `TrigComponent`, or a plain array broadcast
-    to full planes), a ring of full planes they go into, and halo for the
-    components differentiated along axis 0."""
+    to the full grid, a view), a ring of full planes they go into, and
+    halo for the components differentiated along axis 0."""
     comps, halo = {}, set()
     for terms, _, other, _ in pairs:
         for arr, axis, _, _ in terms:
@@ -701,7 +700,7 @@ def _rings(pairs, sizes: Tuple[int, ...], step: int):
     rings = {}
     for key, arr in comps.items():
         if not isinstance(arr, TrigComponent):
-            arr = np.broadcast_to(arr, arr.shape[:1] + sizes[1:])
+            arr = np.broadcast_to(arr, sizes)
         planes = _ring_planes(sizes[0], step) if key in halo else step
         rings[key] = (arr, np.empty((planes,) + sizes[1:]), key in halo)
     return rings
@@ -710,21 +709,22 @@ def _rings(pairs, sizes: Tuple[int, ...], step: int):
 def _generate(rings, start: int, stop: int) -> None:
     """Write the rows the slab start..stop-1 reads and no earlier slab
     wrote: rows start..stop-1, or start-2..stop+1 with halo, and of those
-    only the rows past the previous slab's.  Row x goes to slot
-    x mod len(ring), so each ring plane is written once per walk except
-    the four halo planes that wrap around axis 0.  A `TrigComponent`
-    generates its rows; a plain array's are copied, with wrap."""
+    only the rows past the previous slab's.  Row x is source row x mod n,
+    written to slot x mod len(ring); this is the one place a run of rows
+    is split, at the axis end and at the ring end.  So each ring plane is
+    written once per walk except the four halo planes that wrap around
+    axis 0, and each piece is one run of source rows and of ring slots."""
     for comp, ring, halo in rings.values():
         lo, hi = (start + 2 if start else -2, stop + 2) if halo else (start, stop)
-        planes = len(ring)
+        n, planes = comp.shape[0], len(ring)
         while lo < hi:
-            slot = lo % planes
-            count = min(hi - lo, planes - slot)
+            row, slot = lo % n, lo % planes
+            count = min(hi - lo, planes - slot, n - row)
             part = ring[slot:slot + count]
             if isinstance(comp, TrigComponent):
-                comp.rows(lo, lo + count, part)
+                comp.rows(row, row + count, part)
             else:
-                np.take(comp, np.arange(lo, lo + count), axis=0, out=part, mode="wrap")
+                np.copyto(part, comp[row:row + count])
             lo += count
 
 
@@ -900,7 +900,7 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
     """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
-    grid = alpha.grid
+    grid = _common_grid(alpha, beta)
     n, plane = grid.sizes[0], math.prod(grid.sizes[1:])
     step = _slab_planes(grid)
     left = []
@@ -1064,8 +1064,7 @@ def _require_scalar_and_three_form(f: FormField, H: FormField):
         raise ValueError("f must be a scalar field")
     if H.degree != 3:
         raise ValueError("H must be a 3-form")
-    if f.grid != H.grid:
-        raise ValueError("fields live on different grids")
+    _common_grid(f, H)
 
 
 def _twisted_operator(f: FormField, H: FormField) -> Tuple[FormField, FormField]:

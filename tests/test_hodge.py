@@ -234,16 +234,60 @@ def test_generated_rows_equal_the_full_component_bit_for_bit(grid_name, request)
             comp, full = fast.comps[idx], slow[idx]
             assert isinstance(comp, dec.TrigComponent)
             assert_same_bits(np.asarray(comp), full)
-            # every run of rows, from two halo rows before axis 0 starts to
-            # two after it ends: runs that wrap at either end or at both
+            # every run of rows within one period; `_generate` splits the
+            # runs that wrap, so a run across either end of axis 0 is
+            # refused rather than answered with wrong rows
             bits = full.view(np.uint64)
-            for start in range(-2, n):
-                for stop in range(start + 1, n + 3):
+            for start in range(n):
+                for stop in range(start + 1, n + 1):
                     out = np.full((stop - start,) + grid.sizes[1:], np.nan)
                     comp.rows(start, stop, out)
-                    assert np.array_equal(out.view(np.uint64), bits[np.arange(start, stop) % n])
+                    assert np.array_equal(out.view(np.uint64), bits[start:stop])
+            for start, stop in ((-2, 3), (-1, n), (n - 1, n + 1), (n - 2, n + 2), (-2, n + 2)):
+                with pytest.raises(ValueError):
+                    comp.rows(start, stop, np.empty((stop - start,) + grid.sizes[1:]))
     # the same draws in the same order
     assert fast_rng.normal() == slow_rng.normal()
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])
+def test_generate_splits_runs_at_the_axis_end_and_the_ring_end(grid_name, request):
+    # the walk's one wrap rule: before each slab, in order, every row x the
+    # slab reads (two more on each side with halo) sits at ring[x mod
+    # len(ring)] with the bits of row x mod n
+    grid = request.getfixturevalue(grid_name)
+    sizes, n = grid.sizes, grid.sizes[0]
+    rng = np.random.default_rng(35)
+    values = rng.standard_normal(sizes)
+    sources = (
+        separable_trig_form(grid, 1, rng).comps[(0,)],
+        rng.standard_normal((1,) + sizes[1:]),  # length 1 along axis 0
+        values,
+        np.asfortranarray(values),
+    )
+    for source in sources:
+        bits = np.ascontiguousarray(np.broadcast_to(np.asarray(source), sizes)).view(np.uint64)
+        for planes in (1, 2, 3, 7, n):
+            for halo in (False, True):
+                terms = [(source, 0, 1.0, False)] if halo else []
+                rings = dec._rings([(terms, 1.0, source, 1.0)], sizes, planes)
+                ring = rings[id(source)][1]
+                ring.fill(np.nan)
+                reach = 2 if halo else 0
+                for start in range(0, n, planes):
+                    stop = min(start + planes, n)
+                    dec._generate(rings, start, stop)
+                    for x in range(start - reach, stop + reach):
+                        got = ring[x % len(ring)].view(np.uint64)
+                        assert np.array_equal(got, bits[x % n]), f"{planes} planes, halo {halo}, row {x}"
+
+
+def test_a_trig_component_is_never_a_view(g16):
+    # numpy 2's __array__ protocol: copy=False raises where a copy is needed
+    comp = separable_trig_form(g16, 1, np.random.default_rng(3)).comps[(0,)]
+    with pytest.raises(ValueError):
+        np.asarray(comp, copy=False)
+    assert_same_bits(np.asarray(comp, copy=True), np.asarray(comp))
 
 
 def test_adjointness_gap_generates_each_row_once_per_call(g4, monkeypatch, workers):
@@ -440,6 +484,16 @@ def test_degree_and_grid_mismatch_rejected(g16, g32):
         FormField(g16, 2, {(0, 0): np.zeros(g16.sizes)})
     with pytest.raises(ValueError):
         hodge(FormField(g16, 4, {}))
+    # the same sizes with other periods: every array broadcasts, so only
+    # the grid check can tell the fields apart
+    unit = PeriodicGrid(dim=3, sizes=g16.sizes, periods=(1.0, 1.0, 1.0))
+    e = random_trig_form(unit, 2, seed=8)
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        adjointness_gap(a, e)
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        inner_pointwise(b, e)
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        l2_inner(b, e)
 
 
 def test_adjointness_of_d_and_codiff(g16, gm16, g4):
@@ -451,6 +505,39 @@ def test_adjointness_of_d_and_codiff(g16, gm16, g4):
             assert adjointness_gap(a, b) < 1e-12
     with pytest.raises(ValueError):
         adjointness_gap(random_trig_form(g16, 0, seed=1), random_trig_form(g16, 2, seed=2))
+
+
+def flipped_sign(sign):
+    return lambda grid, k: -sign(grid, k)
+
+
+def unit_weight(inverse_metric):
+    return lambda grid, idx: 1.0
+
+
+@pytest.mark.parametrize("helper, mutant, grid_name", [
+    ("_codiff_sign", flipped_sign, "g16"),
+    ("_codiff_sign", flipped_sign, "gm4"),
+    ("_inverse_metric", unit_weight, "gm4"),  # the unit metric hides this one
+], ids=["codiff-sign-g16", "codiff-sign-gm4", "inverse-metric-gm4"])
+def test_a_wrong_sign_or_metric_weight_fails_the_adjointness_check(
+    helper, mutant, grid_name, request, monkeypatch, workers
+):
+    # every degree's gap must clear the 1e-8 bound of criterion 9, on one
+    # plane per slab (two threads) and on the whole grid as one slab
+    grid = request.getfixturevalue(grid_name)
+    n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
+    rng = np.random.default_rng(35)
+    pairs = [(separable_trig_form(grid, k, rng), separable_trig_form(grid, k + 1, rng))
+             for k in range(grid.dim)]
+    assert all(adjointness_gap(a, b) < 1e-12 for a, b in pairs)
+    monkeypatch.setattr(dec, helper, mutant(getattr(dec, helper)))
+    for planes in (1, n):
+        monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+        workers.clear()
+        gaps = [adjointness_gap(a, b) for a, b in pairs]
+        assert workers == (["adjointness-walk"] * grid.dim if planes == 1 else [])
+        assert min(gaps) > 1e-8, f"{planes} planes per slab: {gaps}"
 
 
 def loop_d(f):
