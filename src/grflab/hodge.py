@@ -49,7 +49,7 @@ component either pairing differentiates along axis 0, or the whole axis
 when that is fewer planes.  The components `random_trig_form` makes
 (`TrigComponent`) generate their rows there and are never built whole;
 a plain array's rows are copied there.  At 48^4 a pair of 10 such
-components so costs their partial sums, one plane each, and rings of 1
+components so costs their lines, 8 of 48 values each, and rings of 1
 or 5 planes, instead of 10 full grids.
 
 Where a slab is a single axis-0 plane (one plane more than half of
@@ -317,29 +317,37 @@ def _perm_sign(seq) -> int:
 class TrigComponent(np.lib.mixins.NDArrayOperatorsMixin):
     """One `random_trig_form` component, held as the lines it sums.
 
-    The component is (prefix + cos_line) + sin_line: prefix, the partial
-    sum over axes 0..dim-2, has length 1 along the last axis, 1/n of a
-    grid, and the last axis's two lines have length 1 along every other
-    axis.  `rows` writes a run of axis-0 rows, within one period, into an
-    array the caller owns.  Everywhere else the component is the full
-    array it stands for: `__array__` builds that array, the one place it
-    is built, and every ufunc and operator goes through it.  Anything
-    else, indexing included, takes np.asarray of the component first.
+    The component is the sum over axes of c_a + s_a, one pair of lines
+    per axis, each of length 1 along every other axis: 2*dim lines of n
+    values in all.  `rows` writes a run of axis-0 rows, within one
+    period, into an array the caller owns.  Everywhere else the
+    component is the full array it stands for: `__array__` builds that
+    array, the one place it is built, and every ufunc and operator goes
+    through it.  Anything else, indexing included, takes np.asarray of
+    the component first.
     """
 
-    def __init__(self, prefix: np.ndarray, cos_line: np.ndarray, sin_line: np.ndarray):
-        self._prefix, self._cos, self._sin = prefix, cos_line, sin_line
-        self.shape = prefix.shape[:-1] + cos_line.shape[-1:]
+    def __init__(self, lines):
+        self._lines = tuple(lines)
+        self.shape = np.broadcast_shapes(*(c.shape for c, _ in self._lines))
         self.ndim = len(self.shape)
 
     def rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Rows start..stop-1 along axis 0, 0 <= start < stop <= n, written
-        into out: the additions the full-size sum makes, in its order, so
-        every element has the full array's bits."""
+        into out: ((0.0 + c_0) + s_0) + c_1 + s_1 + ..., the additions the
+        full-size sum makes, in its order, so every element has the full
+        array's bits.  The partial sum before the last axis is 1/n of
+        out, and no larger array is made."""
         if not 0 <= start < stop <= self.shape[0]:
             raise ValueError("rows are read within one period of axis 0")
-        np.add(self._prefix[start:stop], self._cos, out=out)
-        out += self._sin
+        (c, s), *middle, (c_last, s_last) = self._lines
+        part = 0.0 + c[start:stop]
+        part += s[start:stop]
+        for c, s in middle:
+            part = part + c
+            part += s
+        np.add(part, c_last, out=out)
+        out += s_last
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -1013,26 +1021,21 @@ def random_trig_form(
     """Random trigonometric k-form: sum over axes of c cos(x + ph) + s sin 2x.
 
     Draws (c, s, ph) = rng.normal(size=3) per component and axis in
-    lexicographic order.  Each component is a `TrigComponent`: the sum
-    over axes 0..dim-2, accumulated from 1-D factors as the broadcast
-    shape grows one axis at a time, and the last axis's two lines, which
-    it adds to rows only when they are asked for.  A component so costs
-    1/n of a grid until something builds its full array.
+    lexicographic order.  Each component is a `TrigComponent`, which
+    keeps each axis's two 1-D factors, c cos(x + ph) and s sin 2x, and
+    sums them only for the rows asked for.  A component so costs two
+    lines per axis until something builds its full array.
     """
     if degree > grid.dim:
         return FormField.zero(grid, degree)
     x = grid.coords()
-    last = grid.dim - 1
     comps = {}
     for idx in itertools.combinations(range(grid.dim), degree):
-        prefix = np.zeros((1,) * grid.dim)
-        for axis in range(last):
+        lines = []
+        for xa in x:
             c, s, ph = rng.normal(size=3)
-            prefix = prefix + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
-        c, s, ph = rng.normal(size=3)
-        comps[idx] = TrigComponent(
-            prefix, c * np.cos(x[last] + ph), s * np.sin(2.0 * x[last])
-        )
+            lines.append((c * np.cos(xa + ph), s * np.sin(2.0 * xa)))
+        comps[idx] = TrigComponent(lines)
     return FormField(grid, degree, comps)
 
 

@@ -432,21 +432,25 @@ def report_peak(identity, grid):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dim, size, arrays", [
-    (4, 24, 4.27),
-    (4, 32, 2.37),
-    (3, 64, 4.07),
-], ids=["4d-24", "4d-32", "3d-64"])
-def test_adjointness_report_peak_stays_within_its_grid_arrays(dim, size, arrays):
-    # A report holds no grid-sized array: each component's partial sum (one
-    # axis-0 plane), four slab arrays (the slab total and three working
-    # arrays) and one ring of generated rows per component: 3.87 grid
-    # arrays at 24^4 (slabs of 4 planes, rings of 4 or 8), 1.97 at 32^4
-    # (slabs of 2, rings of 2 or 6) and 3.67 at 64^3 (four slabs of 16,
-    # rings of 16 or 32).  Each bound adds 0.4 arrays, so one full-size
-    # component kept by mistake, or the previous degree's pair, goes past
-    # it.
-    peak = report_peak("adjointness", hodge.PeriodicGrid.cube(dim, size))
+@pytest.mark.parametrize("dim, size, arrays, threaded", [
+    (4, 24, 3.86, False),
+    (4, 32, 2.06, False),
+    (4, 36, 1.60, True),
+    (3, 64, 3.99, False),
+], ids=["4d-24", "4d-32", "4d-36", "3d-64"])
+def test_adjointness_report_peak_stays_within_its_grid_arrays(dim, size, arrays, threaded):
+    # A report holds no grid-sized array: four slab arrays (the slab total
+    # and three working arrays) per walking thread, one ring of generated
+    # rows per component, and the lines each component sums: 3.46 grid
+    # arrays at 24^4 (slabs of 4 planes, rings of 4 or 8), 1.66 at 32^4
+    # (slabs of 2, rings of 2 or 6), 1.20 at 36^4 (slabs of 1 on two
+    # threads, rings of 1 or 5, the path of the 48^4 benchmark) and 3.59
+    # at 64^3 (four slabs of 16, rings of 16 or 32).  Each bound adds 0.4
+    # arrays, so one full-size component kept by mistake, or the previous
+    # degree's pair, goes past it.
+    grid = hodge.PeriodicGrid.cube(dim, size)
+    assert hodge._two_threads(grid) is threaded
+    peak = report_peak("adjointness", grid)
     assert peak <= arrays * 8 * size**dim
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,48 @@ def test_a_trig_component_is_never_a_view(g16):
     with pytest.raises(ValueError):
         np.asarray(comp, copy=False)
     assert_same_bits(np.asarray(comp, copy=True), np.asarray(comp))
+
+
+def held_arrays(obj):
+    """Every array a trig component keeps alive: the arrays among its
+    attributes, through tuples and lists, each traced to the array it is
+    a view of."""
+    if isinstance(obj, dec.TrigComponent):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (tuple, list)):
+        return [arr for item in obj for arr in held_arrays(item)]
+    if not isinstance(obj, np.ndarray):
+        return []
+    while isinstance(obj.base, np.ndarray):
+        obj = obj.base
+    return [obj]
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])
+def test_a_trig_component_holds_only_lines(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    rng = np.random.default_rng(36)
+    for degree in range(grid.dim + 1):
+        for comp in separable_trig_form(grid, degree, rng).comps.values():
+            held = held_arrays(comp)
+            assert max(arr.size for arr in held) <= max(grid.sizes)
+            assert len(held) == 2 * grid.dim
+
+
+def test_building_a_trig_form_holds_less_than_one_plane(gm4):
+    # a degree-2 form on gm4 has 6 components of 8 lines, 6.8 KB of values;
+    # array headers, the grid's coordinates and the draws bring the peak to
+    # about 30 KB.  The bound is one axis-0 plane, 49 KB, so a form whose
+    # components kept any array of n^3 values (39 KB or more here) goes
+    # past it.
+    separable_trig_form(gm4, 2, np.random.default_rng(4))  # the first call allocates once
+    tracemalloc.start()
+    try:
+        separable_trig_form(gm4, 2, np.random.default_rng(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * math.prod(gm4.sizes[1:])
 
 
 def test_adjointness_gap_generates_each_row_once_per_call(g4, monkeypatch, workers):
