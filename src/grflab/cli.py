@@ -479,13 +479,14 @@ def _one_hodge_report(identity: str, grid, p: dict):
 
     if identity == "adjointness":
         rng = np.random.default_rng(p["seed"])
-        gaps = {}
-        for k in range(grid.dim):
-            # the pair lives only for this call, so one degree's fields are
-            # freed before the next degree's are drawn
-            gaps[f"degree_{k}"] = hodge.adjointness_gap(
-                _random_trig_form(grid, k, rng), _random_trig_form(grid, k + 1, rng)
-            )
+        pairs = [(_random_trig_form(grid, k, rng), _random_trig_form(grid, k + 1, rng))
+                 for k in range(grid.dim)]
+        # the pairs are lines only; every degree's walk runs in one workspace,
+        # the report's largest allocation, made before the first walk, so a
+        # run that does not fit fails here
+        workspace = np.empty(max(hodge.adjointness_workspace_size(*pair) for pair in pairs))
+        gaps = {f"degree_{k}": hodge.adjointness_gap(*pair, workspace=workspace)
+                for k, pair in enumerate(pairs)}
         return hodge.HodgeReport(
             identity="adjointness", grid_spec=grid.spec(), residuals=gaps
         )

@@ -34,23 +34,28 @@ never holds it whole.
 
 Two memory rules hold.  The field route writes every result into an
 array the operator allocated itself, never into a component it was
-given.  `adjointness_gap` reads and writes only arrays it allocated: it
-builds neither d alpha nor d* beta, and holds no full-grid array.  It
-walks slabs of axis-0 planes once, each slab at most `_SLAB_BYTES` (a
-grid whose whole array fits is one slab), and on each slab forms every
-component of both pairings from the slab's rows only, each into a slab
-total that `PairwiseSum` adds up to that pairing's sum as it comes, to
-the bits `np.sum` gives the whole array.  That total and three working
-arrays of one slab each stay in cache while a component is formed,
-scaled, multiplied and added.  Every component is read from its ring of
-full grid planes, which the walk fills before each slab with the rows
-the slab reads: the slab, plus two halo planes on each side for a
-component either pairing differentiates along axis 0, or the whole axis
-when that is fewer planes.  The components `random_trig_form` makes
+given.  `adjointness_gap` reads and writes only arrays it cuts from one
+flat workspace, its caller's or else its own: it builds neither d alpha
+nor d* beta, and holds no full-grid array.  It walks slabs of axis-0
+planes once, each slab at most `_SLAB_BYTES` (a grid whose whole array
+fits is one slab), and on each slab forms every component of both
+pairings from the slab's rows only, each into a slab total that
+`PairwiseSum` adds up to that pairing's sum as it comes, to the bits
+`np.sum` gives the whole array.  That total and three working arrays of
+one slab each stay in cache while a component is formed, scaled,
+multiplied and added.  Every component is read from its ring of full
+grid planes, which the walk fills before each slab with the rows the
+slab reads: the slab, plus two halo planes on each side for a component
+either pairing differentiates along axis 0, or the whole axis when that
+is fewer planes.  The components `random_trig_form` makes
 (`TrigComponent`) generate their rows there and are never built whole;
 a plain array's rows are copied there.  At 48^4 a pair of 10 such
 components so costs their lines, 8 of 48 values each, and rings of 1
-or 5 planes, instead of 10 full grids.
+or 5 planes, instead of 10 full grids.  The CLI's adjointness report
+draws every degree's pair first and passes one workspace, sized by
+`adjointness_workspace_size` for the largest pair, to every walk: its
+largest allocation comes before its first walk, and no walk maps and
+faults in pages of its own.
 
 Where a slab is a single axis-0 plane (one plane more than half of
 `_SLAB_BYTES`: on cubes 33^4 and up, 182^3 and up) the walk runs on two
@@ -100,6 +105,7 @@ __all__ = [
     "check_integral_identity",
     "check_divH2",
     "adjointness_gap",
+    "adjointness_workspace_size",
     "example_fields",
     "closed_three_form",
     "random_trig_form",
@@ -685,6 +691,25 @@ def _view(buf: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
+class _Carver:
+    """Cuts the adjointness walk's arrays, one after another, from one flat
+    float64 workspace, each C-contiguous and starting on a 64-byte
+    boundary: the first at most 7 values in, the others at multiples of 8
+    values after it.  Without a workspace it only counts: every array is
+    None, and `size` ends as the values the cuts span from the first."""
+
+    def __init__(self, workspace: Optional[np.ndarray] = None):
+        self.workspace, self.size = workspace, 0
+        self.skip = 0 if workspace is None else (-workspace.ctypes.data % 64) // 8
+
+    def __call__(self, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+        start = -(-self.size // 8) * 8
+        self.size = start + math.prod(shape)
+        if self.workspace is None:
+            return None
+        return self.workspace[self.skip + start:self.skip + self.size].reshape(shape)
+
+
 def _ring_planes(n: int, step: int) -> int:
     """Planes in the ring of a component read with two halo planes on
     each side of slabs of `step` planes: a multiple of step, so no slab
@@ -693,11 +718,12 @@ def _ring_planes(n: int, step: int) -> int:
     return min(n, step * -(-(step + 4) // step))
 
 
-def _rings(pairs, sizes: Tuple[int, ...], step: int):
+def _rings(pairs, sizes: Tuple[int, ...], step: int, take):
     """{id(component): (source, ring, halo)} for every component the pairs
     read: its rows' source (a `TrigComponent`, or a plain array broadcast
-    to the full grid, a view), a ring of full planes they go into, and
-    halo for the components differentiated along axis 0."""
+    to the full grid, a view), a ring of full planes they go into, cut by
+    `take` (a `_Carver`), and halo for the components differentiated
+    along axis 0."""
     comps, halo = {}, set()
     for terms, _, other, _ in pairs:
         for arr, axis, _, _ in terms:
@@ -710,7 +736,7 @@ def _rings(pairs, sizes: Tuple[int, ...], step: int):
         if not isinstance(arr, TrigComponent):
             arr = np.broadcast_to(arr, sizes)
         planes = _ring_planes(sizes[0], step) if key in halo else step
-        rings[key] = (arr, np.empty((planes,) + sizes[1:]), key in halo)
+        rings[key] = (arr, take((planes,) + sizes[1:]), key in halo)
     return rings
 
 
@@ -771,23 +797,29 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
 
     `pairs` lists (terms, factor, other, other_factor), one per component:
     the sum of the `_d_terms` terms, scaled by factor, times other scaled
-    by other_factor, added in list order into total zeroed first.  `work`
-    holds three flat working arrays of one slab each: the component, one
-    term or the scaled other, and scaled source values.  Every stencil
-    and product reads a component's ring in `rings` through `_source`, so
-    every operand has the slab's shape.
+    by other_factor.  The first product is written into total and the
+    others are added to it in list order; no pairs make a zero total.
+    `work` holds three flat working arrays of one slab each: the
+    component, one term or the scaled other, and scaled source values.
+    Every stencil and product reads a component's ring in `rings` through
+    `_source`, so every operand has the slab's shape.
 
     Signs are folded, not applied: a term is formed with its scale's
     magnitude, the component is held up to a sign, and each sign decides
-    between adding and subtracting.  Negation commutes with every
-    round-to-nearest operation here, so only the sign of an exact zero
-    can differ, and none reaches the total, which starts at +0.0.
+    between adding and subtracting, or, for the first product, between
+    scaling the component by |factor| and by -|factor|.  Negation
+    commutes with every round-to-nearest operation here, so an element of
+    total can differ from the field route's, whose sum starts at +0.0,
+    only in the sign of an exact zero.  No nonzero sum depends on that
+    sign, and a zero one becomes +0.0 in `PairwiseSum.total`, which adds
+    0.0 last, so the gap keeps its bits.
     """
     comp_buf, term_buf, scaled = work
     planes = len(total)
-    total.fill(0.0)
+    if not pairs:
+        total.fill(0.0)
     comp, held = _view(comp_buf, total.shape), _view(term_buf, total.shape)
-    for terms, factor, other, other_factor in pairs:
+    for p, (terms, factor, other, other_factor) in enumerate(pairs):
         for i, (arr, axis, scale, negate) in enumerate(terms):
             v, lo = _source(arr, rings, start)
             term = _slab_deriv(grid, v, axis, abs(scale), lo, lo + planes, held if i else comp, scaled)
@@ -798,17 +830,23 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
                 comp += term
             else:
                 comp -= term
-        if abs(factor) != 1.0:
+        subtract = negative != (factor < 0)  # the product enters the total negated
+        if p == 0 and subtract:
+            comp *= -abs(factor)  # the first product is written, with its sign
+        elif abs(factor) != 1.0:
             comp *= abs(factor)
         v, lo = _source(other, rings, start)
         mate = v[lo:lo + planes]
         if other_factor != 1.0:
             mate = np.multiply(mate, other_factor, out=held)
+        if p == 0:
+            np.multiply(comp, mate, out=total)
+            continue
         comp *= mate
-        if negative == (factor < 0):
-            total += comp
-        else:
+        if subtract:
             total -= comp
+        else:
+            total += comp
 
 
 def _two_threads(grid: PeriodicGrid) -> bool:
@@ -880,36 +918,19 @@ def _walk_on_two_threads(grid: PeriodicGrid, step: int, rings, left, right) -> N
     worker.join()
 
 
-def adjointness_gap(alpha: FormField, beta: FormField) -> float:
-    """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form.
+def _plan(alpha: FormField, beta: FormField, take):
+    """The walk that checks alpha and beta, its arrays cut by `take` (a
+    `_Carver`): (grid, step, rings, left, right).
 
-    Neither d alpha nor d* beta is built, nor any full-grid array.  The
-    check walks slabs of axis-0 planes of at most `_SLAB_BYTES` each, once,
-    and forms every component of both pairings on one slab at a time:
-    stencils along axes >= 1 run on the slab, stencils along axis 0 read
-    the two neighbour planes on either side with periodic wrap.  Each
-    component is scaled, multiplied by its partner's slab and added into
-    the slab total, in the order `inner_pointwise` takes.  The component
-    of d* beta on J is the outer star of d(*beta) on the complement of J.
-    Every component is read from the one ring the walk writes its rows
-    into before each slab (`_generate`).
-
-    Where a slab is one plane (`_two_threads`: on cubes 33^4 and up, and
-    182^3 and up) the walk runs on two threads: each generates half the
-    rings, then the caller forms the left pairing and a worker the right
-    one, each with its own slab total, working arrays and sum.  Elsewhere
-    one thread forms the left pairing, hands its total to its sum, then
-    forms the right one in the same arrays.  Either way each sum receives
-    its slab totals in the same order, every element sees the operations
-    it sees in l2_inner(d(alpha), beta) and l2_inner(alpha,
-    codiff(beta)), in the same order, and `PairwiseSum` adds the slab
-    totals up exactly as `integral`'s np.sum adds the whole arrays, so
-    the gap is bit-identical to theirs.
+    Each side, left for <d alpha, beta> and right for <alpha, d* beta>, is
+    (pairs, slab_total, work): `_pair_slab`'s pairs, a slab total and
+    three working arrays of one slab each.  The rings are cut first, then
+    the slab arrays, which the two sides share where one thread walks and
+    hold one set each where two do (`_two_threads`).
     """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
     grid = _common_grid(alpha, beta)
-    n, plane = grid.sizes[0], math.prod(grid.sizes[1:])
     step = _slab_planes(grid)
     left = []
     for idx in beta.indices():
@@ -924,20 +945,77 @@ def adjointness_gap(alpha: FormField, beta: FormField) -> float:
         if terms:
             _, factor = _star(grid, source, sign)
             right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
-    rings = _rings(left + right, grid.sizes, step)
-    sums = [_pairwise.PairwiseSum(n * plane) for _ in range(2)]
+    rings = _rings(left + right, grid.sizes, step, take)
+    slab = (step * math.prod(grid.sizes[1:]),)
 
     def buffers():  # a slab total and three working arrays
-        return np.empty(step * plane), tuple(np.empty(step * plane) for _ in range(3))
+        return take(slab), tuple(take(slab) for _ in range(3))
 
-    pairings = zip((left, right), sums)
+    shared = buffers()
+    own = buffers() if _two_threads(grid) else shared
+    return grid, step, rings, (left, *shared), (right, *own)
+
+
+def adjointness_workspace_size(alpha: FormField, beta: FormField) -> int:
+    """The length of the flat float64 workspace `adjointness_gap(alpha,
+    beta)` cuts its arrays from: the walk's rings, then a slab total and
+    three working arrays per walking thread, each padded to a multiple of
+    8 values (64 bytes), and 7 values more, the room to start the first
+    on a 64-byte boundary wherever the workspace starts."""
+    take = _Carver()
+    _plan(alpha, beta, take)
+    return take.size + 7
+
+
+def adjointness_gap(
+    alpha: FormField, beta: FormField, workspace: Optional[np.ndarray] = None
+) -> float:
+    """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form.
+
+    Neither d alpha nor d* beta is built, nor any full-grid array.  The
+    check walks slabs of axis-0 planes of at most `_SLAB_BYTES` each, once,
+    and forms every component of both pairings on one slab at a time:
+    stencils along axes >= 1 run on the slab, stencils along axis 0 read
+    the two neighbour planes on either side with periodic wrap.  Each
+    component is scaled, multiplied by its partner's slab and added into
+    the slab total, in the order `inner_pointwise` takes.  The component
+    of d* beta on J is the outer star of d(*beta) on the complement of J.
+    Every component is read from the one ring the walk writes its rows
+    into before each slab (`_generate`).
+
+    Every ring, slab total and working array is cut from `workspace`, a
+    flat float64 array of at least `adjointness_workspace_size(alpha,
+    beta)` values, else ValueError before anything is written.  The walk
+    writes every value before it reads it, so what the workspace held
+    before does not matter, and one workspace can serve the calls of a
+    report one after another.  Without one the call allocates its own,
+    of exactly that size.
+
+    Where a slab is one plane (`_two_threads`: on cubes 33^4 and up, and
+    182^3 and up) the walk runs on two threads: each generates half the
+    rings, then the caller forms the left pairing and a worker the right
+    one, each with its own slab total, working arrays and sum.  Elsewhere
+    one thread forms the left pairing, hands its total to its sum, then
+    forms the right one in the same arrays.  Either way each sum receives
+    its slab totals in the same order, every element sees the operations
+    it sees in l2_inner(d(alpha), beta) and l2_inner(alpha,
+    codiff(beta)), in the same order, and `PairwiseSum` adds the slab
+    totals up exactly as `integral`'s np.sum adds the whole arrays, so
+    the gap is bit-identical to theirs.
+    """
+    need = adjointness_workspace_size(alpha, beta)
+    if workspace is None:
+        workspace = np.empty(need)
+    elif not (workspace.dtype == np.float64 and workspace.ndim == 1
+              and workspace.flags.c_contiguous and len(workspace) >= need):
+        raise ValueError(f"the walk needs a flat C-contiguous float64 workspace of {need} values")
+    grid, step, rings, left, right = _plan(alpha, beta, _Carver(workspace))
+    sums = [_pairwise.PairwiseSum(math.prod(grid.sizes)) for _ in range(2)]
+    left, right = (*left, sums[0]), (*right, sums[1])
     if _two_threads(grid):
-        left, right = [(pairs, *buffers(), pair_sum) for pairs, pair_sum in pairings]
         _walk_on_two_threads(grid, step, rings, left, right)
     else:
-        shared = buffers()
-        sides = [(pairs, *shared, pair_sum) for pairs, pair_sum in pairings]
-        _walk(grid, step, rings, rings, sides, lambda: None)
+        _walk(grid, step, rings, rings, [left, right], lambda: None)
     values = [pair_sum.total() * grid.cell_volume for pair_sum in sums]
     return abs(values[0] - values[1])
 

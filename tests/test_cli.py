@@ -439,19 +439,51 @@ def report_peak(identity, grid):
     (3, 64, 3.99, False),
 ], ids=["4d-24", "4d-32", "4d-36", "3d-64"])
 def test_adjointness_report_peak_stays_within_its_grid_arrays(dim, size, arrays, threaded):
-    # A report holds no grid-sized array: four slab arrays (the slab total
-    # and three working arrays) per walking thread, one ring of generated
-    # rows per component, and the lines each component sums: 3.46 grid
+    # A report holds no grid-sized array: one workspace sized for its
+    # largest walk, which cuts from it four slab arrays (the slab total and
+    # three working arrays) per walking thread and one ring of generated
+    # rows per component, and the lines each component sums: 3.49 grid
     # arrays at 24^4 (slabs of 4 planes, rings of 4 or 8), 1.66 at 32^4
     # (slabs of 2, rings of 2 or 6), 1.20 at 36^4 (slabs of 1 on two
-    # threads, rings of 1 or 5, the path of the 48^4 benchmark) and 3.59
+    # threads, rings of 1 or 5, the path of the 48^4 benchmark) and 3.60
     # at 64^3 (four slabs of 16, rings of 16 or 32).  Each bound adds 0.4
-    # arrays, so one full-size component kept by mistake, or the previous
-    # degree's pair, goes past it.
+    # arrays to the peak measured when each walk allocated its own, so one
+    # full-size component kept by mistake, or a second workspace, goes
+    # past it.
     grid = hodge.PeriodicGrid.cube(dim, size)
     assert hodge._two_threads(grid) is threaded
     peak = report_peak("adjointness", grid)
     assert peak <= arrays * 8 * size**dim
+
+
+@pytest.mark.parametrize("dim, size", [(4, 24), (4, 36), (3, 64)], ids=["4d-24", "4d-36", "3d-64"])
+def test_every_walk_of_a_report_runs_in_its_one_workspace(dim, size, monkeypatch):
+    # whenever a walk starts a pairing, the only live allocation of one
+    # axis-0 plane or more since the report began is the workspace, sized
+    # for the largest pair: no walk holds a ring, slab total or working
+    # array of its own.  36^4 walks on two threads, so each side looks
+    grid = hodge.PeriodicGrid.cube(dim, size)
+    plane = 8 * math.prod(grid.sizes[1:])
+    rng = np.random.default_rng(7)
+    pairs = [(cli._random_trig_form(grid, k, rng), cli._random_trig_form(grid, k + 1, rng))
+             for k in range(dim)]
+    workspace = 8 * max(hodge.adjointness_workspace_size(a, b) for a, b in pairs)
+    pair_slab, seen = hodge._pair_slab, []
+
+    def watched(grid, pairs, start, *args):
+        if start == 0:
+            snapshot = tracemalloc.take_snapshot()
+            seen.append([trace.size for trace in snapshot.traces if trace.size >= plane])
+        return pair_slab(grid, pairs, start, *args)
+
+    monkeypatch.setattr(hodge, "_pair_slab", watched)
+    tracemalloc.start()
+    try:
+        cli._one_hodge_report("adjointness", grid, {"seed": 7})
+    finally:
+        tracemalloc.stop()
+    # both sides of every degree's walk
+    assert seen == [[workspace]] * (2 * dim)
 
 
 def test_example_report_peak_stays_within_its_grid_arrays():

@@ -271,7 +271,7 @@ def test_generate_splits_runs_at_the_axis_end_and_the_ring_end(grid_name, reques
         for planes in (1, 2, 3, 7, n):
             for halo in (False, True):
                 terms = [(source, 0, 1.0, False)] if halo else []
-                rings = dec._rings([(terms, 1.0, source, 1.0)], sizes, planes)
+                rings = dec._rings([(terms, 1.0, source, 1.0)], sizes, planes, np.empty)
                 ring = rings[id(source)][1]
                 ring.fill(np.nan)
                 reach = 2 if halo else 0
@@ -731,6 +731,57 @@ def test_threaded_walk_keeps_its_bits_under_fast_thread_switches(gm4, monkeypatc
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert gaps == expected
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])
+def test_a_reused_workspace_keeps_every_gap_bit_for_bit(grid_name, request, monkeypatch, workers):
+    # one workspace, as large as the largest pair's, serves every walk, and
+    # is filled with nan before each: a ring plane, slab total or working
+    # value a walk read before writing it would make its gap nan.  Pairs of
+    # every degree, one of Fortran-order plain arrays, and one of a zero
+    # form, whose pairings have no component
+    grid = request.getfixturevalue(grid_name)
+    n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
+    rng = np.random.default_rng(37)
+    pairs = [(separable_trig_form(grid, k, rng), separable_trig_form(grid, k + 1, rng))
+             for k in range(grid.dim)]
+    pairs.append((transposed_form(separable_trig_form(grid, 1, rng)),
+                  transposed_form(separable_trig_form(grid, 2, rng))))
+    pairs.append((FormField.zero(grid, 1), separable_trig_form(grid, 2, rng)))
+    expected = [abs(l2_inner(d(a), b) - l2_inner(a, codiff(b))).hex() for a, b in pairs]
+    assert expected[-1] == (0.0).hex()
+    # slabs of one plane (two threads), of three and the whole grid
+    for planes in (1, 3, n):
+        monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+        workspace = np.empty(max(dec.adjointness_workspace_size(a, b) for a, b in pairs))
+        workers.clear()
+        gaps = []
+        for a, b in pairs:
+            workspace.fill(np.nan)
+            gaps.append(adjointness_gap(a, b, workspace=workspace).hex())
+        assert gaps == expected, f"{planes} planes per slab"
+        assert workers == (["adjointness-walk"] * len(pairs) if planes == 1 else [])
+
+
+def test_a_workspace_is_cut_at_any_alignment_and_refused_when_short(gm4):
+    rng = np.random.default_rng(38)
+    alpha, beta = separable_trig_form(gm4, 1, rng), separable_trig_form(gm4, 2, rng)
+    need = dec.adjointness_workspace_size(alpha, beta)
+    expected = adjointness_gap(alpha, beta).hex()
+    buf = np.full(need + 8, np.nan)
+    # the walk starts its first array on a 64-byte boundary wherever the
+    # workspace starts, within the 7 values of room it asks for
+    for offset in range(8):
+        assert adjointness_gap(alpha, beta, workspace=buf[offset:offset + need]).hex() == expected
+    buf.fill(np.nan)
+    short, shifted = buf[:need - 1], buf[1:need]
+    single, rows, strided = (np.full(need, np.nan, dtype=np.float32),
+                             np.full((2, need), np.nan), np.full(2 * need, np.nan)[::2])
+    for bad in (short, shifted, single, rows, strided):
+        with pytest.raises(ValueError, match=f"workspace of {need} values"):
+            adjointness_gap(alpha, beta, workspace=bad)
+        # refused before anything is written
+        assert np.isnan(bad).all() and np.isnan(buf).all()
 
 
 @pytest.mark.parametrize("where, phase, error", [

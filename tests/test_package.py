@@ -223,6 +223,57 @@ def test_run_past_its_data_cap_is_a_config_error(available, expected, tmp_path):
         assert (out_dir / "cylinder_flow.csv").exists()
 
 
+# Runs `grflab hodge-check <argv[2:]>` in a fresh process, with the kernel
+# taken to report argv[1] bytes available, and prints its exit status and
+# the number of rows generated and slab pairings formed.
+WALKED = """
+import sys
+from grflab import cli, hodge
+calls = []
+def counted(real):
+    def run(*args, **kwargs):
+        calls.append(real.__name__)
+        return real(*args, **kwargs)
+    return run
+hodge.TrigComponent.rows = counted(hodge.TrigComponent.rows)
+hodge._pair_slab = counted(hodge._pair_slab)
+cli._available_memory = lambda: int(sys.argv[1])
+code = cli.main(["hodge-check", *sys.argv[2:]])
+print(code, len(calls))
+"""
+
+
+@pytest.mark.parametrize("room", [False, True], ids=["degree-0-only", "every-degree"])
+def test_adjointness_run_that_cannot_fit_fails_before_its_first_walk(room, tmp_path):
+    # at 24^4 the degree-0 walk needs 4.6 MiB and degrees 1 and 2 need 8.4:
+    # under a cap between the two, a run whose walks each allocated their
+    # own arrays walked degree 0 whole before it ran out.  The report's one
+    # workspace, sized for the largest degree, comes before any walk.
+    from grflab import hodge
+
+    grid = hodge.PeriodicGrid.cube(4, 24)
+    rng = np.random.default_rng(7)
+    need = [8 * hodge.adjointness_workspace_size(cli._random_trig_form(grid, k, rng),
+                                                 cli._random_trig_form(grid, k + 1, rng))
+            for k in range(grid.dim)]
+    assert 1.5 * need[0] < max(need)
+    available = 4 * max(need) if room else (need[0] + max(need)) // 2
+    out_dir = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-c", WALKED, str(available), "--dim", "4", "--size", "24",
+         "--identity", "adjointness", "--out", str(out_dir)],
+        capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, calls = map(int, run.stdout.split()[-2:])
+    if room:
+        assert code == 0 and calls > 0
+        assert (out_dir / "hodge_adjointness.json").exists()
+    else:
+        assert (code, calls) == (2, 0)
+        assert run.stderr.startswith("config error: out of memory")
+        assert not out_dir.exists()
+
+
 # Calls cli.main in one fresh process on each argv of the JSON list argv[2],
 # with 64 MiB reported available and, unless argv[1] is "-", a soft
 # RLIMIT_DATA of argv[1] GiB set first.  Prints, as its last line, each
@@ -257,8 +308,8 @@ def test_data_limit_is_restored_after_every_run(soft_gib, tmp_path):
     # one run of a sweep
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"runs": [{"name": "a"}, {"name": "b"}]}))
-    # the 64^4 adjointness walk needs more than the 64 MiB reported: it
-    # runs degree 0 and runs out of memory in degree 1
+    # the 64^4 adjointness report needs more than the 64 MiB reported: it
+    # runs out of memory at its workspace, before its first walk
     argvs = [["hodge-check", "--dim", "3", "--size", "16", "--identity", "integral"],
              ["hodge-check", "--dim", "4", "--size", "64", "--identity", "adjointness"],
              ["cylinder-flow", "--sweep", str(sweep)]]
