@@ -113,7 +113,10 @@ class CylinderTrajectory:
         return self.sol(t)
 
     def to_csv(self, dt_out: Optional[float] = None) -> str:
-        """Trajectory table; dt_out switches to a uniform sample grid."""
+        """Trajectory table; dt_out, None or a finite positive step,
+        switches to a uniform sample grid."""
+        if dt_out is not None and not 0 < dt_out < np.inf:
+            raise ValueError(f"dt_out must be None or a finite positive number, got {dt_out!r}")
         if dt_out is None:
             ts = self.times
             ys = self.states.T

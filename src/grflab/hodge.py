@@ -35,41 +35,8 @@ never holds it whole.
 Two memory rules hold.  The field route writes every result into an
 array the operator allocated itself, never into a component it was
 given.  `adjointness_gap` reads and writes only arrays it cuts from one
-flat workspace, its caller's or else its own: it builds neither d alpha
-nor d* beta, and holds no full-grid array.  It walks slabs of axis-0
-planes once, each slab at most `_SLAB_BYTES` (a grid whose whole array
-fits is one slab), and on each slab forms every component of both
-pairings from the slab's rows only, each into a slab total that
-`PairwiseSum` adds up to that pairing's sum as it comes, to the bits
-`np.sum` gives the whole array.  That total and three working arrays of
-one slab each stay in cache while a component is formed, scaled,
-multiplied and added.  Every component is read from its ring of full
-grid planes, which the walk fills before each slab with the rows the
-slab reads: the slab, plus two halo planes on each side for a component
-either pairing differentiates along axis 0, or the whole axis when that
-is fewer planes.  The components `random_trig_form` makes
-(`TrigComponent`) generate their rows there and are never built whole;
-a plain array's rows are copied there.  At 48^4 a pair of 10 such
-components so costs their lines, 8 of 48 values each, and rings of 1
-or 5 planes, instead of 10 full grids.  The CLI's adjointness report
-draws every degree's pair first and passes one workspace, sized by
-`adjointness_workspace_size` for the largest pair, to every walk: its
-largest allocation comes before its first walk, and no walk maps and
-faults in pages of its own.
-
-Where a slab is a single axis-0 plane (one plane more than half of
-`_SLAB_BYTES`: on cubes 33^4 and up, 182^3 and up) the walk runs on two
-threads, with two barrier waits per slab: each thread generates half the
-rings, then the caller forms the left pairing and one worker the right
-pairing, each into its own slab total, working arrays and sum, so every
-sum receives its slab totals in the serial order and the gap keeps its
-bits.  At 48^4 that takes the walk from about 2.6 to 1.8 s, for four
-more planes and about 16% more CPU time.  A slab of several planes fits
-the L2 with its working arrays, where the hand-offs cost more than they
-save: at 64^3 a second thread took 4% off the walk's wall time for 48%
-more CPU time.  Such grids stay on one thread.  The worker runs no name
-the benchmark tracer patches: the walk differentiates along axes >= 1
-through `_deriv`, not `PeriodicGrid.deriv`.
+flat workspace, its caller's or else its own, and holds no full-grid
+array; its docstring describes the walk and its two threads.
 """
 from __future__ import annotations
 
@@ -181,9 +148,11 @@ class PeriodicGrid:
     def __post_init__(self):
         if self.dim not in (3, 4):
             raise ValueError("dim must be 3 or 4")
+        if len(self.sizes) != self.dim or not all(
+            float(s).is_integer() and s >= 16 for s in self.sizes
+        ):
+            raise ValueError("need one integral size >= 16 per axis")
         sizes = tuple(int(s) for s in self.sizes)
-        if len(sizes) != self.dim or any(s < 16 for s in sizes):
-            raise ValueError("need one size >= 16 per axis")
         periods = self.periods
         if periods is None:
             periods = (2.0 * np.pi,) * self.dim
@@ -192,10 +161,10 @@ class PeriodicGrid:
         if metric is None:
             metric = (1.0,) * self.dim
         metric = tuple(float(g) for g in metric)
-        if len(periods) != self.dim or any(p <= 0 for p in periods):
-            raise ValueError("need one positive period per axis")
-        if len(metric) != self.dim or any(g <= 0 for g in metric):
-            raise ValueError("metric coefficients must be positive")
+        if len(periods) != self.dim or not all(0 < p < math.inf for p in periods):
+            raise ValueError("need one positive finite period per axis")
+        if len(metric) != self.dim or not all(0 < g < math.inf for g in metric):
+            raise ValueError("metric coefficients must be positive and finite")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "metric", metric)
@@ -511,9 +480,9 @@ def _scaled(arr: np.ndarray, factor: float) -> np.ndarray:
 def _d_terms(f: FormField, target: Index, star: bool = False):
     """The terms of component `target` of d f, or of d(*f) with star=True.
 
-    One (array, axis, factor, negate) per term (-1)^{pos(a)} D_a (factor
-    f_I) with I + (a,) = target, in the order of f's components, the order
-    `d` sums them.  The factor is that of the star, 1.0 without it.
+    One (array, axis, factor) per term factor D_a f_I with I + (a,) =
+    target, in the order of f's components, the order `d` sums them.  The
+    factor is (-1)^{pos(a)} times that of the star, +-1.0 without it.
     """
     grid = f.grid
     terms = []
@@ -524,7 +493,7 @@ def _d_terms(f: FormField, target: Index, star: bool = False):
         missing = [a for a in target if a not in idx]
         if len(idx) + 1 == len(target) and len(missing) == 1:
             (a,) = missing
-            terms.append((arr, a, factor, target.index(a) % 2 == 1))
+            terms.append((arr, a, -factor if target.index(a) % 2 else factor))
     return terms
 
 
@@ -543,9 +512,9 @@ def d(f: FormField) -> FormField:
     )
     out = {}
     for target in targets:
-        for arr, a, _, negate in _d_terms(f, target):
+        for arr, a, sign in _d_terms(f, target):
             term = grid.deriv(arr, a)
-            if negate:
+            if sign < 0:
                 np.negative(term, out=term)
             _accumulate(out, target, term)
             del term  # the loop variable would hold it while the next is formed
@@ -719,25 +688,31 @@ def _ring_planes(n: int, step: int) -> int:
 
 
 def _rings(pairs, sizes: Tuple[int, ...], step: int, take):
-    """{id(component): (source, ring, halo)} for every component the pairs
-    read: its rows' source (a `TrigComponent`, or a plain array broadcast
-    to the full grid, a view), a ring of full planes they go into, cut by
-    `take` (a `_Carver`), and halo for the components differentiated
-    along axis 0."""
-    comps, halo = {}, set()
-    for terms, _, other, _ in pairs:
-        for arr, axis, _, _ in terms:
-            comps[id(arr)] = arr
-            if axis == 0:
-                halo.add(id(arr))
-        comps[id(other)] = other
-    rings = {}
-    for key, arr in comps.items():
-        if not isinstance(arr, TrigComponent):
-            arr = np.broadcast_to(arr, sizes)
-        planes = _ring_planes(sizes[0], step) if key in halo else step
-        rings[key] = (arr, take((planes,) + sizes[1:]), key in halo)
-    return rings
+    """(pairs, rings): the pairs with each term's array and each mate
+    replaced by the ring that holds its rows, and the (source, ring, halo)
+    `_generate` fills, one per component the pairs read.
+
+    The source is a `TrigComponent`, or a plain array broadcast to the
+    full grid (a view); the ring, cut by `take` (a `_Carver`) in the order
+    the pairs first read the components, holds full planes; halo marks the
+    components differentiated along axis 0."""
+    halo = {id(arr) for terms, *_ in pairs for arr, axis, _ in terms if axis == 0}
+    cut, rings = {}, []
+
+    def ring(arr):
+        key = id(arr)
+        if key not in cut:
+            planes = _ring_planes(sizes[0], step) if key in halo else step
+            cut[key] = take((planes,) + sizes[1:])
+            source = arr if isinstance(arr, TrigComponent) else np.broadcast_to(arr, sizes)
+            rings.append((source, cut[key], key in halo))
+        return cut[key]
+
+    pairs = [
+        ([(ring(arr), axis, scale) for arr, axis, scale in terms], factor, ring(mate), mate_factor)
+        for terms, factor, mate, mate_factor in pairs
+    ]
+    return pairs, rings
 
 
 def _generate(rings, start: int, stop: int) -> None:
@@ -748,7 +723,7 @@ def _generate(rings, start: int, stop: int) -> None:
     is split, at the axis end and at the ring end.  So each ring plane is
     written once per walk except the four halo planes that wrap around
     axis 0, and each piece is one run of source rows and of ring slots."""
-    for comp, ring, halo in rings.values():
+    for comp, ring, halo in rings:
         lo, hi = (start + 2 if start else -2, stop + 2) if halo else (start, stop)
         n, planes = comp.shape[0], len(ring)
         while lo < hi:
@@ -760,14 +735,6 @@ def _generate(rings, start: int, stop: int) -> None:
             else:
                 np.copyto(part, comp[row:row + count])
             lo += count
-
-
-def _source(arr, rings, start: int):
-    """(ring, lo): the ring that holds component arr's rows around the
-    slab starting at row start, and that row's index in it.  Row x sits
-    at ring[x mod len(ring)] for every row the slab reads."""
-    ring = rings[id(arr)][1]
-    return ring, start % len(ring)
 
 
 def _slab_deriv(
@@ -791,18 +758,18 @@ def _slab_deriv(
     return _stencil(out, v, lo, hi, grid.spacing[0], factor, _view(scaled, out.shape))
 
 
-def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, rings) -> None:
+def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work) -> None:
     """Fill `total`, the slab of axis-0 planes from row start on, with one
     pairing.
 
-    `pairs` lists (terms, factor, other, other_factor), one per component:
-    the sum of the `_d_terms` terms, scaled by factor, times other scaled
-    by other_factor.  The first product is written into total and the
-    others are added to it in list order; no pairs make a zero total.
-    `work` holds three flat working arrays of one slab each: the
-    component, one term or the scaled other, and scaled source values.
-    Every stencil and product reads a component's ring in `rings` through
-    `_source`, so every operand has the slab's shape.
+    `pairs` lists (terms, factor, mate, mate_factor), one per component:
+    the sum of the `_d_terms` terms, scaled by factor, times mate scaled
+    by mate_factor, with every term's array and every mate a ring (see
+    `_rings`).  Row x of the walk sits at ring[x mod len(ring)], so every
+    operand has the slab's shape.  The first product is written into
+    total and the others are added to it in list order; no pairs make a
+    zero total.  `work` holds three flat working arrays of one slab each:
+    the component, one term or the scaled mate, and scaled source values.
 
     Signs are folded, not applied: a term is formed with its scale's
     magnitude, the component is held up to a sign, and each sign decides
@@ -819,11 +786,11 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
     if not pairs:
         total.fill(0.0)
     comp, held = _view(comp_buf, total.shape), _view(term_buf, total.shape)
-    for p, (terms, factor, other, other_factor) in enumerate(pairs):
-        for i, (arr, axis, scale, negate) in enumerate(terms):
-            v, lo = _source(arr, rings, start)
-            term = _slab_deriv(grid, v, axis, abs(scale), lo, lo + planes, held if i else comp, scaled)
-            flip = (scale < 0) != negate  # the term is minus what was formed
+    for p, (terms, factor, mate, mate_factor) in enumerate(pairs):
+        for i, (ring, axis, scale) in enumerate(terms):
+            lo = start % len(ring)
+            term = _slab_deriv(grid, ring, axis, abs(scale), lo, lo + planes, held if i else comp, scaled)
+            flip = scale < 0  # the term is minus what was formed
             if i == 0:
                 negative = flip  # comp holds minus the component
             elif flip == negative:
@@ -835,10 +802,10 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
             comp *= -abs(factor)  # the first product is written, with its sign
         elif abs(factor) != 1.0:
             comp *= abs(factor)
-        v, lo = _source(other, rings, start)
-        mate = v[lo:lo + planes]
-        if other_factor != 1.0:
-            mate = np.multiply(mate, other_factor, out=held)
+        lo = start % len(mate)
+        mate = mate[lo:lo + planes]
+        if mate_factor != 1.0:
+            mate = np.multiply(mate, mate_factor, out=held)
         if p == 0:
             np.multiply(comp, mate, out=total)
             continue
@@ -851,14 +818,14 @@ def _pair_slab(grid: PeriodicGrid, pairs, start: int, total: np.ndarray, work, r
 
 def _two_threads(grid: PeriodicGrid) -> bool:
     """Whether `adjointness_gap` walks the grid on two threads: where a
-    slab is one axis-0 plane (the module docstring says why)."""
+    slab is one axis-0 plane (`adjointness_gap` says why)."""
     return _slab_planes(grid) == 1
 
 
-def _walk(grid: PeriodicGrid, step: int, generate, rings, sides, wait) -> None:
+def _walk(grid: PeriodicGrid, step: int, rings, sides, wait) -> None:
     """One thread's share of the adjointness walk: on each slab, generate
-    the rings in `generate` (all of `rings` or a part), `wait`, form each
-    side's pairing into its slab total and hand that to its sum, `wait`.
+    `rings` (all of the plan's or a part), `wait`, form each side's
+    pairing into its slab total and hand that to its sum, `wait`.
 
     A side is (pairs, slab_total, work, pair_sum).  With a `wait` that
     does nothing this is the serial walk; on two threads it is a
@@ -868,11 +835,11 @@ def _walk(grid: PeriodicGrid, step: int, generate, rings, sides, wait) -> None:
     n = grid.sizes[0]
     for start in range(0, n, step):
         stop = min(start + step, n)
-        _generate(generate, start, stop)
+        _generate(rings, start, stop)
         wait()
         for pairs, slab_total, work, pair_sum in sides:
             total = _view(slab_total, (stop - start,) + grid.sizes[1:])
-            _pair_slab(grid, pairs, start, total, work, rings)
+            _pair_slab(grid, pairs, start, total, work)
             pair_sum.add(total.reshape(-1))
         wait()
 
@@ -888,14 +855,12 @@ def _walk_on_two_threads(grid: PeriodicGrid, step: int, rings, left, right) -> N
     caller.  A worker that cannot be started, as when the CLI's data cap
     leaves no room for its stack, raises MemoryError.
     """
-    items = list(rings.items())
-    halves = [dict(items[i::2]) for i in (0, 1)]
     barrier = threading.Barrier(2)
     failure = []
 
     def work():
         try:
-            _walk(grid, step, halves[1], rings, [right], barrier.wait)
+            _walk(grid, step, rings[1::2], [right], barrier.wait)
         except threading.BrokenBarrierError:
             pass  # the caller failed and raises its own error
         except BaseException as exc:  # raised by the caller
@@ -908,7 +873,7 @@ def _walk_on_two_threads(grid: PeriodicGrid, step: int, rings, left, right) -> N
     except RuntimeError as exc:
         raise MemoryError(f"no worker thread for the adjointness walk: {exc}") from exc
     try:
-        _walk(grid, step, halves[0], rings, [left], barrier.wait)
+        _walk(grid, step, rings[0::2], [left], barrier.wait)
     except BaseException as exc:
         barrier.abort()
         worker.join()
@@ -923,10 +888,12 @@ def _plan(alpha: FormField, beta: FormField, take):
     `_Carver`): (grid, step, rings, left, right).
 
     Each side, left for <d alpha, beta> and right for <alpha, d* beta>, is
-    (pairs, slab_total, work): `_pair_slab`'s pairs, a slab total and
-    three working arrays of one slab each.  The rings are cut first, then
-    the slab arrays, which the two sides share where one thread walks and
-    hold one set each where two do (`_two_threads`).
+    (pairs, slab_total, work, pair_sum): `_pair_slab`'s pairs, read from
+    rings, a slab total, three working arrays of one slab each, and the
+    `PairwiseSum` of the pairing.  `rings` lists the (source, ring, halo)
+    `_generate` fills.  The rings are cut first, then the slab arrays,
+    which the two sides share where one thread walks and hold one set
+    each where two do (`_two_threads`).
     """
     if beta.degree != alpha.degree + 1:
         raise ValueError("beta must have degree one above alpha")
@@ -945,7 +912,7 @@ def _plan(alpha: FormField, beta: FormField, take):
         if terms:
             _, factor = _star(grid, source, sign)
             right.append((terms, factor, alpha.comps[idx], _inverse_metric(grid, idx)))
-    rings = _rings(left + right, grid.sizes, step, take)
+    pairs, rings = _rings(left + right, grid.sizes, step, take)
     slab = (step * math.prod(grid.sizes[1:]),)
 
     def buffers():  # a slab total and three working arrays
@@ -953,7 +920,9 @@ def _plan(alpha: FormField, beta: FormField, take):
 
     shared = buffers()
     own = buffers() if _two_threads(grid) else shared
-    return grid, step, rings, (left, *shared), (right, *own)
+    sums = [_pairwise.PairwiseSum(math.prod(grid.sizes)) for _ in range(2)]
+    cut = len(left)
+    return grid, step, rings, (pairs[:cut], *shared, sums[0]), (pairs[cut:], *own, sums[1])
 
 
 def adjointness_workspace_size(alpha: FormField, beta: FormField) -> int:
@@ -973,35 +942,57 @@ def adjointness_gap(
     """|<d alpha, beta> - <alpha, d* beta>| for a k-form and a (k+1)-form.
 
     Neither d alpha nor d* beta is built, nor any full-grid array.  The
-    check walks slabs of axis-0 planes of at most `_SLAB_BYTES` each, once,
-    and forms every component of both pairings on one slab at a time:
-    stencils along axes >= 1 run on the slab, stencils along axis 0 read
-    the two neighbour planes on either side with periodic wrap.  Each
-    component is scaled, multiplied by its partner's slab and added into
-    the slab total, in the order `inner_pointwise` takes.  The component
+    check walks slabs of axis-0 planes once, each at most `_SLAB_BYTES`
+    (a grid whose whole array fits is one slab), and on each slab forms
+    every component of both pairings from the slab's rows only: stencils
+    along axes >= 1 run on the slab, stencils along axis 0 read the two
+    neighbour planes on either side with periodic wrap.  Each component
+    is scaled, multiplied by its partner's slab and added into a slab
+    total, in the order `inner_pointwise` takes, and `PairwiseSum` adds
+    the slab totals up to the pairing's sum as they come.  The component
     of d* beta on J is the outer star of d(*beta) on the complement of J.
-    Every component is read from the one ring the walk writes its rows
-    into before each slab (`_generate`).
+    The total and three working arrays of one slab each stay in cache
+    while a component is formed, scaled, multiplied and added.
+
+    The plan (`_plan`) gives every component one ring of full grid
+    planes and hands each term and mate its ring.  Before each slab
+    `_generate` fills the rings with the rows the slab reads: the slab,
+    plus two halo planes on each side for a component either pairing
+    differentiates along axis 0, or the whole axis when that is fewer
+    planes.  A `TrigComponent` generates its rows there and is never
+    built whole; a plain array's rows are copied there.  At 48^4 a pair
+    of 10 such components so costs their lines, 8 of 48 values each, and
+    rings of 1 or 5 planes, instead of 10 full grids.
 
     Every ring, slab total and working array is cut from `workspace`, a
     flat float64 array of at least `adjointness_workspace_size(alpha,
     beta)` values, else ValueError before anything is written.  The walk
     writes every value before it reads it, so what the workspace held
     before does not matter, and one workspace can serve the calls of a
-    report one after another.  Without one the call allocates its own,
-    of exactly that size.
+    report one after another: the CLI's adjointness report sizes one for
+    its largest pair, so its largest allocation comes before its first
+    walk and no walk maps and faults in pages of its own.  Without one
+    the call allocates its own, of exactly that size.
 
     Where a slab is one plane (`_two_threads`: on cubes 33^4 and up, and
-    182^3 and up) the walk runs on two threads: each generates half the
-    rings, then the caller forms the left pairing and a worker the right
-    one, each with its own slab total, working arrays and sum.  Elsewhere
-    one thread forms the left pairing, hands its total to its sum, then
-    forms the right one in the same arrays.  Either way each sum receives
-    its slab totals in the same order, every element sees the operations
-    it sees in l2_inner(d(alpha), beta) and l2_inner(alpha,
-    codiff(beta)), in the same order, and `PairwiseSum` adds the slab
-    totals up exactly as `integral`'s np.sum adds the whole arrays, so
-    the gap is bit-identical to theirs.
+    182^3 and up) the walk runs on two threads, with two barrier waits
+    per slab: each thread generates every other ring, then the caller
+    forms the left pairing and a worker the right one, each with its own
+    slab total, working arrays and sum.  At 48^4 that takes a report's
+    four walks from about 1.9 to 1.2 s for about 10% more CPU time (a
+    2-core Xeon).  A slab of several planes fits the L2 with its working
+    arrays, where the hand-offs cost more than they save: at 64^3 a
+    second thread took 4% off the walk's wall time for 48% more CPU
+    time.  There one thread forms the left pairing, hands its total to
+    its sum, then forms the right one in the same arrays.  The worker
+    runs no name the benchmark tracer patches: the walk differentiates
+    along axes >= 1 through `_deriv`, not `PeriodicGrid.deriv`.
+
+    Either way each sum receives its slab totals in the same order,
+    every element sees the operations it sees in l2_inner(d(alpha),
+    beta) and l2_inner(alpha, codiff(beta)), in the same order, and
+    `PairwiseSum` adds the slab totals up exactly as `integral`'s np.sum
+    adds the whole arrays, so the gap is bit-identical to theirs.
     """
     need = adjointness_workspace_size(alpha, beta)
     if workspace is None:
@@ -1010,13 +1001,11 @@ def adjointness_gap(
               and workspace.flags.c_contiguous and len(workspace) >= need):
         raise ValueError(f"the walk needs a flat C-contiguous float64 workspace of {need} values")
     grid, step, rings, left, right = _plan(alpha, beta, _Carver(workspace))
-    sums = [_pairwise.PairwiseSum(math.prod(grid.sizes)) for _ in range(2)]
-    left, right = (*left, sums[0]), (*right, sums[1])
     if _two_threads(grid):
         _walk_on_two_threads(grid, step, rings, left, right)
     else:
-        _walk(grid, step, rings, rings, [left, right], lambda: None)
-    values = [pair_sum.total() * grid.cell_volume for pair_sum in sums]
+        _walk(grid, step, rings, [left, right], lambda: None)
+    values = [pair_sum.total() * grid.cell_volume for *_, pair_sum in (left, right)]
     return abs(values[0] - values[1])
 
 
@@ -1123,12 +1112,15 @@ def integral_closed_form(f_amp: float, h_amp: float, dim: int) -> float:
     b^2 4 pi^3 (2 pi)^(dim-3) (I0(a) + a I1(a)) with f = a cos y and
     H = b sin x dx^dy^dz on the unit-metric torus of period 2 pi.  The
     Bessel part is the positive series sum_j (1 + 2j) (a^2/4)^j / (j!)^2,
-    summed until a term no longer changes the sum.  It is even in a, within
+    summed until a term no longer changes the sum, which a nan sum never
+    does: a non-finite amplitude raises ValueError.  It is even in a, within
     a relative 1e-15 of I0 + a I1 for |a| <= 5, 5e-15 for |a| <= 50 and
     5e-14 for |a| <= 700 (against 40-digit values), and inf from
     |a| = 707.42 on, where I0 + a I1 passes the largest double.
     """
     a, b = float(f_amp), h_amp
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("the amplitudes must be finite")
     q = a * a / 4.0
     term = total = 1.0
     for j in itertools.count(1):
@@ -1250,12 +1242,7 @@ def check_divH2(H: FormField) -> HodgeReport:
     ginv = [1.0 / g for g in grid.metric]
 
     # dense covariant H for raw index gymnastics, modest at n <= 4
-    dense: Dict[Index, np.ndarray] = {}
-    for perm, arr in _full_components(H):
-        dense[perm] = arr
-
-    def Hc(i, j, k):
-        return dense.get((i, j, k))
+    dense = dict(_full_components(H))
 
     unit_shape = (1,) * n  # the shape of a constant
 
@@ -1275,7 +1262,7 @@ def check_divH2(H: FormField) -> HodgeReport:
             H2_ji = np.zeros(unit_shape)
             for p in range(n):
                 for q in range(n):
-                    a, b = Hc(j, p, q), Hc(i, p, q)
+                    a, b = dense.get((j, p, q)), dense.get((i, p, q))
                     if a is None or b is None:
                         continue
                     H2_ji = _add(H2_ji, ginv[p] * ginv[q] * a * b)
@@ -1290,7 +1277,7 @@ def check_divH2(H: FormField) -> HodgeReport:
                 if key not in dstar.comps:
                     continue
                 val = dstar.comps[key] if m < nn else -dstar.comps[key]
-                h_imn = Hc(i, m, nn)
+                h_imn = dense.get((i, m, nn))
                 if h_imn is None:
                     continue
                 contraction = _add(contraction, ginv[m] * ginv[nn] * val * h_imn)

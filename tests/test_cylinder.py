@@ -171,6 +171,12 @@ def test_csv_output(flow_half):
     assert abs(rows[i, 1] - 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("dt_out", [-0.01, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_csv_rejects_a_step_that_is_not_finite_and_positive(flow_half, dt_out):
+    with pytest.raises(ValueError, match="dt_out must be None or a finite positive number"):
+        flow_half.to_csv(dt_out=dt_out)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         CylinderState(0.0, 0.0, 1.0)

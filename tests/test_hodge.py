@@ -2,6 +2,8 @@
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -109,6 +111,28 @@ def test_grid_validation():
         PeriodicGrid(dim=3, sizes=(16, 16, 16), metric=(1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         PeriodicGrid(dim=3, sizes=(16, 16))
+
+
+@pytest.mark.parametrize("geometry", [
+    {"sizes": (16.7, 16, 16)},
+    {"sizes": (16, np.nan, 16)},
+    {"sizes": (16, 16, np.inf)},
+    {"periods": (np.nan, 1.0, 1.0)},
+    {"periods": (np.inf, 1.0, 1.0)},
+    {"metric": (np.inf, 1.0, 1.0)},
+    {"metric": (1.0, np.nan, 1.0)},
+], ids=["fractional-size", "nan-size", "inf-size", "nan-period", "inf-period",
+        "inf-metric", "nan-metric"])
+def test_grid_rejects_fractional_sizes_and_non_finite_geometry(geometry):
+    # a size is never truncated, and no spacing or cell volume is nan or inf
+    with pytest.raises(ValueError):
+        PeriodicGrid(**{"dim": 3, "sizes": (16, 16, 16), **geometry})
+
+
+def test_grid_keeps_integral_sizes_of_any_numeric_type():
+    grid = PeriodicGrid(dim=3, sizes=(16.0, np.int64(17), 18))
+    assert grid.sizes == (16, 17, 18)
+    assert all(type(s) is int for s in grid.sizes)
 
 
 def test_stencil_truncation_law(g32):
@@ -270,9 +294,12 @@ def test_generate_splits_runs_at_the_axis_end_and_the_ring_end(grid_name, reques
         bits = np.ascontiguousarray(np.broadcast_to(np.asarray(source), sizes)).view(np.uint64)
         for planes in (1, 2, 3, 7, n):
             for halo in (False, True):
-                terms = [(source, 0, 1.0, False)] if halo else []
-                rings = dec._rings([(terms, 1.0, source, 1.0)], sizes, planes, np.empty)
-                ring = rings[id(source)][1]
+                terms = [(source, 0, 1.0)] if halo else []
+                pairs, rings = dec._rings([(terms, 1.0, source, 1.0)], sizes, planes, np.empty)
+                # the term and the mate read one component, so one ring
+                [(_, ring, marked)] = rings
+                assert marked is halo and pairs[0][2] is ring
+                assert all(term[0] is ring for term in pairs[0][0])
                 ring.fill(np.nan)
                 reach = 2 if halo else 0
                 for start in range(0, n, planes):
@@ -672,35 +699,90 @@ def test_streamed_adjointness_gap_equals_the_field_route_bit_for_bit(
     assert sum(gap > 0.0 for gap in gaps) >= len(gaps) // 2
 
 
+def recorded_plans(monkeypatch):
+    """The (workspace, walk) of every `_plan` call that cuts its arrays
+    from a workspace, in call order."""
+    plan, plans = dec._plan, []
+
+    def recorded(alpha, beta, take):
+        walk = plan(alpha, beta, take)
+        if take.workspace is not None:
+            plans.append((take.workspace, walk))
+        return walk
+
+    monkeypatch.setattr(dec, "_plan", recorded)
+    return plans
+
+
+def plan_reads(walk):
+    """Every term array and mate the walk's two sides read."""
+    *_, left, right = walk
+    return [ring for pairs, *_ in (left, right) for terms, _, mate, _ in pairs
+            for ring in (*(term[0] for term in terms), mate)]
+
+
 @pytest.mark.parametrize("grid_name", ["g16", "gm4"])
 def test_walk_reads_every_component_from_a_ring_it_allocated(grid_name, request, monkeypatch):
-    # every stencil and mate read of the walk goes through _source; on the
+    # the walk reads its operands only through its plan's pairs; on the
     # pairs with plain-array components (broadcast-shape example fields,
-    # Fortran-order forms) none may read an input component in place
+    # Fortran-order forms) every term array and mate must be a view of
+    # the workspace, the caller's or the walk's own, and share no memory
+    # with an input component
     grid = request.getfixturevalue(grid_name)
     n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
-    source, reads, inputs = dec._source, [], []
-
-    def checked(arr, rings, start):
-        v, lo = source(arr, rings, start)
-        reads.append(not any(np.shares_memory(v, comp) for comp in inputs))
-        return v, lo
-
-    monkeypatch.setattr(dec, "_source", checked)
+    plans = recorded_plans(monkeypatch)
     plain = 0
     for alpha, beta in adjoint_pairs(grid):
         comps = (*alpha.comps.values(), *beta.comps.values())
-        inputs[:] = [arr for arr in comps if not isinstance(arr, dec.TrigComponent)]
+        inputs = [arr for arr in comps if not isinstance(arr, dec.TrigComponent)]
         if not inputs:
             continue
         plain += 1
         # slabs of one plane (two threads), of three and the whole grid
         for planes in (1, 3, n):
             monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
-            reads.clear()
-            adjointness_gap(alpha, beta)
-            assert reads and all(reads), f"{planes} planes per slab"
+            for given in (np.empty(dec.adjointness_workspace_size(alpha, beta)), None):
+                plans.clear()
+                adjointness_gap(alpha, beta, given)
+                [(workspace, walk)] = plans
+                assert given is None or workspace is given
+                reads = plan_reads(walk)
+                assert reads, f"{planes} planes per slab"
+                for ring in reads:
+                    assert ring.base is workspace, f"{planes} planes per slab"
+                    assert not any(np.shares_memory(ring, comp) for comp in inputs)
     assert plain == 10
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])
+def test_one_array_in_several_components_gets_one_ring(grid_name, request, monkeypatch, workers):
+    # one ndarray object as a component of alpha and as two of beta's:
+    # both pairings read it, along axis 0 and the others, yet the walk
+    # cuts it one ring, and the gap keeps the field route's bits on the
+    # serial and the two-thread path
+    grid = request.getfixturevalue(grid_name)
+    n, plane = grid.sizes[0], 8 * math.prod(grid.sizes[1:])
+    rng = np.random.default_rng(38)
+    shared, other = rng.standard_normal(grid.sizes), rng.standard_normal(grid.sizes)
+    alpha = FormField(grid, 1, {(0,): shared, (1,): other})
+    beta = FormField(grid, 2, {(0, 1): shared, (0, 2): other, (1, 2): shared})
+    assert alpha.comps[(0,)] is beta.comps[(0, 1)] is beta.comps[(1, 2)] is shared
+    expected = abs(l2_inner(d(alpha), beta) - l2_inner(alpha, codiff(beta))).hex()
+    assert expected != (0.0).hex()
+    plans = recorded_plans(monkeypatch)
+    for planes in (1, 3, n):
+        monkeypatch.setattr(dec, "_SLAB_BYTES", planes * plane)
+        plans.clear()
+        workers.clear()
+        assert adjointness_gap(alpha, beta).hex() == expected, f"{planes} planes per slab"
+        assert workers == (["adjointness-walk"] if planes == 1 else [])
+        [(_, walk)] = plans
+        rings = walk[2]
+        assert len(rings) == 2
+        assert [source.base is shared for source, _, _ in rings] == [True, False]
+        # every read of the shared array is its one ring
+        reads = plan_reads(walk)
+        assert {id(ring) for ring in reads} == {id(ring) for _, ring, _ in rings}
 
 
 @pytest.mark.parametrize("dim, n, threaded", [
@@ -960,6 +1042,28 @@ def test_integral_closed_form_matches_scipy_bessel(lo, hi, rel):
         assert dec.integral_closed_form(a, 1.0, 3) / (4.0 * np.pi**3) == pytest.approx(
             bessel, rel=rel, abs=0.0
         )
+
+
+@pytest.mark.parametrize("f_amp, h_amp", [
+    ("nan", "1.0"), ("inf", "1.0"), ("-inf", "1.0"), ("0.5", "nan"), ("0.5", "inf"),
+])
+def test_integral_closed_form_rejects_a_non_finite_amplitude(f_amp, h_amp):
+    # the series never settles on a nan sum; a fresh process with a time
+    # limit turns a hang into a failure rather than a stalled suite
+    code = (
+        "from grflab.hodge import integral_closed_form\n"
+        "try:\n"
+        f"    integral_closed_form(float('{f_amp}'), float('{h_amp}'), 3)\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("ValueError: the amplitudes must be finite")
 
 
 def test_integral_closed_form_overflows_to_inf_quietly():
