@@ -478,9 +478,7 @@ def _one_hodge_report(identity: str, grid, p: dict):
     from . import hodge
 
     if identity == "adjointness":
-        rng = np.random.default_rng(p["seed"])
-        pairs = [(_random_trig_form(grid, k, rng), _random_trig_form(grid, k + 1, rng))
-                 for k in range(grid.dim)]
+        pairs = _adjointness_pairs(grid, p["seed"])
         # the pairs are lines only; every degree's walk runs in one workspace,
         # the report's largest allocation, made before the first walk, so a
         # run that does not fit fails here
@@ -512,6 +510,14 @@ def _random_trig_form(grid, degree, rng):
     from . import hodge
 
     return hodge.random_trig_form(grid, degree, rng)
+
+
+def _adjointness_pairs(grid, seed: int) -> list:
+    """(alpha_k, beta_{k+1}) for k = 0 .. dim-1, drawn in that order, alpha
+    before beta, from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    return [(_random_trig_form(grid, k, rng), _random_trig_form(grid, k + 1, rng))
+            for k in range(grid.dim)]
 
 
 def _run_hodge_check(cfg: dict) -> str:
@@ -639,6 +645,8 @@ def _resolve_runs(args) -> Tuple[str, list]:
         command = file_cfg.get("command")
         if command is None:
             raise ConfigError("config has no 'command'")
+        if not isinstance(command, str):
+            raise ConfigError("config 'command' must be a string")
         if command not in SCHEMAS:
             raise ConfigError(f"unknown command '{command}'")
         cli_params = {}

@@ -213,17 +213,32 @@ def _aitken(x: np.ndarray):
     return float(limits[-1]), float(abs(limits[-1] - limits[-2]))
 
 
-def blowup_analysis(traj: CylinderTrajectory, n_samples: int = 18) -> BlowupReport:
-    """Sample t_i = T - 2^{-i}(T - t_start) and extrapolate lambda*h^2."""
+def _collapse_window(traj: CylinderTrajectory, offsets, least: int, what: str):
+    """(T_sing, the times T_sing - offsets(T_sing) that lie on the flow).
+
+    RuntimeError when the flow did not reach the collapse event, or when
+    fewer than `least` of the times lie between its start and the floor
+    event.
+    """
     if traj.T_sing is None:
         raise RuntimeError("flow did not reach the collapse event")
-    T = traj.T_sing
-    t_start = float(traj.times[0])
-    t_i = T - 0.5 ** np.arange(1, n_samples + 1) * (T - t_start)
-    t_i = t_i[t_i <= traj.t_end]
-    if t_i.size < 3:
-        raise RuntimeError("need at least 3 samples before the floor event")
+    T, t0 = traj.T_sing, traj.times[0]
+    t = T - offsets(T)
+    kept = t[(t >= t0) & (t <= traj.t_end)]
+    if kept.size < least:
+        raise RuntimeError(
+            f"{what}: {kept.size} of {t.size} sample times lie on the flow, "
+            f"t in [{t0:g}, {traj.t_end:.6g}] with T_sing = {T:.6g}; {least} needed"
+        )
+    return T, kept
 
+
+def blowup_analysis(traj: CylinderTrajectory, n_samples: int = 18) -> BlowupReport:
+    """Sample t_i = T - 2^{-i}(T - t_start) and extrapolate lambda*h^2."""
+    T, t_i = _collapse_window(
+        traj, lambda T: 0.5 ** np.arange(1, n_samples + 1) * (T - float(traj.times[0])),
+        3, "blowup",
+    )
     lam, h, beta, _ = traj.state_at(t_i)
     x = lam * h**2
     ricci = traj.initial.h == 0.0
@@ -276,13 +291,11 @@ def torsion_divergence(
         )
     if psi0 is not None and not psi0 >= 0:
         raise ValueError("psi0 must be nonnegative")
-    if traj.T_sing is None:
-        raise RuntimeError("flow did not reach the collapse event")
-    T = traj.T_sing
-    delta_end = T - traj.t_end
-    # log-uniform samples over the last decade of (T_sing - t)
-    t_fit = T - delta_end * 10.0 ** np.linspace(1.0, 0.0, fit_points)
-    t_fit = t_fit[t_fit >= traj.times[0]]
+    # log-uniform samples over the last decade of (T_sing - t), all on the flow
+    T, t_fit = _collapse_window(
+        traj, lambda T: (T - traj.t_end) * 10.0 ** np.linspace(1.0, 0.0, fit_points),
+        fit_points, "torsion fit",
+    )
     I_fit = traj.state_at(t_fit)[3]
     xi = -np.log(T - t_fit)
     c = float(np.polyfit(xi, I_fit, 1)[0])

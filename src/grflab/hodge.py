@@ -457,8 +457,20 @@ def _add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
     return acc + term
 
 
-def _accumulate(out: Dict[Index, np.ndarray], target: Index, term: np.ndarray):
-    """out[target] += term for a freshly allocated term."""
+def _sum(grid: PeriodicGrid, terms) -> np.ndarray:
+    """((0 + t_0) + t_1) + ... over freshly allocated terms, formed one at a
+    time as the sum reaches them; the compact zero when there are none."""
+    out = np.zeros((1,) * grid.dim)
+    for term in terms:
+        out = _add(out, term)
+    return out
+
+
+def _accumulate(out: Dict[Index, np.ndarray], target: Index, term: np.ndarray, negative: bool):
+    """out[target] += term, or -= term when negative, for a freshly
+    allocated term; the sign is applied in place, which is exact."""
+    if negative:
+        np.negative(term, out=term)
     out[target] = _add(out[target], term) if target in out else term
 
 
@@ -513,11 +525,7 @@ def d(f: FormField) -> FormField:
     out = {}
     for target in targets:
         for arr, a, sign in _d_terms(f, target):
-            term = grid.deriv(arr, a)
-            if sign < 0:
-                np.negative(term, out=term)
-            _accumulate(out, target, term)
-            del term  # the loop variable would hold it while the next is formed
+            _accumulate(out, target, grid.deriv(arr, a), sign < 0)
     return FormField(grid, k + 1, out)
 
 
@@ -564,16 +572,14 @@ def interior(X: VectorField, f: FormField) -> FormField:
     out: Dict[Index, np.ndarray] = {}
     for idx, arr in f.comps.items():
         for pos, m in enumerate(idx):
-            target = idx[:pos] + idx[pos + 1:]
-            term = X.comps[m] * arr
-            if pos % 2:
-                term = -term
-            _accumulate(out, target, term)
+            _accumulate(out, idx[:pos] + idx[pos + 1:], X.comps[m] * arr, pos % 2 == 1)
     return FormField(grid, k - 1, out)
 
 
 def lie(X: VectorField, f: FormField) -> FormField:
-    """Lie derivative via Cartan: L_X = d i_X + i_X d."""
+    """Lie derivative via Cartan: L_X = d i_X + i_X d, which is i_X d on a scalar."""
+    if f.degree == 0:
+        return interior(X, d(f))
     return d(interior(X, f)) + interior(X, d(f))
 
 
@@ -586,13 +592,8 @@ def wedge(a: FormField, b: FormField) -> FormField:
     for ia, va in a.comps.items():
         for ib, vb in b.comps.items():
             sign = _perm_sign(ia + ib)
-            if sign == 0:
-                continue
-            target = tuple(sorted(ia + ib))
-            term = va * vb
-            if sign < 0:
-                term = -term
-            _accumulate(out, target, term)
+            if sign:
+                _accumulate(out, tuple(sorted(ia + ib)), va * vb, sign < 0)
     return FormField(grid, k, out)
 
 
@@ -621,12 +622,8 @@ def inner_pointwise(a: FormField, b: FormField) -> np.ndarray:
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     grid = _common_grid(a, b)
-    out = np.zeros((1,) * grid.dim)
-    for idx in a.indices():
-        if idx in b.comps:
-            factor = _inverse_metric(grid, idx)
-            out = _add(out, _scaled(a.comps[idx], factor) * b.comps[idx])
-    return out
+    return _sum(grid, (_scaled(a.comps[idx], _inverse_metric(grid, idx)) * b.comps[idx]
+                       for idx in a.indices() if idx in b.comps))
 
 
 def integral(values: np.ndarray, grid: PeriodicGrid) -> float:
@@ -1237,55 +1234,27 @@ def check_divH2(H: FormField) -> HodgeReport:
     """
     if H.degree != 3:
         raise ValueError("H must be a 3-form")
-    grid = H.grid
-    n = grid.dim
+    grid, n = H.grid, H.grid.dim
     ginv = [1.0 / g for g in grid.metric]
 
-    # dense covariant H for raw index gymnastics, modest at n <= 4
+    # dense covariant H and d*H for raw index gymnastics, modest at n <= 4
     dense = dict(_full_components(H))
+    dstar = dict(_full_components(codiff(H)))
+    pairs = list(itertools.product(range(n), repeat=2))
 
-    unit_shape = (1,) * n  # the shape of a constant
+    def H2(j, i):  # H2_{ji} = g^pp g^qq H_{jpq} H_{ipq}
+        return _sum(grid, (ginv[p] * ginv[q] * dense[j, p, q] * dense[i, p, q]
+                           for p, q in pairs if (j, p, q) in dense and (i, p, q) in dense))
 
-    # |H|^2 raw
-    H2norm = np.zeros(unit_shape)
-    for (i, j, k), arr in dense.items():
-        H2norm = _add(H2norm, ginv[i] * ginv[j] * ginv[k] * arr * arr)
-
-    dstar = codiff(H)  # 2-form
-
-    residuals = {}
+    H2norm = _sum(grid, (ginv[i] * ginv[j] * ginv[k] * arr * arr  # |H|^2 raw
+                         for (i, j, k), arr in dense.items()))
     worst = 0.0
     for i in range(n):
-        # (div H2)_i = sum_j g^{jj} D_j H2_{ji}
-        div_i = np.zeros(unit_shape)
-        for j in range(n):
-            H2_ji = np.zeros(unit_shape)
-            for p in range(n):
-                for q in range(n):
-                    a, b = dense.get((j, p, q)), dense.get((i, p, q))
-                    if a is None or b is None:
-                        continue
-                    H2_ji = _add(H2_ji, ginv[p] * ginv[q] * a * b)
-            div_i = _add(div_i, ginv[j] * grid.deriv(H2_ji, j))
+        div_i = _sum(grid, (ginv[j] * grid.deriv(H2(j, i), j) for j in range(n)))
         grad_term = grid.deriv(H2norm, i) / 6.0
-        contraction = np.zeros(unit_shape)
-        for m in range(n):
-            for nn in range(n):
-                if m == nn:
-                    continue
-                key = (m, nn) if m < nn else (nn, m)
-                if key not in dstar.comps:
-                    continue
-                val = dstar.comps[key] if m < nn else -dstar.comps[key]
-                h_imn = dense.get((i, m, nn))
-                if h_imn is None:
-                    continue
-                contraction = _add(contraction, ginv[m] * ginv[nn] * val * h_imn)
+        contraction = _sum(grid, (ginv[m] * ginv[nn] * dstar[m, nn] * dense[i, m, nn]
+                                  for m, nn in pairs if (m, nn) in dstar and (i, m, nn) in dense))
         res = div_i - (grad_term - contraction)
         worst = float(np.maximum(worst, np.max(np.abs(res))))  # keeps a NaN
-    residuals["sup"] = worst
-    return HodgeReport(
-        identity="divergence_of_H_squared",
-        grid_spec=grid.spec(),
-        residuals=residuals,
-    )
+    return HodgeReport(identity="divergence_of_H_squared", grid_spec=grid.spec(),
+                       residuals={"sup": worst})

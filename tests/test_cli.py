@@ -349,6 +349,66 @@ def test_malformed_json_reports_position(invoke, tmp_path):
     assert "line 1" in err
 
 
+# one case per config-error branch: the command, the files it reads (name:
+# text), the arguments naming them, and the key or file the message names
+CONFIG_ERRORS = {
+    "unreadable-file": ("cylinder-flow", {}, ("--config", "absent.json"), "absent.json"),
+    "top-level-not-object": ("cylinder-flow", {"c.json": "[1]"}, ("--config", "c.json"),
+                             "c.json: top level must be a JSON object"),
+    "null": ("cylinder-flow", {"c.json": '{"parameters": {"h0sq": null}}'},
+             ("--config", "c.json"), "'h0sq' must not be null"),
+    "wrong-type": ("cylinder-flow", {"c.json": '{"parameters": {"h0sq": "0.5"}}'},
+                   ("--config", "c.json"), "'h0sq' must be a number"),
+    "non-finite": ("cylinder-flow", {"c.json": '{"parameters": {"h0sq": Infinity}}'},
+                   ("--config", "c.json"), "'h0sq' must be finite"),
+    "choice": ("soliton-residual", {"c.json": '{"parameters": {"soliton": "sphere"}}'},
+               ("--config", "c.json"), "'soliton' must be one of"),
+    "parameters-not-object": ("cylinder-flow", {"c.json": '{"parameters": [1]}'},
+                              ("--config", "c.json"), "'parameters' must be an object"),
+    "output-not-object": ("cylinder-flow", {"c.json": '{"output": "out"}'},
+                          ("--config", "c.json"), "'output' must be an object"),
+    "directory-not-string": ("cylinder-flow", {"c.json": '{"output": {"directory": 1}}'},
+                             ("--config", "c.json"), "output directory must be a string"),
+    "flag-not-boolean": ("cylinder-flow", {"c.json": '{"output": {"csv": 1}}'},
+                         ("--config", "c.json"), "'csv' must be a boolean"),
+    "unknown-output-key": ("cylinder-flow", {"c.json": '{"output": {"xml": true}}'},
+                           ("--config", "c.json"), "unknown output key 'xml'"),
+    "unknown-sweep-key": ("shoot", {"s.json": '{"runs": [{}], "extra": 1}'},
+                          ("--sweep", "s.json"), "unknown key(s) ['extra']"),
+    "sweep-without-runs": ("shoot", {"s.json": "{}"}, ("--sweep", "s.json"), "'runs'"),
+    "sweep-with-empty-runs": ("shoot", {"s.json": '{"runs": []}'}, ("--sweep", "s.json"),
+                              "'runs'"),
+    "sweep-run-not-object": ("shoot", {"s.json": '{"runs": [1]}'}, ("--sweep", "s.json"),
+                             "sweep run 0 must be an object"),
+    "sweep-run-parameters-not-object": ("shoot", {"s.json": '{"runs": [{"parameters": 1}]}'},
+                                        ("--sweep", "s.json"),
+                                        "sweep run 0: 'parameters' must be an object"),
+    "run-unknown-command": ("run", {"c.json": '{"command": "sphere-flow"}'},
+                            ("--config", "c.json"), "unknown command 'sphere-flow'"),
+    **{f"run-{kind}-command" + "-dump" * bool(dump): ("run", {"c.json": '{"command": %s}' % value},
+                                     ("--config", "c.json") + dump,
+                                     "config 'command' must be a string")
+       for kind, value in (("list", '["cylinder-flow"]'), ("object", '{"a": 1}'))
+       for dump in ((), ("--dump-config",))},
+    "soliton-residual-range": ("soliton-residual", {}, ("--r-min", "2", "--r-max", "1"),
+                               "r_max must exceed r_min"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_config_error_names_its_key_and_leaves_no_output(invoke, tmp_path, case):
+    command, files, argv, named = CONFIG_ERRORS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out_dir = tmp_path / "never"
+    code, out, err = invoke(command, *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out_dir.exists()
+
+
 def test_config_command_mismatch_is_rejected(invoke, tmp_path):
     cfg = write_config(tmp_path, {"command": "shoot"})
     code, _, err = invoke("cylinder-flow", "--config", cfg)
@@ -464,9 +524,7 @@ def test_every_walk_of_a_report_runs_in_its_one_workspace(dim, size, monkeypatch
     # array of its own.  36^4 walks on two threads, so each side looks
     grid = hodge.PeriodicGrid.cube(dim, size)
     plane = 8 * math.prod(grid.sizes[1:])
-    rng = np.random.default_rng(7)
-    pairs = [(cli._random_trig_form(grid, k, rng), cli._random_trig_form(grid, k + 1, rng))
-             for k in range(dim)]
+    pairs = cli._adjointness_pairs(grid, 7)
     workspace = 8 * max(hodge.adjointness_workspace_size(a, b) for a, b in pairs)
     pair_slab, seen = hodge._pair_slab, []
 
@@ -578,6 +636,13 @@ REJECTIONS = {
                                     "at h0 = 0 the torsion integral converges"),
     ("cylinder-flow", "--tmax", "-1"): (2, "cylinder-flow: parameter 'tmax' must be greater than 0"),
     ("blowup", "--tmax", "0.05"): (3, "flow did not reach the collapse event"),
+    # a flow that starts inside the torsion fit's decade before its collapse
+    ("torsion", "--lam0", "2e-8", "--h0sq", "0.5", "--fit-points", "2"):
+        (3, "torsion fit: 1 of 2 sample times lie on the flow, t in [0, 1e-08] "
+            "with T_sing = 2e-08; 2 needed"),
+    ("torsion", "--lam0", "1.5e-8"):
+        (3, "torsion fit: 35 of 200 sample times lie on the flow, t in [0, 5e-09] "
+            "with T_sing = 1.5e-08; 200 needed"),
     # parameters below their schema bound are config errors
     ("torsion", "--fit-points", "0"): (2, "torsion: parameter 'fit_points' must be at least 2"),
     ("torsion", "--fit-points", "1"): (2, "torsion: parameter 'fit_points' must be at least 2"),
@@ -674,6 +739,9 @@ def test_failed_run_leaves_no_output_directory(invoke, tmp_path, argv, expected)
     # the conjugate-heat solve overflows
     pytest.param(("entropy", "--h0sq", "0.5", "--u0", "1e300"), id="u0-1e300"),
     pytest.param(("hodge-check", "--f-amp", "800"), id="f-amp-800"),
+    # a torsion fit over one sample made numpy warn of a rank-deficient fit
+    pytest.param(("torsion", "--lam0", "2e-8", "--h0sq", "0.5", "--fit-points", "2"),
+                 id="torsion-lam0-2e-8"),
     *[pytest.param(HODGE_OVERFLOW + argv, id=argv[1] + argv[2])
       for argv in HODGE_OVERFLOWS],
 ])

@@ -34,6 +34,7 @@ from grflab.hodge import (
     integral,
     interior,
     l2_inner,
+    lie,
     wedge,
 )
 from grflab.hodge import random_trig_form as separable_trig_form
@@ -1133,6 +1134,71 @@ def test_divh2_on_generic_closed_three_form(g4):
     rep = check_divH2(H)
     assert np.isfinite(rep.sup)
     assert rep.sup < 1e-2
+
+
+def divh2_reference_sup(H, sixth=1.0 / 6.0, contraction_sign=1.0, transposed=False):
+    """sup_i |(div H2)_i - (sixth grad_i |H|^2 - contraction_sign (d*H)^{mn} H_{imn})|,
+    from the full antisymmetric tensor raised by the diagonal metric,
+    contracted by np.einsum and differentiated by roll_deriv, with
+    (d*H)_{mn} = -g^{kk} D_k H_{kmn}.  transposed swaps the contracted
+    pair of one factor of H2: H_{jpq} H_{iqp} for H_{jpq} H_{ipq}."""
+    grid, n = H.grid, H.grid.dim
+    ginv = 1.0 / np.array(grid.metric)
+    full = np.zeros((n, n, n) + grid.sizes)
+    for idx, arr in H.comps.items():
+        for perm in itertools.permutations(range(3)):
+            sign = 1 - 2 * (sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3)) % 2)
+            full[tuple(idx[a] for a in perm)] = sign * np.broadcast_to(arr, grid.sizes)
+    norm = np.einsum("ijk...,ijk...,i,j,k->...", full, full, ginv, ginv, ginv)
+    H2 = np.einsum("jpq...,iqp...,p,q->ji..." if transposed else "jpq...,ipq...,p,q->ji...",
+                   full, full, ginv, ginv)
+    dstar = -sum(ginv[k] * np.stack([np.stack([roll_deriv(grid, full[k, m, nn], k)
+                                               for nn in range(n)]) for m in range(n)])
+                 for k in range(n))
+    contraction = np.einsum("mn...,imn...,m,n->i...", dstar, full, ginv, ginv)
+    return max(
+        np.max(np.abs(sum(ginv[j] * roll_deriv(grid, H2[j, i], j) for j in range(n))
+                      - (sixth * roll_deriv(grid, norm, i)
+                         - contraction_sign * contraction[i])))
+        for i in range(n)
+    )
+
+
+DIVH2_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("grid_name", ["gm16", "gm4", "g3_odd"])
+def test_divh2_on_random_dense_forms_matches_an_einsum_reference(grid_name, request):
+    # white-noise components leave an O(1) residual, the stencil's product
+    # rule failing at the grid scale, so agreement to rounding pins every
+    # sign, factor and metric weight of the check; each wrong reference
+    # misses by far more than 100 times the tolerance
+    grid = request.getfixturevalue(grid_name)
+    rng = np.random.default_rng(5)
+    H = FormField(grid, 3, {idx: rng.normal(size=grid.sizes)
+                            for idx in itertools.combinations(range(grid.dim), 3)})
+    sup = check_divH2(H).sup
+    assert sup > 1.0
+    assert abs(sup - divh2_reference_sup(H)) <= DIVH2_RTOL * sup
+    for wrong in ({"contraction_sign": -1.0}, {"sixth": 1.0 / 5.0}, {"transposed": True}):
+        assert abs(sup - divh2_reference_sup(H, **wrong)) > 100 * DIVH2_RTOL * sup, wrong
+
+
+def test_lie_derivative_of_a_scalar_is_X_dot_grad_f():
+    # L_X f = i_X df; with X = grad f on the example data, a cos y, that is
+    # a^2 g^{yy} sin^2 y.  The stencil scales each derivative of cos y by
+    # 1 - h^4/30, so the error peaks at 2 a^2 g^{yy} h^4/30
+    errors = []
+    for n in (32, 64):
+        grid = PeriodicGrid(dim=3, sizes=(n, n, n), metric=(1.3, 0.7, 2.1))
+        f, _, _ = example_fields(grid, f_amplitude=0.8)
+        Lf = lie(gradient(f), f)
+        assert Lf.degree == 0
+        y = grid.coords()[1]
+        errors.append(np.max(np.abs(Lf.comp(()) - 0.8**2 / 0.7 * np.sin(y) ** 2)))
+        model = 2.0 * 0.8**2 / 0.7 * grid.spacing[1] ** 4 / 30.0
+        assert 0.9 < errors[-1] / model < 1.1
+    assert 14.0 < errors[0] / errors[1] < 18.0
 
 
 def test_example_fields_require_canonical_periods():

@@ -252,10 +252,8 @@ def test_adjointness_run_that_cannot_fit_fails_before_its_first_walk(room, tmp_p
     from grflab import hodge
 
     grid = hodge.PeriodicGrid.cube(4, 24)
-    rng = np.random.default_rng(7)
-    need = [8 * hodge.adjointness_workspace_size(cli._random_trig_form(grid, k, rng),
-                                                 cli._random_trig_form(grid, k + 1, rng))
-            for k in range(grid.dim)]
+    need = [8 * hodge.adjointness_workspace_size(*pair)
+            for pair in cli._adjointness_pairs(grid, 7)]
     assert 1.5 * need[0] < max(need)
     available = 4 * max(need) if room else (need[0] + max(need)) // 2
     out_dir = tmp_path / "out"

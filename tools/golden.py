@@ -75,6 +75,8 @@ RUNS = (
     ("hodge-check", "--dim", "3", "--size", "16", "--data", "closed", "--refine"),
     # the resolved config layout
     ("entropy", "--dump-config"),
+    # a flow that starts inside the torsion fit's decade fails on one line
+    ("torsion", "--lam0", "2e-8", "--h0sq", "0.5", "--fit-points", "2"),
 )
 
 
