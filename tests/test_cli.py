@@ -636,13 +636,6 @@ REJECTIONS = {
                                     "at h0 = 0 the torsion integral converges"),
     ("cylinder-flow", "--tmax", "-1"): (2, "cylinder-flow: parameter 'tmax' must be greater than 0"),
     ("blowup", "--tmax", "0.05"): (3, "flow did not reach the collapse event"),
-    # a flow that starts inside the torsion fit's decade before its collapse
-    ("torsion", "--lam0", "2e-8", "--h0sq", "0.5", "--fit-points", "2"):
-        (3, "torsion fit: 1 of 2 sample times lie on the flow, t in [0, 1e-08] "
-            "with T_sing = 2e-08; 2 needed"),
-    ("torsion", "--lam0", "1.5e-8"):
-        (3, "torsion fit: 35 of 200 sample times lie on the flow, t in [0, 5e-09] "
-            "with T_sing = 1.5e-08; 200 needed"),
     # parameters below their schema bound are config errors
     ("torsion", "--fit-points", "0"): (2, "torsion: parameter 'fit_points' must be at least 2"),
     ("torsion", "--fit-points", "1"): (2, "torsion: parameter 'fit_points' must be at least 2"),
@@ -719,6 +712,13 @@ REJECTIONS = {
        (2, "tau = T_ref - t must stay positive on the samples: "
            f"T_ref = 1.2 is not past the window's last sample t = {last}")
        for h0sq, last in (("0.5", "1.9999"), ("1.5", "3.02643"))},
+    # a flow that starts inside the torsion fit's decade before its collapse
+    ("torsion", "--lam0", "2e-8", "--h0sq", "0.5", "--fit-points", "2"):
+        (3, "torsion fit: 1 of 2 sample times lie on the flow, t in [0, 1e-08] "
+            "with T_sing = 2e-08; 2 needed"),
+    ("torsion", "--lam0", "1.5e-8"):
+        (3, "torsion fit: 35 of 200 sample times lie on the flow, t in [0, 5e-09] "
+            "with T_sing = 1.5e-08; 200 needed"),
 }
 _ERROR_CLASS = {2: "config error: ", 3: "numerical failure: "}
 
