@@ -7,8 +7,9 @@ one-line summary of the key scalars.  The output directory is created
 by the first artifact write, so a run that exits 2 or 3 leaves none
 behind.
 
-Exit status: 0 success; 2 a rejected input; 3 a numerical failure.  The
-library raises ValueError when an argument breaks a stated precondition
+Exit status: 0 success; 2 a rejected input or an output directory that
+cannot be written; 3 a numerical failure.  The library raises
+ValueError when an argument breaks a stated precondition
 (domain, sign, grid, stencil window) and RuntimeError when the
 computation ran and missed its goal (a solver failed, the flow did not
 collapse, a cross-check exceeded its bound).  ConfigError is a
@@ -710,9 +711,10 @@ def _execute(run, *args) -> Tuple[int, object]:
     """(0, run(*args)), or the exit status and message of what it raised.
 
     The one place an exception becomes an exit status: a rejected input
-    (ConfigError or a library ValueError) is 2, and so is a run that does
-    not fit in memory, which runs under _data_cap; a computation that ran
-    and missed its goal (NumericalError or a library RuntimeError) is 3.
+    (ConfigError or a library ValueError) is 2, and so are a run that does
+    not fit in memory, which runs under _data_cap, and an artifact that
+    cannot be written (an OSError); a computation that ran and missed its
+    goal (NumericalError or a library RuntimeError) is 3.
     numpy's floating-point warnings are silenced for the run: a value that
     overflows fails by its own check, and prints only that failure.
     """
@@ -723,6 +725,9 @@ def _execute(run, *args) -> Tuple[int, object]:
     except MemoryError:
         limit = "is available" if cap is None else f"the {cap >> 20} MiB available"
         return 2, f"config error: out of memory: the run needs more than {limit}"
+    except OSError as exc:  # the only files a run touches are its artifacts
+        path = "" if exc.filename is None else f"{exc.filename}: "
+        return 2, f"config error: cannot write output: {path}{exc.strerror or exc}"
     except ValueError as exc:
         return 2, f"config error: {exc}"
     except RuntimeError as exc:

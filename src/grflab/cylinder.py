@@ -234,7 +234,13 @@ def _collapse_window(traj: CylinderTrajectory, offsets, least: int, what: str):
 
 
 def blowup_analysis(traj: CylinderTrajectory, n_samples: int = 18) -> BlowupReport:
-    """Sample t_i = T - 2^{-i}(T - t_start) and extrapolate lambda*h^2."""
+    """Sample t_i = T - 2^{-i}(T - t_start) and extrapolate lambda*h^2.
+
+    n_samples is at least 3, the fewest that `_aitken` extrapolates from;
+    fewer raise ValueError.
+    """
+    if n_samples < 3:
+        raise ValueError(f"n_samples must be at least 3: got {n_samples}")
     T, t_i = _collapse_window(
         traj, lambda T: 0.5 ** np.arange(1, n_samples + 1) * (T - float(traj.times[0])),
         3, "blowup",
@@ -283,7 +289,13 @@ def torsion_divergence(
     psi0: Optional[float] = None,
     fit_points: int = 200,
 ) -> TorsionReport:
-    """Fit the logarithmic divergence of I(t) near the singular time."""
+    """Fit the logarithmic divergence of I(t) near the singular time.
+
+    fit_points is at least 2, the fewest a line is fitted through; fewer
+    raise ValueError.
+    """
+    if fit_points < 2:
+        raise ValueError(f"fit_points must be at least 2: got {fit_points}")
     if traj.initial.h == 0.0:
         raise ValueError(
             "h0 must be nonzero for a divergence witness: at h0 = 0 the "

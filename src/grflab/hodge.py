@@ -34,9 +34,13 @@ never holds it whole.
 
 Two memory rules hold.  The field route writes every result into an
 array the operator allocated itself, never into a component it was
-given.  `adjointness_gap` reads and writes only arrays it cuts from one
-flat workspace, its caller's or else its own, and holds no full-grid
-array; its docstring describes the walk and its two threads.
+given.  `adjointness_gap` cuts its rings, slab totals and working arrays
+from one flat workspace, its caller's or else its own, and holds no
+full-grid array; its docstring describes the walk and its two threads.
+Outside the workspace it allocates only per-call buffers of a few
+axis-0 planes: numpy's iteration buffers for the broadcast adds in
+`TrigComponent.rows` (4.3 planes per call at 64^3) and `_deriv`'s wrap
+columns, 12 values per row of a slab.
 """
 from __future__ import annotations
 
@@ -81,11 +85,6 @@ __all__ = [
 ]
 
 Index = Tuple[int, ...]
-
-# Rows per block when `_deriv` recomputes the wrap columns of its flat
-# path: the cache lines at both ends of a block's rows, 1 MiB of
-# input and output, stay in L2 between copying them out and back.
-_WRAP_ROWS = 4096
 
 # Bytes of axis-0 planes per slab that `adjointness_gap` forms its terms
 # on and `integral` sums: a quarter of the 2 MiB per-core L2, so a slab's
@@ -217,38 +216,34 @@ class PeriodicGrid:
         return _deriv(self, u, axis, np.empty_like(u))
 
 
-def _deriv(grid: PeriodicGrid, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """(8 (u[i+1] - u[i-1]) - u[i+2] + u[i-2]) / 12h along one axis,
-    evaluated in that order by `_stencil` into out, a float64 array of
-    u's shape that does not overlap it.  Its owners are `deriv`, which
-    allocates out, and the adjointness walk, which differentiates a slab
-    of a ring into one of its own working arrays, so the walk's worker
-    thread runs no name the benchmark tracer patches.  No shifted copy of
-    u is made, and every element sees the same operations as the np.roll
-    formula, so the result is bit-identical to it.
+def _deriv(
+    grid: PeriodicGrid, u: np.ndarray, axis: int, out: np.ndarray,
+    scale: float = 1.0, tmp: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """(8 (w[i+1] - w[i-1]) - w[i+2] + w[i-2]) / 12h along one axis for
+    w = scale u, evaluated in that order by `_stencil` into out, a float64
+    array of u's shape that does not overlap it.  As there, each neighbour
+    is scaled as it is read, into out and into `tmp`, a flat working array
+    of at least u.size values that only a scale other than 1.0 uses.  No
+    shifted or scaled copy of u is made, and every element sees the
+    operations of the np.roll formula on w, so the result has its bits.
+    The owners are `deriv` and the adjointness walk, which differentiates
+    slabs of its rings into its own working arrays, so the walk's worker
+    thread runs no name the benchmark tracer patches.
 
-    Two evaluation paths, one result:
-
-    * a C-contiguous u and out made of full grid planes, the whole grid
-      or a slab of axis-0 planes, differentiated along the last axis, are
-      walked as flat arrays with element offsets +-1 and +-2, so each
-      operation is one loop over the whole array rather than a loop of
-      m-2 elements per row, which made this axis cost twice the others.
-      The offsets reach into the neighbouring row in columns 0, 1, m-2
-      and m-1; those columns are then recomputed over blocks of
-      `_WRAP_ROWS` rows, from a copy of each block's columns m-4..m-1 and
-      0..3 in which they are contiguous rows;
-    * every other axis, and every broadcast-shape or non-contiguous u or
-      out, uses contiguous slices along the axis: each operation covers
-      the rows its neighbour offset reaches without wrapping in one slice
-      and the rest in another.  Their inner loops are already long, and
-      the flat form measured slower there.
-
-    u is constant along an axis of length 1, where the stencil gives
-    u - u: +0.0 where u is finite and nan where it is not, exactly what
-    the formula gives on the expanded array.
+    A C-contiguous u and out of full grid planes, differentiated along the
+    last axis, are walked as flat arrays with offsets +-1 and +-2: one loop
+    over the whole array, not one per row, which made this axis cost twice
+    the others.  Columns 0, 1, m-2 and m-1, where those offsets reach into
+    the next row, are then recomputed for all rows at once from the end
+    columns laid out as eight contiguous rows.  Other axes and layouts use
+    contiguous slices along the axis.  Along an axis of length 1 the
+    stencil gives w - w: +0.0 where w is finite and nan where it is not,
+    as on the expanded array.
     """
     if u.shape[axis] == 1:
+        if scale != 1.0:
+            u = np.multiply(scale, u, out=out)
         return np.subtract(u, u, out=out)
     h = grid.spacing[axis]
     if (
@@ -259,21 +254,20 @@ def _deriv(grid: PeriodicGrid, u: np.ndarray, axis: int, out: np.ndarray) -> np.
     ):
         f, g = u.reshape(-1), out.reshape(-1)
         # right in columns 2..m-3 of every row
-        _stencil(g[2:-2], f, 2, len(f) - 2, h)
-        # columns m-2, m-1, 0 and 1 again, block by block, from a copy
-        # of columns m-4..m-1 and 0..3 laid out as eight rows
+        _stencil(g[2:-2], f, 2, len(f) - 2, h, scale, tmp)
+        # columns m-2, m-1, 0 and 1 again, from columns m-4..m-1 and 0..3
+        # as eight rows, scaled, and four rows for the results
         rows, cols = u.reshape(-1, u.shape[-1]), out.reshape(-1, u.shape[-1])
-        block = min(len(rows), _WRAP_ROWS)
-        ends, wrapped = np.empty((8, block)), np.empty((4, block))
-        for start in range(0, len(rows), block):
-            a, b = rows[start:start + block], cols[start:start + block]
-            e, w = ends[:, :len(a)], wrapped[:, :len(a)]
-            e[:4], e[4:] = a[:, -4:].T, a[:, :4].T
-            _stencil(w, e, 2, 6, h)
-            b[:, -2:], b[:, :2] = w[:2].T, w[2:].T
+        ends = np.empty((12, len(rows)))
+        ends[:4], ends[4:8] = rows[:, -4:].T, rows[:, :4].T
+        if scale != 1.0:
+            ends[:8] *= scale
+        _stencil(ends[8:], ends[:8], 2, 6, h)
+        cols[:, -2:], cols[:, :2] = ends[8:10].T, ends[10:].T
     else:
         v, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
-        _stencil(o, v, 0, len(v), h)
+        t = None if scale == 1.0 else np.moveaxis(_view(tmp, out.shape), axis, 0)
+        _stencil(o, v, 0, len(v), h, scale, t)
     return out
 
 
@@ -739,19 +733,14 @@ def _slab_deriv(
     lo: int, hi: int, out: np.ndarray, scaled: np.ndarray,
 ) -> np.ndarray:
     """Rows lo..hi-1 of D_axis (factor v), written into out, for an array
-    v of full grid planes (a ring).
-
-    Along axes >= 1 this is `_deriv` of rows lo..hi-1 of v, scaled into
-    the working array `scaled` first when the factor is not 1.0.  Along
-    axis 0 the stencil reads the neighbour rows lo-2..hi+1 of v with wrap
-    in len(v) and scales each as it reads it.  Every element sees the
-    operations `deriv` gives it on the scaled full array.
+    v of full grid planes (a ring), with the working array `scaled` for
+    the scaled neighbours.  Along axis 0 the stencil reads rows lo-2..hi+1
+    of v with wrap in len(v); along the others it is `_deriv` of rows
+    lo..hi-1.  Each neighbour is scaled as it is read, so every element
+    sees the operations `deriv` gives it on the scaled full array.
     """
     if axis > 0:
-        src = v[lo:hi]
-        if factor != 1.0:
-            src = np.multiply(factor, src, out=_view(scaled, src.shape))
-        return _deriv(grid, src, axis, out)
+        return _deriv(grid, v[lo:hi], axis, out, factor, scaled)
     return _stencil(out, v, lo, hi, grid.spacing[0], factor, _view(scaled, out.shape))
 
 

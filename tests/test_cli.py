@@ -465,6 +465,18 @@ def test_cylinder_csv_beyond_available_memory_is_a_config_error(invoke, tmp_path
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("below", ["sub", None], ids=["under-a-file", "at-a-file"])
+def test_unwritable_output_directory_is_a_config_error(invoke, tmp_path, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / below if below else blocker
+    code, out, err = invoke("soliton-residual", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err == f"config error: cannot write output: {out_dir}: " + (
+        "Not a directory\n" if below else "File exists\n")
+    assert blocker.read_text() == ""
+
+
 def test_resampled_csv_peak_stays_within_700_bytes_per_row(tmp_path):
     traj = cylinder.run_flow(cylinder.CylinderState(lam=1.0, h=math.sqrt(0.1), beta=1.0))
     dt_out = 1e-4
@@ -875,6 +887,21 @@ def test_sweep_exit_code_is_the_worst_run(invoke, tmp_path):
     }
     assert not (out_dir / "bad").exists()
     assert not (out_dir / "input").exists()
+
+
+def test_sweep_goes_on_past_an_unwritable_run_directory(invoke, tmp_path):
+    sweep = write_config(tmp_path, {"runs": [{"name": "blocked"}, {"name": "free"}]},
+                         name="sweep.json")
+    out_dir = tmp_path / "sweep_out"
+    out_dir.mkdir()
+    (out_dir / "blocked").write_text("")
+    code, out, err = invoke("soliton-residual", "--sweep", sweep, "--out", str(out_dir))
+    assert code == 2 and err == ""
+    blocked, free = out.splitlines()
+    assert blocked == ("[blocked] config error: cannot write output: "
+                       f"{out_dir / 'blocked'}: File exists")
+    assert free.startswith("[free] soliton-residual")
+    assert (out_dir / "free" / "soliton_residual.json").exists()
 
 
 @pytest.mark.parametrize("names", [["a", ".."], ["a", "."], ["a", "b", "a"],

@@ -160,6 +160,19 @@ def test_torsion_rejects_ricci_case(flow_ricci):
         torsion_divergence(flow_ricci)
 
 
+@pytest.mark.parametrize("n_samples", [0, 2])
+def test_blowup_rejects_fewer_than_three_samples(flow_half, n_samples):
+    with pytest.raises(ValueError, match="n_samples must be at least 3"):
+        blowup_analysis(flow_half, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("fit_points", [0, 1])
+def test_torsion_rejects_fewer_than_two_fit_points(flow_half, fit_points):
+    # one point fits no line: numpy's polyfit would warn and return 3.13
+    with pytest.raises(ValueError, match="fit_points must be at least 2"):
+        torsion_divergence(flow_half, fit_points=fit_points)
+
+
 def test_csv_output(flow_half):
     lines = flow_half.to_csv(dt_out=0.25).splitlines()
     assert lines[0] == "t,lambda,h,beta,lambda_h2,u,lambda_h_beta,torsion_integral"
