@@ -432,8 +432,9 @@ def _run_entropy(cfg: dict) -> str:
 
     p = cfg["parameters"]
     traj = _flow(cfg)
-    weights = entropy.conjugate_heat_homogeneous(traj, u0=p["u0"], T_ref=p["T_ref"])
-    trace = entropy.entropy_derivative_check(traj, weights, dt=p["dt"], t_max=p["t_max"])
+    u = entropy.conjugate_heat_homogeneous(traj, u0=p["u0"])
+    trace = entropy.entropy_derivative_check(traj, u, dt=p["dt"], t_max=p["t_max"],
+                                             T_ref=p["T_ref"])
     dest = _written(cfg, ("csv", "entropy.csv", trace.to_csv))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])) / trace.mass[0])
     # without the derivative check both columns are NaN, and so are these

@@ -8,13 +8,14 @@ the homogeneous flow writes its sphere's Ric = g/2, R = 1/lam in _w_values,
 and the Gaussian and soliton testbeds read warped.curvature (unit sphere).
 
 * The homogeneous S^2 x S^1 flow: every spatial integral collapses to a
-  product, the weight u(t) solves a scalar linear ODE, and the entropy
-  and its two derivative routes (finite difference vs the curvature
-  formula) are closed-form products.  The formula derivative is strictly
-  positive on this family.
-  entropy_derivative_check is its one sampler: at dt = 0 it evaluates W
-  and the mass only, at dt > 0 it also runs both derivative routes, and
-  every sample t - dt and t + dt must lie on the flow; a T_ref inside the
+  product, the weight is a function u(t) of time alone that solves a
+  scalar linear ODE, and the entropy and its two derivative routes
+  (finite difference vs the curvature formula) are closed-form products.
+  The formula derivative is strictly positive on this family.
+  entropy_derivative_check is its one sampler, and the one owner of the
+  reference time in tau = T_ref - t: at dt = 0 it evaluates W and the
+  mass only, at dt > 0 it also runs both derivative routes, and every
+  sample t - dt and t + dt must lie on the flow; a T_ref inside the
   default window is an error at every dt.
 * Gaussian weights on the S^2 x R cylinder flow: the weight is
   inhomogeneous in r, its two exponents solve an ODE pair, and W, the
@@ -35,8 +36,8 @@ H2 = 2 h^2 g, |sigma|^2 = 2 (h' - f' h)^2 for the twisted codifferential
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .warped import (
 )
 
 __all__ = [
-    "HeatWeightPath",
     "EntropyTrace",
     "conjugate_heat_homogeneous",
     "entropy_derivative_check",
@@ -69,37 +69,23 @@ SPHERE_AREA = 8.0 * np.pi  # area of the Ric = g/2 sphere (radius sqrt 2)
 CIRCLE_LENGTH = 2.0 * np.pi  # circle length at beta = 1
 
 
-@dataclass
-class HeatWeightPath:
-    """Weight u(t) along a flow, with dense evaluation between samples;
-    T_ref fixes tau = T_ref - t for the entropy evaluated on it."""
-
-    times: np.ndarray
-    u: np.ndarray
-    T_ref: float
-    _dense: object = field(repr=False)
-
-    def u_at(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(self._dense(t), dtype=float).reshape(t.shape)
-
-
 def conjugate_heat_homogeneous(
     traj: CylinderTrajectory,
     u0: Optional[float] = None,
-    T_ref: Optional[float] = None,
-) -> HeatWeightPath:
-    """Solve u' = (1/lam - (3/2) h^2) u along the trajectory.
+) -> Callable[..., np.ndarray]:
+    """The weight u(t) solving u' = (1/lam - (3/2) h^2) u along the trajectory.
 
     This integrates the conjugate-heat reduction as its own initial value
     problem over the trajectory's dense output; it does not reuse the
     flow identity (ln u)' = -(ln lam beta)', so mass conservation stays a
-    genuine two-route check downstream.
+    genuine two-route check downstream.  u maps times on the flow to an
+    array of their shape, read from the solve's dense output.  The
+    equation has no reference time: entropy_derivative_check owns T_ref.
 
     u0 defaults to the weight of unit total mass on the initial state,
-    1 / (SPHERE_AREA CIRCLE_LENGTH lam0 beta0).  T_ref defaults to the
-    detected singular time.  u0 must be positive, as the entropy takes log u,
-    and above about 2.5e-310, where the solve's atol u0 * 1e-14 underflows.
+    1 / (SPHERE_AREA CIRCLE_LENGTH lam0 beta0).  u0 must be positive, as
+    the entropy takes log u, and above about 2.5e-310, where the solve's
+    atol u0 * 1e-14 underflows.
     """
     if u0 is None:
         u0 = 1.0 / (SPHERE_AREA * CIRCLE_LENGTH * traj.initial.lam * traj.initial.beta)
@@ -108,13 +94,6 @@ def conjugate_heat_homogeneous(
         raise ValueError("u0 must be positive")
     if not u0 * 1e-14 > 0:
         raise ValueError("u0 is too small: its solver tolerance u0 * 1e-14 underflows to 0")
-    if T_ref is None:
-        if traj.T_sing is None:
-            raise RuntimeError("flow did not collapse; pass an explicit T_ref")
-        T_ref = traj.T_sing
-    T_ref = float(T_ref)
-    if not np.isfinite(T_ref):
-        raise ValueError("T_ref must be finite")
 
     def rhs(t, y):
         lam, h = traj.state_at(t)[:2]
@@ -129,12 +108,12 @@ def conjugate_heat_homogeneous(
     )
     if run.termination != "reached_tmax":
         raise RuntimeError("conjugate-heat integration ended by " + run.termination)
-    return HeatWeightPath(
-        times=traj.times,
-        u=run.sol(traj.times)[0],
-        T_ref=T_ref,
-        _dense=lambda t: run.sol(t)[0],
-    )
+
+    def u(t):
+        t = np.asarray(t, dtype=float)
+        return np.asarray(run.sol(t)[0], dtype=float).reshape(t.shape)
+
+    return u
 
 
 @dataclass
@@ -175,19 +154,20 @@ def _integrand(k: Curvature, h2, sigma2, tau, u):
     return (2.0 * tau * (m_r * m_r + 2.0 * m_s * m_s) + 0.5 * tau * sigma2 - h2) * u
 
 
-def _w_values(traj, weights, times):
-    """(times, tau, curvature, h^2, mass, W) of the homogeneous testbed."""
+def _w_values(traj, u, T_ref, times):
+    """(times, tau, curvature, h^2, mass, W) of the homogeneous testbed
+    with weight u(t) and tau = T_ref - t."""
     times = np.asarray(times, dtype=float)
-    tau = weights.T_ref - times
+    tau = T_ref - times
     _check_tau(tau)
     lam, h, beta, _ = traj.state_at(times)
-    u = weights.u_at(times)
-    if np.any(u <= 0):
+    weight = u(times)
+    if np.any(weight <= 0):
         raise ValueError("entropy needs a positive weight")
     # total weight u V, V = 8 pi lam L beta with circle length L =
     # CIRCLE_LENGTH; constant in exact arithmetic
-    m = u * SPHERE_AREA * lam * CIRCLE_LENGTH * beta
-    f = -np.log(u) - 1.5 * np.log(4.0 * np.pi * tau)
+    m = weight * SPHERE_AREA * lam * CIRCLE_LENGTH * beta
+    f = -np.log(weight) - 1.5 * np.log(4.0 * np.pi * tau)
     # the flow's Ric = g/2 sphere, flat circle and constant f; curvature at
     # phi = sqrt(2 lam) would round phi^2
     k = Curvature(ric_r=0.0, ric_s=0.5 / lam, hess_r=0.0, hess_s=0.0, R=1.0 / lam,
@@ -247,13 +227,17 @@ def _samples(values, name: str, span=None, dt: float = 0.0) -> np.ndarray:
 
 def entropy_derivative_check(
     traj: CylinderTrajectory,
-    weights: HeatWeightPath,
+    u: Callable[..., np.ndarray],
     dt: float = 1e-4,
     times=None,
     t_max: Optional[float] = None,
+    T_ref: Optional[float] = None,
 ) -> EntropyTrace:
-    """Shrinking entropy along the flow, tau = weights.T_ref - t, and at
+    """Shrinking entropy along the flow with weight u(t), as
+    conjugate_heat_homogeneous returns it, and tau = T_ref - t, and at
     dt > 0 its central finite difference against the curvature formula.
+    T_ref defaults to the detected singular time, RuntimeError is raised
+    when the flow did not collapse, and an explicit T_ref must be finite.
 
     Homogeneous reduction: W is the shared density with R = 1/lam and
     f = -ln u - (3/2) ln(4 pi tau), weighted by the mass, and dW_formula
@@ -263,7 +247,7 @@ def entropy_derivative_check(
 
     Samples: explicit times must be a finite, non-empty 1-d array with
     every t - dt and t + dt on the flow, and t_max does not apply to them.
-    The default window is the weight's samples up to t_max whose stencil
+    The default window is the flow's steps up to t_max whose stencil
     stays on the flow; a T_ref at or before its last sample raises
     ValueError, at every dt.  At dt > 0 the window then keeps only the
     samples whose tau is at least 50 dt.  Every sample needs tau > 0.
@@ -275,31 +259,38 @@ def entropy_derivative_check(
     """
     if not dt >= 0:
         raise ValueError("dt must be positive, or 0 to skip the derivative check")
-    t0, t1 = float(weights.times[0]), float(traj.t_end)
+    if T_ref is None:
+        if traj.T_sing is None:
+            raise RuntimeError("flow did not collapse; pass an explicit T_ref")
+        T_ref = traj.T_sing
+    T_ref = float(T_ref)
+    if not np.isfinite(T_ref):
+        raise ValueError("T_ref must be finite")
+    t0, t1 = float(traj.times[0]), float(traj.t_end)
     if times is None:
-        times = weights.times
+        times = traj.times
         keep = (times - dt >= t0) & (times + dt <= t1)
         if t_max is not None:
             keep &= times <= t_max
         times = times[keep]
-        if times.size and not weights.T_ref > times[-1]:
+        if times.size and not T_ref > times[-1]:
             raise ValueError("tau = T_ref - t must stay positive on the samples: T_ref = %.6g is "
-                             "not past the window's last sample t = %.6g" % (weights.T_ref, times[-1]))
+                             "not past the window's last sample t = %.6g" % (T_ref, times[-1]))
         if dt > 0:
             # tau well clear of the step keeps the central difference meaningful
-            times = times[weights.T_ref - times >= 50.0 * dt]
+            times = times[T_ref - times >= 50.0 * dt]
         if times.size == 0:
             raise ValueError("no sample times in the default window")
     else:
         times = _samples(times, "times", (t0, t1), dt)
 
-    times, tau, k, h2, m, W = _w_values(traj, weights, times)
+    times, tau, k, h2, m, W = _w_values(traj, u, T_ref, times)
     if dt == 0:
         return _entropy_trace(times, tau, W, m)
     return _entropy_trace(
         times, tau, W, m, dt,
-        W_plus=_w_values(traj, weights, times + dt)[5],
-        W_minus=_w_values(traj, weights, times - dt)[5],
+        W_plus=_w_values(traj, u, T_ref, times + dt)[5],
+        W_minus=_w_values(traj, u, T_ref, times - dt)[5],
         dW_formula=_integrand(k, h2, 0.0, tau, m),
     )
 

@@ -6,7 +6,6 @@ measured numbers (visible with -s, or in the captured output of a
 failure).  Tolerances are stated inline next to each assertion.
 """
 
-import dataclasses
 import math
 import time
 
@@ -213,7 +212,7 @@ def test_criterion_7_entropy_machinery():
 
     # measured finite-difference order from a dt halving; heavier weights
     # keep the truncation term above rounding
-    big = conjugate_heat_homogeneous(ricci, u0=1.0, T_ref=1.0)
+    big = conjugate_heat_homogeneous(ricci, u0=1.0)
     order_times = np.linspace(0.1, 0.7, 13)
     gaps = [
         float(entropy_derivative_check(ricci, big, dt=dt, times=order_times).gap.max())
@@ -226,25 +225,22 @@ def test_criterion_7_entropy_machinery():
     # collapse, where the stretched-reference W''' makes dt^2 truncation
     # overtake the bound), then a dense search of the exact formula
     # derivative for a negative sample, right up to the collapse floor.
-    # The weight does not depend on T_ref, so one solve serves both
-    # reference times.
     hom_min = math.inf
     hom_argmin = None
     for h0sq in (0.1, 0.3, 0.5, 0.7, 1.0, 1.5):
         traj = run_flow(CylinderState(1.0, math.sqrt(h0sq), 1.0))
-        w_sing = conjugate_heat_homogeneous(traj, T_ref=traj.T_sing)
+        u = conjugate_heat_homogeneous(traj)
         for stretch in (1.0, 2.0):
             T_ref = traj.T_sing * stretch
-            w = dataclasses.replace(w_sing, T_ref=T_ref)
             ts = np.linspace(0.05, min(traj.T_sing - 0.6, traj.t_end - 1e-3), 10)
-            tr = entropy_derivative_check(traj, w, dt=1e-4, times=ts)
+            tr = entropy_derivative_check(traj, u, dt=1e-4, times=ts, T_ref=T_ref)
             assert np.abs(tr.mass - tr.mass[0]).max() / tr.mass[0] < 1e-9
             assert tr.gap.max() < 1e-6
             # the FD stencil cannot reach the floor, so evaluate the same
             # formula, dW = [2 tau (2 A_s^2 + A_r^2) - h^2] mass, directly
             # on a dense grid there
             dense_ts = np.linspace(0.01, traj.t_end - 1e-9, 200)
-            dense = entropy_derivative_check(traj, w, dt=0, times=dense_ts)
+            dense = entropy_derivative_check(traj, u, dt=0, times=dense_ts, T_ref=T_ref)
             assert np.abs(dense.mass - dense.mass[0]).max() / dense.mass[0] < 1e-9
             states = np.array([traj.state_at(t) for t in dense_ts])
             lam, h2 = states[:, 0], states[:, 1] ** 2

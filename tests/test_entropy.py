@@ -25,23 +25,23 @@ from grflab.warped import (
 
 @pytest.fixture(scope="module")
 def weights_ricci(flow_ricci):
-    return conjugate_heat_homogeneous(flow_ricci, T_ref=1.0)
+    return conjugate_heat_homogeneous(flow_ricci)
 
 
 @pytest.fixture(scope="module")
 def weights_half(flow_half):
-    return conjugate_heat_homogeneous(flow_half, T_ref=2.0)
+    return conjugate_heat_homogeneous(flow_half)
 
 
 def test_conjugate_heat_closed_forms(flow_ricci, flow_half, weights_ricci, weights_half):
     # the default u0 gives unit initial mass: 1/(16 pi^2) at lambda0 = beta0 = 1
     u0 = 1.0 / (16.0 * np.pi**2)
-    assert weights_ricci.u[0] == weights_half.u[0] == u0
+    assert weights_ricci(0.0) == weights_half(0.0) == u0
     # h0 = 0: u = u0/(1-t); h0^2 = 1/2: u = u0 (1 - t/2)^{-1/2}
     ts = np.linspace(0.0, 0.9, 91)
-    assert np.abs(weights_ricci.u_at(ts) - u0 / (1.0 - ts)).max() / u0 < 1e-9
+    assert np.abs(weights_ricci(ts) - u0 / (1.0 - ts)).max() / u0 < 1e-9
     ts = np.linspace(0.0, 1.9, 96)
-    assert np.abs(weights_half.u_at(ts) - u0 * (1.0 - ts / 2.0) ** -0.5).max() / u0 < 1e-9
+    assert np.abs(weights_half(ts) - u0 * (1.0 - ts / 2.0) ** -0.5).max() / u0 < 1e-9
 
 
 @pytest.mark.parametrize("h0sq", [0.0, 0.1, 0.5])
@@ -87,17 +87,18 @@ def test_derivative_check_gap_small(flow_ricci, weights_ricci):
 def test_gap_above_its_bound_is_a_runtime_error(flow_ricci, weights_ricci):
     # a constant weight does not solve the conjugate heat equation, so the
     # finite difference of W leaves the curvature formula by O(1)
-    frozen = dataclasses.replace(weights_ricci, _dense=lambda t: np.full_like(t, weights_ricci.u[0]))
+    u0 = weights_ricci(0.0)
     with pytest.raises(RuntimeError, match="derivative routes disagree"):
-        entropy_derivative_check(flow_ricci, frozen, times=np.linspace(0.1, 0.8, 15))
+        entropy_derivative_check(flow_ricci, lambda t: np.full_like(t, u0),
+                                 times=np.linspace(0.1, 0.8, 15))
 
 
 def test_nan_gap_is_a_runtime_error(flow_half, weights_half):
     # tau near 1e308 overflows W to -inf: every gap is NaN and the bound
     # inf, and neither may pass as an agreement
-    far = dataclasses.replace(weights_half, T_ref=1e308)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="derivative routes disagree"):
-        entropy_derivative_check(flow_half, far, times=np.linspace(0.1, 1.5, 15))
+        entropy_derivative_check(flow_half, weights_half, times=np.linspace(0.1, 1.5, 15),
+                                 T_ref=1e308)
 
 
 def test_skewed_formula_fails_both_testbeds(flow_half, weights_half, monkeypatch):
@@ -202,7 +203,7 @@ def test_shared_formula_reaches_every_testbed(flow_half, weights_half, off_separ
 def test_derivative_check_fd_order(flow_ricci):
     # large-mass weights push the fd truncation above rounding so the
     # second-order collapse of the gap is measurable
-    weights = conjugate_heat_homogeneous(flow_ricci, u0=1.0, T_ref=1.0)
+    weights = conjugate_heat_homogeneous(flow_ricci, u0=1.0)
     times = np.linspace(0.1, 0.7, 13)
     gaps = []
     for dt in (4e-3, 2e-3):
@@ -319,23 +320,21 @@ def test_trace_csv_header(flow_ricci, weights_ricci):
     pytest.param([0.5, 1.5], "tau = T_ref - t must stay positive", id="tau"),
 ])
 def test_explicit_samples_are_rejected_by_name(flow_half, weights_half, dt, times, message):
-    early = dataclasses.replace(weights_half, T_ref=1.0)
     with pytest.raises(ValueError, match=message):
-        entropy_derivative_check(flow_half, early, dt=dt, times=times)
+        entropy_derivative_check(flow_half, weights_half, dt=dt, times=times, T_ref=1.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, 1e-4])
 def test_reference_time_inside_the_window_is_rejected(flow_half, weights_half, dt):
     # T_sing = 2: a T_ref of 1.2 falls inside the default window on both dt
     # paths, and the late samples are not silently dropped
-    early = dataclasses.replace(weights_half, T_ref=1.2)
     with pytest.raises(ValueError, match=r"tau = T_ref - t must stay positive on the samples: "
                                          r"T_ref = 1\.2 is not past the window's last sample t = (2|1\.99)"):
-        entropy_derivative_check(flow_half, early, dt=dt)
+        entropy_derivative_check(flow_half, weights_half, dt=dt, T_ref=1.2)
     # capped at t_max = 1 the window ends before T_ref, and the tau >= 50 dt
     # margin removes none of it
-    capped = entropy_derivative_check(flow_half, early, dt=dt, t_max=1.0)
-    window = weights_half.times
+    capped = entropy_derivative_check(flow_half, weights_half, dt=dt, t_max=1.0, T_ref=1.2)
+    window = flow_half.times
     window = window[(window - dt >= 0.0) & (window + dt <= flow_half.t_end) & (window <= 1.0)]
     assert np.array_equal(capped.times, window)
 
@@ -343,8 +342,8 @@ def test_reference_time_inside_the_window_is_rejected(flow_half, weights_half, d
 def test_dt_zero_trace_is_the_check_without_its_derivatives(flow_half, weights_half):
     plain = entropy_derivative_check(flow_half, weights_half, dt=0)
     checked = entropy_derivative_check(flow_half, weights_half, dt=1e-4)
-    # the dt = 0 default window is every weight sample, the ends included
-    assert np.array_equal(plain.times, weights_half.times)
+    # the dt = 0 default window is every step of the flow, the ends included
+    assert np.array_equal(plain.times, flow_half.times)
     both = np.isin(plain.times, checked.times)
     assert 0 < both.sum() == checked.times.size < plain.times.size
     for name in ("times", "tau", "W", "mass"):
@@ -361,10 +360,10 @@ def test_validation_errors(flow_ricci, weights_ricci):
     with pytest.raises(ValueError):
         conjugate_heat_homogeneous(flow_ricci, u0=0.0)
     no_collapse = run_flow(CylinderState(1.0, 0.3, 1.0), tmax=0.1)
-    with pytest.raises(RuntimeError):
-        conjugate_heat_homogeneous(no_collapse, u0=1.0)
+    with pytest.raises(RuntimeError, match="flow did not collapse; pass an explicit T_ref"):
+        entropy_derivative_check(no_collapse, conjugate_heat_homogeneous(no_collapse, u0=1.0))
     with pytest.raises(ValueError, match="T_ref must be finite"):
-        conjugate_heat_homogeneous(flow_ricci, u0=1.0, T_ref=np.inf)
+        entropy_derivative_check(flow_ricci, weights_ricci, T_ref=np.inf)
     with pytest.raises(ValueError):
         entropy_derivative_check(flow_ricci, weights_ricci, dt=0, times=np.array([5.0]))
     for dt in (-1e-4, np.nan):

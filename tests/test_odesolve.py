@@ -180,7 +180,7 @@ def events_by_index(traj, n):
             [np.array([y for _, y, _ in recs]) for recs in per_index])
 
 
-def assert_same_run(ours, ref):
+def assert_same_run(ours, ref, points=1000):
     for mine, theirs, name in ((ours.times, ref.t, "t"), (ours.states, ref.y.T, "y"),
                                (ours.termination, STATUS[ref.status], "status"),
                                (ours.nfev, ref.nfev, "nfev")):
@@ -191,10 +191,10 @@ def assert_same_run(ours, ref):
             assert np.array_equal(a, b), f"event {i} differs from {SCIPY}"
     times = [t for t, _, _ in ours.events]
     assert times == sorted(times)
-    # 1,000 points across the run plus every step point, where the
-    # earlier step's interpolant must be the one used
+    # points across the run plus every step point, where the earlier
+    # step's interpolant must be the one used
     ts = ours.sol.ts
-    pts = np.concatenate([np.linspace(ts[0], ts[-1], 1000), ts])
+    pts = np.concatenate([np.linspace(ts[0], ts[-1], points), ts])
     assert np.array_equal(ours.sol(pts), ref.sol(pts)), f"vectorized dense output differs from {SCIPY}"
     for t in pts:
         assert np.array_equal(ours.sol(t), ref.sol(t)), f"dense output at t={t!r} differs from {SCIPY}"
@@ -236,7 +236,7 @@ def test_conjugate_heat_solve_matches_scipy(recorded_solves, scipy_twin):
     assert_same_run(*scipy_twin(*call))
     # u at the flow's steps is the dense output there, as scipy's t_eval gives it
     ref = solve_ivp(*call[0], method="RK45", t_eval=traj.times, **call[1])
-    assert np.array_equal(weights[0].u, ref.y[0]), f"u differs from {SCIPY}"
+    assert np.array_equal(weights[0](traj.times), ref.y[0]), f"u differs from {SCIPY}"
 
 
 def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
@@ -334,3 +334,108 @@ def test_brentq_matches_scipy_on_the_torsion_crossing():
 def test_brentq_matches_scipy(f, a, b):
     ours, ref = brent_iterates(f, a, b)
     assert ours == ref, f"Brent iterates differ from {SCIPY}"
+
+
+# --------------------------------------------------------------------------
+# seeded random twins: the fixed runs above, and problems drawn at random
+
+def _random_problem(rng):
+    """(label, fun, y0) for 1-4 states and a linear, quadratic or tanh
+    right-hand side that stays bounded on every drawn span."""
+    n = int(rng.integers(1, 5))
+    kind = str(rng.choice(("linear", "quadratic", "tanh")))
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    b = rng.uniform(-1.0, 1.0, n)
+    c = rng.uniform(-1.0, 1.0, n)
+    if kind == "linear":
+        return kind, lambda t, y: A @ y + b + c * t, rng.uniform(-1.0, 1.0, n)
+    if kind == "quadratic":
+        # competitive Lotka-Volterra: the diagonal outweighs the coupling,
+        # so positive states stay positive and bounded
+        M = rng.uniform(-0.3, 0.3, (n, n)) / n
+        np.fill_diagonal(M, -rng.uniform(0.5, 2.0, n))
+        return kind, lambda t, y: y * (b + M @ y), rng.uniform(0.1, 2.0, n)
+    return kind, lambda t, y: np.tanh(A @ y + b + c * t), rng.uniform(-1.0, 1.0, n)
+
+
+def _event(rng, g, directions=("rising", "falling", "any"), terminal=None):
+    """EventSpec on the indicator g with a direction drawn from directions;
+    terminal as given, else drawn."""
+    if terminal is None:
+        terminal = bool(rng.random() < 0.3)
+    return EventSpec(g, str(rng.choice(directions)), terminal)
+
+
+def _random_solve(rng, case):
+    """(description, (args, kwargs)) of one odesolve.solve_ivp call.  case
+    forces a hard input on a random problem: 'step-start' puts a root on a
+    step point of the free run, 'one-step' two crossings inside one of its
+    steps, 't0' a terminal root at t0, and 'floor' sets rtol to RTOL_FLOOR
+    on a short span; 'random' and 'floor' draw 0-3 linear events whose
+    level is offset at random from the start."""
+    label, fun, y0 = _random_problem(rng)
+    n = y0.size
+    t0 = float(rng.uniform(-1.0, 1.0))
+    span = (t0, t0 + float(rng.uniform(0.1, 0.5 if case == "floor" else 5.0)))
+    tol = {"rtol": RTOL_FLOOR if case == "floor" else float(10.0 ** rng.uniform(-13.0, -3.0)),
+           "atol": float(10.0 ** rng.uniform(-14.0, -4.0))}
+    events = []
+    if case in ("random", "floor"):
+        for _ in range(int(rng.integers(0, 4))):
+            w, d = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
+            level = float(w @ y0) + d * t0 + float(rng.uniform(-1.0, 1.0))
+            events.append(_event(rng, lambda t, y, w=w, d=d, e=level: w @ y + d * t - e))
+    elif case == "t0":
+        w, d = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
+        events.append(_event(rng, lambda t, y: w @ (y - y0) + d * (t - t0), ("any",), True))
+    else:
+        free = odesolve.solve_ivp(fun, span, y0, **tol)
+        k = int(rng.integers(1, free.times.size - 1))
+        if case == "step-start":
+            t_k = float(free.times[k])
+            events.append(_event(rng, lambda t, y: t - t_k, ("rising", "any")))
+        else:
+            s1, s2 = np.sort(rng.uniform(free.times[k], free.times[k + 1], 2))
+            w = rng.uniform(-1.0, 1.0, n)
+            level = float(w @ free.sol(s2))
+            events.append(_event(rng, lambda t, y: t - s1, ("any",), False))
+            events.append(_event(rng, lambda t, y: w @ y - level, ("any",)))
+    desc = f"{case} {label} n={n} span={span} {tol} events={len(events)}"
+    return desc, ((fun, span, y0), dict(tol, events=tuple(events)))
+
+
+_TWIN_CASES = ("step-start", "one-step", "t0", "floor") + ("random",) * 6
+
+
+def test_random_problems_match_scipy(scipy_twin):
+    rng = np.random.default_rng(20240915)
+    for i in range(100):
+        desc, call = _random_solve(rng, _TWIN_CASES[i % len(_TWIN_CASES)])
+        try:
+            assert_same_run(*scipy_twin(*call), points=200)
+        except AssertionError as exc:
+            raise AssertionError(f"problem {i} ({desc}): {exc}") from exc
+
+
+def _random_smooth(rng):
+    """(f, a, b): a random smooth function of x with a root r drawn inside
+    a random bracket; other roots may lie in the bracket too."""
+    r = float(rng.uniform(-5.0, 5.0))
+    a, b = r - float(10.0 ** rng.uniform(-3.0, 1.0)), r + float(10.0 ** rng.uniform(-3.0, 1.0))
+    coef = rng.uniform(-2.0, 2.0, 4)
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return (lambda x: coef[0] * (x - r) + coef[1] * (x - r) ** 2 + coef[2] * (x - r) ** 3), a, b
+    if kind == 1:
+        s = float(10.0 ** rng.uniform(-1.0, 2.0))
+        return (lambda x: np.tanh(s * (x - r)) + coef[0] * np.sin(coef[1] * (x - r))), a, b
+    return (lambda x: np.exp(coef[0] * (x - r)) - 1.0 + coef[1] * (x - r) ** 2), a, b
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(20240916)
+    for i in range(200):
+        f, a, b = _random_smooth(rng)
+        xtol = float(10.0 ** rng.uniform(-14.0, -4.0))
+        ours, ref = brent_iterates(f, a, b, xtol=xtol)
+        assert ours == ref, f"bracket {i} ({a!r}, {b!r}), xtol {xtol!r}: Brent iterates differ from {SCIPY}"

@@ -41,7 +41,7 @@ def test_tracer_counts_the_conjugate_heat_solve():
     t = tracer.Tracer()
     try:
         tracer.install(t)
-        entropy.conjugate_heat_homogeneous(traj, u0=1.0, T_ref=1.0)
+        entropy.conjugate_heat_homogeneous(traj, u0=1.0)
     finally:
         t.uninstall()
     assert t.counts["entropy.conjugate_heat_homogeneous.nfev"] > 0

@@ -19,7 +19,7 @@ The committed record is tools/golden.txt:
 headers, when the header differs (another Python, numpy or SIMD set), in
 which case nothing is compared.
 
-Standard library only; 42 runs in 15-16 s on 2 cores.
+Standard library only; 44 runs in 21-22 s on 2 cores.
 """
 from __future__ import annotations
 
@@ -80,6 +80,11 @@ RUNS = (
     ("entropy", "--dump-config"),
     # a flow that starts inside the torsion fit's decade fails on one line
     ("torsion", "--lam0", "2e-8", "--h0sq", "0.5", "--fit-points", "2"),
+    # a flow that does not collapse: without a reference time the entropy
+    # sampler has no tau and fails on one line; with one it runs the
+    # derivative check
+    ("entropy", "--lam0", "100"),
+    ("entropy", "--lam0", "100", "--T-ref", "200"),
 )
 
 
