@@ -41,6 +41,7 @@ its own subdirectory:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 # OpenBLAS starts a spinning worker thread per extra core when numpy
-# loads, yet grflab's only BLAS calls (odesolve's np.dot and norm on at
-# most 7 x 4 arrays) are far below the size it splits across threads.
+# loads, yet grflab's only BLAS calls (odesolve's np.dot on at most
+# 7 x 4 arrays) are far below the size it splits across threads.
 # Set before numpy's first import, so it reaches every CLI process; a
 # caller's own value is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -772,5 +773,18 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """The program entry of `python -m grflab.cli` and the grflab console script."""
+    # The collections an exiting interpreter runs walk every object the
+    # imports made, some 21,000 after numpy; a full collection of them
+    # takes 6-10 ms.  Frozen, they are skipped: a fresh `import grflab.cli`
+    # process went from 132.6 to 116.9 ms (medians of 21 alternating
+    # fresh processes, 2 cores) at the same peak RSS.  Frozen objects are
+    # never collected, so only a fresh process freezes: main(), called
+    # in-process, leaves its caller's collector as it was.
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

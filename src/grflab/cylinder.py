@@ -50,7 +50,9 @@ class CylinderState:
 
 
 def _rhs(t, y):
-    lam, h, beta, _ = y
+    lam, h, beta, _ = y.tolist()
+    if lam == 0.0:
+        lam = y[0]  # an np.float64: h / 0 is inf or nan, as numpy divides
     h2 = h * h
     return np.array(
         [-1.0 + lam * h2, h / lam - 1.5 * h2 * h, 0.5 * h2 * beta, 6.0 * h2]

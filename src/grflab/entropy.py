@@ -96,7 +96,9 @@ def conjugate_heat_homogeneous(
         raise ValueError("u0 is too small: its solver tolerance u0 * 1e-14 underflows to 0")
 
     def rhs(t, y):
-        lam, h = traj.state_at(t)[:2]
+        # Python floats: on the solve's span lam stays at or above the
+        # flow's positive floor, so 1 / lam never divides by zero
+        lam, h = traj.state_at(t)[:2].tolist()
         return (1.0 / lam - 1.5 * h * h) * y
 
     run = solve_ivp(

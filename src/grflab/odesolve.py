@@ -8,6 +8,14 @@ control, stage and error sums, interpolant, segment choice and event
 location, so every step, event and dense value equals scipy's bit for
 bit.  brentq is a port of scipy's C Brent root finder.
 
+Every sum over stages is scipy's np.dot on the same arrays: the stage,
+weight and error sums, the error norm (the dot of x with itself that
+np.linalg.norm forms) and the interpolant.  The scalar bookkeeping
+around them runs on Python floats, which round as numpy's float64
+scalars do: times, step sizes, the step factor and the events' sign
+tests.  The interpolant's powers x, x^2, x^3 and x^4 are the running
+products that scipy's cumprod forms.
+
 solve_ivp and integrate take the same arguments, a right-hand side,
 t_span and y0 and the keywords events, rtol and atol, and both return a
 Trajectory.  solve_ivp is the bare solver and the one place that checks
@@ -20,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,7 +59,7 @@ BLOWUP_CEILING = 1e12
 # the error weights E (fifth minus fourth order, over the six stages and
 # the first-same-as-last stage).  P maps the seven stages to Shampine's
 # quartic dense output with the optimal c6.
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_C = [0.0, 1/5, 3/10, 4/5, 8/9, 1.0]
 _A = np.array([
     [0, 0, 0, 0, 0],
     [1/5, 0, 0, 0, 0],
@@ -145,13 +152,16 @@ class _Step:
     def __call__(self, t):
         x = (t - self.t_old) / self.h
         if isinstance(x, float):
-            x = float(x)
             x2 = x * x
             x3 = x2 * x
             y = self.h * np.dot(self.Q, np.array([x, x2, x3, x3 * x]))
             y += self.y_old
             return y
-        p = np.cumprod(np.tile(x, (self.Q.shape[1], 1)), axis=0)
+        p = np.empty((4, x.size))
+        p[0] = x
+        np.multiply(x, x, out=p[1])
+        np.multiply(p[1], x, out=p[2])
+        np.multiply(p[2], x, out=p[3])
         y = self.h * np.dot(self.Q, p)
         y += self.y_old[:, None]
         return y
@@ -160,8 +170,9 @@ class _Step:
 class OdeSolution:
     """Piecewise dense output of a run, callable on a time or a 1-d array.
 
-    A time on a step point takes the earlier step's interpolant; times
-    outside [ts[0], ts[-1]] take the nearest end step's.
+    A time gives shape (n,), an array of m times shape (n, m).  A time on
+    a step point takes the earlier step's interpolant; times outside
+    [ts[0], ts[-1]] take the nearest end step's.
     """
 
     def __init__(self, ts, steps):
@@ -171,26 +182,31 @@ class OdeSolution:
 
     def __call__(self, t):
         if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
             k = bisect_left(self._breaks, t) - 1
             return self.steps[min(max(k, 0), len(self.steps) - 1)](t)
         t = np.asarray(t)
+        if t.ndim != 1:
+            raise ValueError(f"t must be a time or a 1-d array, got shape {t.shape}")
+        if t.size == 0:
+            return np.empty((self.steps[0].y_old.size, 0))
         order = np.argsort(t)
         reverse = np.empty_like(order)
         reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
         segments = np.searchsorted(self.ts, t_sorted, side="left") - 1
         np.clip(segments, 0, len(self.steps) - 1, out=segments)
-        ys = []
-        start = 0
-        for k, group in groupby(segments):
-            end = start + len(list(group))
-            ys.append(self.steps[k](t_sorted[start:end]))
-            start = end
+        # one run of equal segments per step that holds a time
+        starts = [0, *(np.flatnonzero(np.diff(segments)) + 1).tolist()]
+        ys = [self.steps[segments[a]](t_sorted[a:b])
+              for a, b in zip(starts, starts[1:] + [t.size])]
         return np.hstack(ys)[:, reverse]
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm's own sum for a 1-d real x, kept an np.float64 so that
+    # a zero norm divides as numpy does
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -213,13 +229,13 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _active_events(g, g_new, direction):
-    g, g_new = np.asarray(g), np.asarray(g_new)
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    either = up | down
-    mask = up & (direction > 0) | down & (direction < 0) | either & (direction == 0)
-    return np.nonzero(mask)[0]
+def _active_events(g, g_new, directions):
+    """Indices whose indicator went from g to g_new across 0 in the event's
+    direction: up for 1, down for -1, either for 0.  A NaN crosses nothing."""
+    return [
+        i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+        if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)
+    ]
 
 
 def solve_ivp(
@@ -262,21 +278,24 @@ def solve_ivp(
         return out
 
     f = rhs(t0, y0)
-    h_abs = _initial_step(rhs, t0, y0, tf, f, rtol, atol)
+    h_abs = float(_initial_step(rhs, t0, y0, tf, f, rtol, atol))
     nfev = 2
     K = np.empty((_B.size + 1, y0.size))
+    # the stage, weight and error sums read K through these fixed views
+    stages = [(s, K[:s].T, _A[s, :s], _C[s]) for s in range(1, _B.size)]
+    K_B, K_E = K[:-1].T, K.T
     t, y = t0, y0
     ts, ys = [t0], [y0]
     steps = []
 
-    directions = np.array([_DIRECTIONS[e.direction] for e in events])
+    directions = [_DIRECTIONS[e.direction] for e in events]
     terminal = np.array([e.terminal for e in events], dtype=bool)
     g = [event(t0, y0) for event in events]
     found = []
 
     termination = None
     while termination is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -288,19 +307,19 @@ def solve_ivp(
             if t_new > tf:
                 t_new = tf
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             K[0] = f
-            for s in range(1, _B.size):
-                dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = rhs(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+            for s, K_s, a, c in stages:
+                dy = np.dot(K_s, a) * h
+                K[s] = rhs(t + c * h, y + dy)
+            y_new = y + h * np.dot(K_B, _B)
             f_new = rhs(t + h, y_new)
             K[-1] = f_new
             nfev += _B.size  # five new stages and the end-point slope
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            error_norm = float(_rms(np.dot(K_E, _E) * h / scale))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -325,7 +344,8 @@ def solve_ivp(
         if events:
             g_new = [event(t, y) for event in events]
             active = _active_events(g, g_new, directions)
-            if active.size > 0:
+            if active:
+                active = np.array(active)
                 roots = np.asarray([
                     brentq(lambda s, e=events[i]: e(s, step(s)), t_old, t, xtol=4 * EPS)
                     for i in active

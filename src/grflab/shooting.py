@@ -82,7 +82,7 @@ def series_start(r_switch: float = 0.05) -> PhaseState:
 
 
 def _rhs(r, y):
-    u, p = y
+    u, p = y.tolist()
     # the terminal floor keeps u positive; guard anyway so rejected trial
     # steps past the floor cannot take a fractional power of a negative
     u = max(u, 1e-300)

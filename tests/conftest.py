@@ -35,10 +35,9 @@ def recorded_solves(monkeypatch):
     return record
 
 
-@pytest.fixture()
-def scipy_twin():
-    """twin(args, kwargs) -> (in-house result, scipy.integrate.solve_ivp
-    result) for one recorded odesolve.solve_ivp call."""
+def twin(args, kwargs):
+    """(in-house result, scipy.integrate.solve_ivp result) for one recorded
+    odesolve.solve_ivp call."""
     from scipy.integrate import solve_ivp
 
     def adapt(event):
@@ -49,13 +48,17 @@ def scipy_twin():
         ev.terminal = event.terminal
         return ev
 
-    def twin(args, kwargs):
-        ref_kwargs = dict(kwargs)
-        events = ref_kwargs.pop("events", ())
-        ref = solve_ivp(*args, method="RK45", dense_output=True,
-                        events=[adapt(e) for e in events] or None, **ref_kwargs)
-        return odesolve.solve_ivp(*args, **kwargs), ref
+    ref_kwargs = dict(kwargs)
+    events = ref_kwargs.pop("events", ())
+    ref = solve_ivp(*args, method="RK45", dense_output=True,
+                    events=[adapt(e) for e in events] or None, **ref_kwargs)
+    return odesolve.solve_ivp(*args, **kwargs), ref
 
+
+@pytest.fixture()
+def scipy_twin():
+    """twin(args, kwargs) -> (in-house result, scipy.integrate.solve_ivp
+    result) for one recorded odesolve.solve_ivp call."""
     return twin
 
 

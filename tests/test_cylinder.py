@@ -108,6 +108,17 @@ def test_underflowing_run_is_quiet():
     assert traj.termination == "step_underflow"
 
 
+def test_stage_on_lambda_zero_is_quiet():
+    # at atol 1 the first step is the 1e-6 default, lambda0 itself, so the
+    # initial-step probe lands on lambda = 1e-6 - 1e-6 = 0 exactly, where
+    # h / lambda is 0 / 0: a nan, as numpy divides, and no exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_flow(CylinderState(1e-6, 0.0, 1e-7), rtol=1e-3, atol=1.0, lam_floor=1e-7)
+    assert traj.termination == "singularity"
+    assert traj.T_sing == pytest.approx(1e-6, rel=1e-12)  # lambda = lambda0 - t
+
+
 @pytest.mark.parametrize("h0sq", [0.1, 0.3, 0.7])
 def test_blowup_limit_is_half(h0sq):
     traj = run_flow(CylinderState(1.0, np.sqrt(h0sq), 1.0))

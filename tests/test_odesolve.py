@@ -1,5 +1,9 @@
 """Integrator front end: closed forms, event location, termination labels,
 and bit-for-bit agreement with scipy's RK45 and brentq."""
+import importlib.util
+import math
+import os
+
 import numpy as np
 import pytest
 import scipy
@@ -149,6 +153,19 @@ def test_integrate_validation():
         integrate(lambda t, y: np.zeros(3), (0.0, 1.0), [1.0])
 
 
+def test_dense_output_of_no_times_is_empty():
+    traj = integrate(lambda t, y: -y, (0.0, 1.0), [1.0, 2.0])
+    out = traj.sol(np.array([]))
+    assert out.shape == (2, 0)
+    assert out.dtype == float
+
+
+def test_dense_output_rejects_a_2d_time_array():
+    traj = integrate(lambda t, y: -y, (0.0, 1.0), [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"a time or a 1-d array, got shape \(2, 2\)"):
+        traj.sol(np.full((2, 2), 0.5))
+
+
 def test_termination_labels_are_closed_set():
     assert TERMINATIONS == ("reached_tmax", "event", "blowup", "step_underflow")
 
@@ -237,6 +254,27 @@ def test_conjugate_heat_solve_matches_scipy(recorded_solves, scipy_twin):
     # u at the flow's steps is the dense output there, as scipy's t_eval gives it
     ref = solve_ivp(*call[0], method="RK45", t_eval=traj.times, **call[1])
     assert np.array_equal(weights[0](traj.times), ref.y[0]), f"u differs from {SCIPY}"
+
+
+def test_nan_indicator_crosses_nothing_as_in_scipy(recorded_solves, scipy_twin):
+    # y = exp(-t) passes 1/2 at t = ln 2, inside the span where the first
+    # indicator is NaN: NaN compares false, so neither solver sees that
+    # crossing, while the second indicator, NaN there too, crosses at ln 5
+    def g(level):
+        return lambda t, y: math.nan if 0.5 <= t <= 1.0 else y[0] - level
+
+    events = (EventSpec(g(0.5), "any", True), EventSpec(g(0.2), "falling"))
+    runs = []
+    (call,) = recorded_solves(
+        odesolve, lambda: runs.append(integrate(decay, (0.0, 3.0), [1.0], events=events))
+    )
+    ours, ref = scipy_twin(*call)
+    assert_same_run(ours, ref)
+    assert ref.t_events[0].size == 0
+    traj = runs[0]
+    assert traj.termination == "reached_tmax"
+    assert [idx for _, _, idx in traj.events] == [1]
+    assert abs(traj.events[0][0] - math.log(5.0)) < 1e-9
 
 
 def test_step_control_matches_scipy_across_a_jump(recorded_solves, scipy_twin):
@@ -415,6 +453,32 @@ def test_random_problems_match_scipy(scipy_twin):
             assert_same_run(*scipy_twin(*call), points=200)
         except AssertionError as exc:
             raise AssertionError(f"problem {i} ({desc}): {exc}") from exc
+
+
+def test_twin_command_reruns_the_tier_1_draws(capsys):
+    # tools/twins.py, the long run, reuses the generator and the check of
+    # the test above, so at its seed it draws and passes the same problems
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "twins.py")
+    spec = importlib.util.spec_from_file_location("twins", path)
+    twins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(twins)
+    assert twins.main(["20240915", "20"]) == 0
+    assert "seed 20240915: 20 of 20 problems match scipy" in capsys.readouterr().out
+
+
+def test_dense_output_gives_one_value_for_every_form_of_a_time():
+    # a Python float, an np.float64, a 0-d array and a one-element array,
+    # at every step point and every step's midpoint
+    flow = cylinder.run_flow(cylinder.CylinderState(1.0, np.sqrt(0.5), 1.0))
+    _, (args, kwargs) = _random_solve(np.random.default_rng(20241021), "random")
+    for sol in (flow.sol, odesolve.solve_ivp(*args, **kwargs).sol):
+        ts = sol.ts
+        for t in np.concatenate([ts, (ts[:-1] + ts[1:]) / 2]).tolist():
+            y = sol(t)
+            assert y.shape == sol.steps[0].y_old.shape
+            for form in (np.float64(t), np.array(t)):
+                assert np.array_equal(sol(form), y), f"t={t!r} as {type(form).__name__}"
+            assert np.array_equal(sol(np.array([t]))[:, 0], y), f"t={t!r} as a 1-element array"
 
 
 def _random_smooth(rng):

@@ -1,11 +1,13 @@
 """Package-level checks: importing the package loads no scipy and no
 numpy, the CLI starts numpy with one BLAS thread unless the caller sets
-OPENBLAS_NUM_THREADS and its artifacts do not depend on that count, every
-command runs with scipy unimportable, a hodge-check run loads neither
-numpy.ma nor scipy, a run past its data cap exits 2 and every run gives
-the process's data limit back, every exported name exists, only the CLI
-writes files, the CSV formatter keeps its columns, and every demo runs."""
+OPENBLAS_NUM_THREADS and its artifacts do not depend on that count, only
+the program entry freezes the collector's heap, every command runs with
+scipy unimportable, a hodge-check run loads neither numpy.ma nor scipy, a
+run past its data cap exits 2 and every run gives the process's data
+limit back, every exported name exists, only the CLI writes files, the
+CSV formatter keeps its columns, and every demo runs."""
 import ast
+import gc
 import importlib
 import json
 import math
@@ -44,6 +46,18 @@ def _env():
     path = os.environ.get("PYTHONPATH")
     src = str(REPO / "src")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+# Runs `grflab <argv>` as `python -m grflab.cli` would, then prints the exit
+# status, whether the collector holds a frozen heap and whether it is on.
+FROZEN = """
+import gc, json, runpy, sys
+sys.argv = ["grflab", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("grflab.cli", run_name="__main__")
+except SystemExit as exc:
+    print(json.dumps([exc.code, gc.get_freeze_count() > 0, gc.isenabled()]))
+"""
 
 
 def test_package_root_does_not_import_scipy():
@@ -118,11 +132,31 @@ def test_package_root_loads_no_numpy():
     assert run.stdout.split() == ["False", "None"]
 
 
+def test_program_entry_freezes_the_import_heap(tmp_path):
+    # so the collections as the process exits skip what the imports made
+    argv = ["soliton-residual", "--out", str(tmp_path / "out")]
+    run = subprocess.run([sys.executable, "-c", FROZEN, json.dumps(argv)],
+                         capture_output=True, text=True, env=_env(), timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == [0, True, True]
+
+
+def test_console_script_is_the_program_entry():
+    assert 'grflab = "grflab.cli:entry"' in (REPO / "pyproject.toml").read_text()
+
+
+def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # frozen objects are never collected, so only the program entry freezes
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["soliton-residual", "--out", str(tmp_path)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
 @pytest.mark.parametrize("argv", [["cylinder-flow", "--h0sq", "0.5"], ["shoot", "--csv"]],
                          ids=["cylinder-flow", "shoot"])
 def test_artifacts_do_not_depend_on_blas_threads(argv, tmp_path):
-    # both runs make every np.dot and norm call of odesolve's stepper and
-    # dense output
+    # both runs make every np.dot call of odesolve's stepper and dense
+    # output
     outputs = []
     for threads in ("1", "2"):
         cwd = tmp_path / threads

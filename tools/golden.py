@@ -19,7 +19,7 @@ The committed record is tools/golden.txt:
 headers, when the header differs (another Python, numpy or SIMD set), in
 which case nothing is compared.
 
-Standard library only; 44 runs in 21-22 s on 2 cores.
+Standard library only; 44 runs in 16-18 s on 2 cores.
 """
 from __future__ import annotations
 
