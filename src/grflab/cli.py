@@ -45,6 +45,7 @@ import gc
 import json
 import math
 import os
+import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -517,8 +518,12 @@ def _random_trig_form(grid, degree, rng):
 
 def _adjointness_pairs(grid, seed: int) -> list:
     """(alpha_k, beta_{k+1}) for k = 0 .. dim-1, drawn in that order, alpha
-    before beta, from one generator seeded with seed."""
-    rng = np.random.default_rng(seed)
+    before beta, from one `random.Random` seeded with seed.
+
+    Python's generator, not numpy's: tempfile has loaded it already, and
+    it repeats its stream for a seed across Python versions, while
+    numpy.random costs a cold hodge-check 10-15 ms and 6 MB resident."""
+    rng = random.Random(seed)
     return [(_random_trig_form(grid, k, rng), _random_trig_form(grid, k + 1, rng))
             for k in range(grid.dim)]
 
@@ -578,21 +583,30 @@ RUNNERS = {
 _ARG_TYPES = {"float": float, "int": int, "str": str}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The grflab parser; only the named command's subparser gets its
+    schema's flags.
+
+    argparse builds a help formatter, which asks for the terminal's size,
+    for each argument it adds, so a call adds no flag of a command it does
+    not run: 23 arguments for hodge-check, where every command's flags
+    make 102.  The four options every command shares are declared once,
+    in a parent parser."""
     parser = argparse.ArgumentParser(
         prog="grflab",
         description="numerical laboratory for shrinking generalized Ricci solitons",
     )
-    sub = parser.add_subparsers(dest="command")
-    for command in COMMANDS + ("run",):
-        sp = sub.add_parser(command)
-        sp.add_argument("--config", help="strict JSON config file")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--dump-config", action="store_true",
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="strict JSON config file")
+    shared.add_argument("--out", help="output directory")
+    shared.add_argument("--dump-config", action="store_true",
                         help="print the resolved config (a list with --sweep) and exit")
-        sp.add_argument("--sweep", help="JSON sweep file: independent runs")
-        if command == "run":
-            continue
+    shared.add_argument("--sweep", help="JSON sweep file: independent runs")
+    sub = parser.add_subparsers(dest="command")
+    for name in COMMANDS + ("run",):
+        sub.add_parser(name, parents=[shared])
+    if command in SCHEMAS:
+        sp = sub.choices[command]
         for name, spec in SCHEMAS[command].items():
             flag = "--" + name.replace("_", "-")
             if spec.kind == "flag":
@@ -752,7 +766,11 @@ def _run_sweep(command: str, runs: list) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level has no option that takes a value, so argparse runs the
+    # first argument not starting with "-" as the command, or fails on an
+    # earlier one, which names no command either
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -123,7 +123,12 @@ class CylinderTrajectory:
             ts = self.times
             ys = self.states.T
         else:
-            ts = np.arange(self.times[0], self.t_end, dt_out)
+            try:
+                ts = np.arange(self.times[0], self.t_end, dt_out)
+            except ValueError:  # numpy's bare "Maximum allowed size exceeded"
+                rows = float(self.t_end - self.times[0]) / dt_out
+                raise ValueError(f"dt_out={dt_out:g} asks for {rows:.3g} CSV rows, "
+                                 "more than an array can hold") from None
             if self.t_end - ts[-1] > 1e-12:
                 ts = np.append(ts, self.t_end)
             ys = self.state_at(ts)

@@ -1068,16 +1068,19 @@ def closed_three_form(grid: PeriodicGrid, amplitudes=(0.5, 0.4)) -> FormField:
     return d(FormField(grid, 2, comps))
 
 
-def random_trig_form(
-    grid: PeriodicGrid, degree: int, rng: np.random.Generator
-) -> FormField:
+def random_trig_form(grid: PeriodicGrid, degree: int, rng) -> FormField:
     """Random trigonometric k-form: sum over axes of c cos(x + ph) + s sin 2x.
 
-    Draws (c, s, ph) = rng.normal(size=3) per component and axis in
-    lexicographic order.  Each component is a `TrigComponent`, which
-    keeps each axis's two 1-D factors, c cos(x + ph) and s sin 2x, and
-    sums them only for the rows asked for.  A component so costs two
-    lines per axis until something builds its full array.
+    Draws c, s and ph per component and axis, the components in
+    lexicographic order, each from one rng.random() call, u, in that
+    order: c = 2u - 1 and s = 2u - 1, signed amplitudes in [-1, 1), and
+    ph = 2 pi u, a phase in [0, 2 pi).  random() is the one method asked
+    of rng, and a `random.Random` and a numpy Generator both have it; the
+    CLI passes a seeded `random.Random`, so no run loads numpy.random.
+    Each component is a `TrigComponent`, which keeps each axis's two 1-D
+    factors, c cos(x + ph) and s sin 2x, and sums them only for the rows
+    asked for.  A component so costs two lines per axis until something
+    builds its full array.
     """
     if degree > grid.dim:
         return FormField.zero(grid, degree)
@@ -1086,7 +1089,8 @@ def random_trig_form(
     for idx in itertools.combinations(range(grid.dim), degree):
         lines = []
         for xa in x:
-            c, s, ph = rng.normal(size=3)
+            c, s = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+            ph = 2.0 * np.pi * rng.random()
             lines.append((c * np.cos(xa + ph), s * np.sin(2.0 * xa)))
         comps[idx] = TrigComponent(lines)
     return FormField(grid, degree, comps)

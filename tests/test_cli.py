@@ -528,6 +528,20 @@ def test_adjointness_report_peak_stays_within_its_grid_arrays(dim, size, arrays,
     assert peak <= arrays * 8 * size**dim
 
 
+def test_adjointness_fields_repeat_for_one_seed_only():
+    grid = hodge.PeriodicGrid.cube(3, 16)
+
+    def drawn(seed):
+        return [np.asarray(form.comps[idx]) for pair in cli._adjointness_pairs(grid, seed)
+                for form in pair for idx in form.indices()]
+
+    first, again, other = drawn(7), drawn(7), drawn(8)
+    # (alpha_k, beta_{k+1}) for k = 0, 1, 2 have 1 + 3, 3 + 3 and 3 + 1 components
+    assert len(first) == len(again) == len(other) == 14
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    assert not any(np.array_equal(a, b) for a, b in zip(first, other))
+
+
 @pytest.mark.parametrize("dim, size", [(4, 24), (4, 36), (3, 64)], ids=["4d-24", "4d-36", "3d-64"])
 def test_every_walk_of_a_report_runs_in_its_one_workspace(dim, size, monkeypatch):
     # whenever a walk starts a pairing, the only live allocation of one
@@ -694,8 +708,8 @@ REJECTIONS = {
     ("entropy", "--u0", "1e-320"):
         (2, "u0 is too small: its solver tolerance u0 * 1e-14 underflows to 0"),
     ("entropy", "--dt", "0", "--t-max", "-1"): (2, "no sample times in the default window"),
-    # only dt_out 0 means the solver's own steps; numpy's own error for a
-    # negative seed names no parameter
+    # only dt_out 0 means the solver's own steps; Python's generator would
+    # take a negative seed's absolute value, rerunning another seed
     ("cylinder-flow", "--dt-out", "-1"): (2, "cylinder-flow: parameter 'dt_out' must be at least 0"),
     ("hodge-check", "--seed", "-3"): (2, "hodge-check: parameter 'seed' must be at least 0"),
     # the pullback family needs tau = 1 - dt > 0
@@ -731,6 +745,10 @@ REJECTIONS = {
     ("torsion", "--lam0", "1.5e-8"):
         (3, "torsion fit: 35 of 200 sample times lie on the flow, t in [0, 5e-09] "
             "with T_sing = 1.5e-08; 200 needed"),
+    # a sample grid past what an array can index, where numpy's own error
+    # named neither the parameter nor the size
+    ("cylinder-flow", "--dt-out", "1e-300"):
+        (2, "dt_out=1e-300 asks for 1.32e+300 CSV rows, more than an array can hold"),
 }
 _ERROR_CLASS = {2: "config error: ", 3: "numerical failure: "}
 
@@ -795,10 +813,24 @@ def test_golden_run_parses(argv):
     # tools/golden.py runs these in fresh processes; a renamed flag or
     # choice must fail here, not there
     try:
-        args = cli.build_parser().parse_args(list(argv))
+        args = cli.build_parser(argv[0]).parse_args(list(argv))
     except SystemExit:
         pytest.fail(f"grflab {' '.join(argv)} does not parse")
     assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS + ("run",))
+def test_only_the_named_command_gets_its_schema_flags(command):
+    # every subparser takes -h, then the four options a parent parser
+    # declares once; the command a call names adds its schema's flags, in
+    # schema order
+    (subparsers,) = [a for a in cli.build_parser(command)._actions if a.dest == "command"]
+    assert list(subparsers.choices) == list(cli.COMMANDS) + ["run"]
+    shared = [["-h", "--help"], ["--config"], ["--out"], ["--dump-config"], ["--sweep"]]
+    for name, sp in subparsers.choices.items():
+        flags = [["--" + key.replace("_", "-")] for key in cli.SCHEMAS.get(name, ())]
+        expected = shared + flags if name == command else shared
+        assert [a.option_strings for a in sp._actions] == expected, name
 
 
 def test_golden_record_lists_the_runs_in_order():

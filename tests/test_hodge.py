@@ -227,7 +227,8 @@ def full_grid_trig_form(grid, degree, rng):
     for idx in itertools.combinations(range(grid.dim), degree):
         field = np.zeros(grid.sizes)
         for axis in range(grid.dim):
-            c, s, ph = rng.normal(size=3)
+            c, s = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+            ph = 2.0 * np.pi * rng.random()
             field = field + c * np.cos(x[axis] + ph) + s * np.sin(2.0 * x[axis])
         comps[idx] = field
     return comps
@@ -246,6 +247,35 @@ def test_separable_trig_form_matches_full_grid_accumulation(sizes):
             assert fast.comps[idx].shape == grid.sizes
             assert np.array_equal(fast.comps[idx], slow[idx])
     assert separable_trig_form(grid, grid.dim + 1, fast_rng).sup() == 0.0
+
+
+class RecordingRng:
+    """A generator with random() alone, so any other draw raises
+    AttributeError; it records the values it hands out."""
+
+    def __init__(self):
+        self.drawn = []
+
+    def random(self):
+        self.drawn.append((0.6180339887498949 * (len(self.drawn) + 1)) % 1.0)
+        return self.drawn[-1]
+
+
+@pytest.mark.parametrize("grid_name", ["g16", "g4"])
+def test_trig_form_draws_three_randoms_per_axis_of_each_component_in_order(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    x = grid.coords()
+    for degree in range(grid.dim + 1):
+        rng = RecordingRng()
+        form = separable_trig_form(grid, degree, rng)
+        indices = list(itertools.combinations(range(grid.dim), degree))
+        assert len(rng.drawn) == 3 * grid.dim * len(indices)
+        draws = iter(rng.drawn)
+        for idx in indices:  # lexicographic order
+            for axis, (cos_line, sin_line) in enumerate(form.comps[idx]._lines):
+                c, s, ph = next(draws), next(draws), next(draws)
+                assert_same_bits(cos_line, (2.0 * c - 1.0) * np.cos(x[axis] + 2.0 * np.pi * ph))
+                assert_same_bits(sin_line, (2.0 * s - 1.0) * np.sin(2.0 * x[axis]))
 
 
 @pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])
@@ -273,7 +303,7 @@ def test_generated_rows_equal_the_full_component_bit_for_bit(grid_name, request)
                 with pytest.raises(ValueError):
                     comp.rows(start, stop, np.empty((stop - start,) + grid.sizes[1:]))
     # the same draws in the same order
-    assert fast_rng.normal() == slow_rng.normal()
+    assert fast_rng.random() == slow_rng.random()
 
 
 @pytest.mark.parametrize("grid_name", ["g16", "gm4", "g3_odd"])

@@ -2,10 +2,11 @@
 numpy, the CLI starts numpy with one BLAS thread unless the caller sets
 OPENBLAS_NUM_THREADS and its artifacts do not depend on that count, only
 the program entry freezes the collector's heap, every command runs with
-scipy unimportable, a hodge-check run loads neither numpy.ma nor scipy, a
-run past its data cap exits 2 and every run gives the process's data
-limit back, every exported name exists, only the CLI writes files, the
-CSV formatter keeps its columns, and every demo runs."""
+scipy unimportable, a hodge-check run loads none of numpy.ma,
+numpy.random and scipy, a run past its data cap exits 2 and every run
+gives the process's data limit back, every exported name exists, only
+the CLI writes files, the CSV formatter keeps its columns, and every
+demo runs."""
 import ast
 import gc
 import importlib
@@ -173,11 +174,12 @@ def test_artifacts_do_not_depend_on_blas_threads(argv, tmp_path):
 
 def test_hodge_check_run_loads_neither_numpy_ma_nor_scipy(tmp_path):
     # numpy.ma adds to a cold start's resident size, and np.unique, for
-    # one, imports it
+    # one, imports it; numpy.random, with hashlib and OpenSSL, adds 6 MB,
+    # and the adjointness fields draw from Python's generator instead
     code = ("import sys; from grflab import cli; "
             f"code = cli.main(['hodge-check', '--dim', '3', '--size', '16', '--out', {str(tmp_path)!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']"
-            " or m.split('.')[0] == 'scipy'))")
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] in"
+            " (['numpy', 'ma'], ['numpy', 'random']) or m.split('.')[0] == 'scipy'))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_env(), timeout=120)
     assert run.returncode == 0, run.stderr
